@@ -65,6 +65,41 @@ enum LoadedModel {
 }
 
 impl LoadedModel {
+    /// Decodes a serialized model blob into its daemon-resident form — the
+    /// model store's decoder.
+    fn decode(blob: &[u8]) -> Option<LoadedModel> {
+        Some(match ModelKind::detect(blob).ok()? {
+            ModelKind::Mlp => LoadedModel::Mlp(Arc::new(serialize::decode_mlp(blob).ok()?)),
+            ModelKind::Lstm => LoadedModel::Lstm(Arc::new(serialize::decode_lstm(blob).ok()?)),
+            ModelKind::Knn => LoadedModel::Knn(Arc::new(serialize::decode_knn(blob).ok()?)),
+            ModelKind::QuantMlp => {
+                LoadedModel::QuantMlp(Arc::new(serialize::decode_quant_mlp(blob).ok()?))
+            }
+            ModelKind::QuantLstm => {
+                LoadedModel::QuantLstm(Arc::new(serialize::decode_quant_lstm(blob).ok()?))
+            }
+        })
+    }
+
+    /// The model's device footprint: weight bytes to upload, kernel name
+    /// base, and FLOPs per launch work item. `blob_len` is the length of
+    /// the blob the model was decoded from.
+    fn device_footprint(&self, blob_len: usize) -> (usize, &'static str, f64) {
+        match self {
+            LoadedModel::Mlp(m) => (m.num_params() * 4, "hl_mlp", m.flops_per_input()),
+            // per work item = one timestep of the full stack
+            LoadedModel::Lstm(m) => {
+                (blob_len, "hl_lstm", m.cells().iter().map(|c| c.flops_per_step()).sum())
+            }
+            // per work item = one (query, reference) pair
+            LoadedModel::Knn(m) => (m.num_refs() * m.dims() * 4, "hl_knn", 3.0 * m.dims() as f64),
+            // i8 weights: the device footprint is ≈ 4× smaller than the
+            // f32 form's — the ModelStore page win.
+            LoadedModel::QuantMlp(m) => (m.weight_bytes(), "hl_qmlp", m.flops_per_input()),
+            LoadedModel::QuantLstm(m) => (m.weight_bytes(), "hl_qlstm", m.flops_per_step()),
+        }
+    }
+
     /// Kernel name base, launch work items, and per-item FLOPs for a
     /// `rows` × `cols` batch, validating the shape against the model.
     fn launch_shape(
@@ -185,6 +220,15 @@ struct SchedState {
     pins: HashMap<u64, ModelPin<LoadedModel>>,
 }
 
+/// What one installed model holds on the pool devices.
+struct DeviceModel {
+    /// The current version's weight allocation on each pool device, in
+    /// device order.
+    weights: Vec<DevicePtr>,
+    /// The per-model inference kernel registered on every device.
+    kernel: String,
+}
+
 /// The daemon: implements [`ApiHandler`] over the simulated CUDA library.
 pub struct LakeDaemon {
     /// The primary device — the low-level remoted CUDA API is pinned to
@@ -196,6 +240,9 @@ pub struct LakeDaemon {
     /// allocations under a hard byte budget with clock eviction, pinned
     /// for the duration of every call that uses them.
     store: ModelStore<LoadedModel>,
+    /// Device-side state per installed model id, released when the
+    /// version is replaced, the model unloaded, or the incarnation dies.
+    on_device: Mutex<HashMap<u64, DeviceModel>>,
     next_model_id: AtomicU64,
     sched: Mutex<SchedState>,
     cpu: CpuCostModel,
@@ -280,9 +327,8 @@ impl LakeDaemon {
         simd: Option<Kernel>,
         executor_workers: usize,
     ) -> Arc<Self> {
-        let store = ModelStore::new(pool.clock().clone(), model_pages, model_budget, |blob| {
-            Self::decode_model_blob(blob).ok().map(|(m, _, _, _)| m)
-        });
+        let store =
+            ModelStore::new(pool.clock().clone(), model_pages, model_budget, LoadedModel::decode);
         let sched = Mutex::new(SchedState {
             batcher: Batcher::new(batch_policy),
             ready: HashMap::new(),
@@ -308,6 +354,7 @@ impl LakeDaemon {
             pool,
             shm,
             store,
+            on_device: Mutex::new(HashMap::new()),
             next_model_id: AtomicU64::new(1),
             sched,
             cpu: CpuCostModel::default(),
@@ -571,82 +618,75 @@ impl LakeDaemon {
 
     // -- high-level APIs (§4.4) -------------------------------------------
 
-    /// Decodes a serialized model blob into the daemon-resident form plus
-    /// its device footprint (weight bytes, kernel base, per-item FLOPs).
-    fn decode_model_blob(blob: &[u8]) -> Result<(LoadedModel, usize, &'static str, f64), Status> {
-        let kind = ModelKind::detect(blob).map_err(|_| Status::VendorError(code::ML_BAD_MODEL))?;
-        Ok(match kind {
-            ModelKind::Mlp => {
-                let m = serialize::decode_mlp(blob)
-                    .map_err(|_| Status::VendorError(code::ML_BAD_MODEL))?;
-                let bytes = m.num_params() * 4;
-                let flops = m.flops_per_input();
-                (LoadedModel::Mlp(Arc::new(m)), bytes, "hl_mlp", flops)
-            }
-            ModelKind::Lstm => {
-                let m = serialize::decode_lstm(blob)
-                    .map_err(|_| Status::VendorError(code::ML_BAD_MODEL))?;
-                let bytes = blob.len();
-                // per work item = one timestep of the full stack
-                let flops: f64 = m.cells().iter().map(|c| c.flops_per_step()).sum();
-                (LoadedModel::Lstm(Arc::new(m)), bytes, "hl_lstm", flops)
-            }
-            ModelKind::Knn => {
-                let m = serialize::decode_knn(blob)
-                    .map_err(|_| Status::VendorError(code::ML_BAD_MODEL))?;
-                let bytes = m.num_refs() * m.dims() * 4;
-                // per work item = one (query, reference) pair
-                let flops = 3.0 * m.dims() as f64;
-                (LoadedModel::Knn(Arc::new(m)), bytes, "hl_knn", flops)
-            }
-            ModelKind::QuantMlp => {
-                let m = serialize::decode_quant_mlp(blob)
-                    .map_err(|_| Status::VendorError(code::ML_BAD_MODEL))?;
-                // i8 weights: the device footprint is ≈ 4× smaller than
-                // the f32 form's — the ModelStore page win.
-                let bytes = m.weight_bytes();
-                let flops = m.flops_per_input();
-                (LoadedModel::QuantMlp(Arc::new(m)), bytes, "hl_qmlp", flops)
-            }
-            ModelKind::QuantLstm => {
-                let m = serialize::decode_quant_lstm(blob)
-                    .map_err(|_| Status::VendorError(code::ML_BAD_MODEL))?;
-                let bytes = m.weight_bytes();
-                let flops = m.flops_per_step();
-                (LoadedModel::QuantLstm(Arc::new(m)), bytes, "hl_qlstm", flops)
-            }
-        })
+    /// Decodes a model blob, once: the result is validated here and then
+    /// handed to the store, which neither re-validates nor re-decodes it.
+    fn decode_model(&self, blob: &[u8]) -> Result<LoadedModel, Status> {
+        self.store.decode(blob).ok_or(Status::VendorError(code::ML_BAD_MODEL))
     }
 
-    /// Uploads `weight_bytes` of device weights once per pool device —
-    /// the recurring inference calls then only move features/results, the
-    /// way the paper keeps models "in memory ... critical to performance"
-    /// (§5.1). Replication is what lets the scheduler place a batch on
-    /// any device. Returns the primary device's weight pointer.
-    fn upload_weights(&self, weight_bytes: usize) -> Result<DevicePtr, Status> {
-        let mut primary_weights = DevicePtr(0);
+    /// Puts a freshly installed version of model `id` on the devices:
+    /// `weight_bytes` of weights uploaded once per pool device — the
+    /// recurring inference calls then only move features/results, the way
+    /// the paper keeps models "in memory ... critical to performance"
+    /// (§5.1); replication is what lets the scheduler place a batch on any
+    /// device — plus the per-model kernel. The version it replaces gives
+    /// its device memory back. Returns the primary device's weight
+    /// pointer.
+    fn place_on_devices(
+        &self,
+        id: u64,
+        weight_bytes: usize,
+        kernel_base: &str,
+        flops_per_item: f64,
+    ) -> Result<DevicePtr, Status> {
+        let bytes = weight_bytes.max(4);
+        let mut weights = Vec::with_capacity(self.pool.len());
         for idx in 0..self.pool.len() {
             let dev = self.pool.device(idx);
-            let weights = dev.mem_alloc(weight_bytes.max(4)).map_err(gpu_status)?;
-            dev.memcpy_htod(weights, &vec![0u8; weight_bytes.max(4)]).map_err(gpu_status)?;
-            if idx == 0 {
-                primary_weights = weights;
+            // Inference reads weights through the store pin, never from
+            // the device buffer, so the upload is charged, not copied.
+            let uploaded = dev.mem_alloc(bytes).and_then(|ptr| {
+                weights.push(ptr);
+                dev.charge_htod(ptr, bytes)
+            });
+            if let Err(e) = uploaded {
+                self.free_weights(&weights);
+                return Err(gpu_status(e));
             }
         }
-        Ok(primary_weights)
+        let primary = weights[0];
+        let kernel = self.register_model_kernel(id, kernel_base, flops_per_item);
+        let replaced = self.on_device.lock().insert(id, DeviceModel { weights, kernel });
+        if let Some(old) = replaced {
+            self.free_weights(&old.weights);
+        }
+        Ok(primary)
+    }
+
+    fn free_weights(&self, weights: &[DevicePtr]) {
+        for (idx, &ptr) in weights.iter().enumerate() {
+            let _ = self.pool.device(idx).mem_free(ptr);
+        }
+    }
+
+    /// Takes model `id` off the devices: weights freed, kernels dropped.
+    fn evict_from_devices(&self, id: u64, model: DeviceModel) {
+        self.free_weights(&model.weights);
+        self.pool.unregister_kernel(&model.kernel);
+        self.gpu.unregister_kernel(&format!("hl_train_{id}"));
     }
 
     fn ml_load_model(&self, payload: &[u8]) -> Result<Bytes, Status> {
         let mut d = Decoder::new(payload);
         let blob = d.get_bytes().map_err(|_| Status::Malformed)?;
-        let (_, weight_bytes, kernel_name, flops_per_item) = Self::decode_model_blob(blob)?;
+        let model = self.decode_model(blob)?;
+        let (weight_bytes, kernel_base, flops_per_item) = model.device_footprint(blob.len());
 
         let id = self.next_model_id.fetch_add(1, Ordering::Relaxed);
         // A fresh load is version 1; trains and hot-swaps move it forward.
-        self.store.install(id, 1, blob).map_err(store_status)?;
-
-        let primary_weights = self.upload_weights(weight_bytes)?;
-        self.register_model_kernel(id, kernel_name, flops_per_item);
+        self.store.install_decoded(id, 1, blob, model).map_err(store_status)?;
+        let primary_weights =
+            self.place_on_devices(id, weight_bytes, kernel_base, flops_per_item)?;
 
         let mut e = Encoder::new();
         e.put_u64(id);
@@ -656,7 +696,8 @@ impl LakeDaemon {
 
     /// Registers the per-model device kernel that actually executes the
     /// model math over a device input buffer, on every pool device.
-    fn register_model_kernel(&self, id: u64, base: &str, flops_per_item: f64) {
+    /// Returns the kernel's name.
+    fn register_model_kernel(&self, id: u64, base: &str, flops_per_item: f64) -> String {
         let store = self.store.clone();
         let engine = Arc::clone(&self.engine);
         let name = format!("{base}_{id}");
@@ -693,6 +734,7 @@ impl LakeDaemon {
                 pin.classify_host(&engine, id, pin.version(), rows, cols, steps, &data)?;
             ctx.write_f32(output, &classes)
         });
+        name
     }
 
     fn ml_unload_model(&self, payload: &[u8]) -> Result<Bytes, Status> {
@@ -707,6 +749,10 @@ impl LakeDaemon {
         // Drop the packed weight cache with the model; a future model
         // reusing the id must repack.
         self.engine.invalidate(id);
+        let on_device = self.on_device.lock().remove(&id);
+        if let Some(model) = on_device {
+            self.evict_from_devices(id, model);
+        }
         Ok(Bytes::new())
     }
 
@@ -1115,8 +1161,13 @@ impl LakeDaemon {
         // dropping the queued tickets' pins below cannot double-free
         // pages the reset already swept.
         self.store.crash_reset();
-        // The packed weight caches died with the incarnation's models.
+        // The packed weight caches died with the incarnation's models,
+        // and the driver released the dead process's device memory.
         self.engine.clear_cache();
+        let on_device: Vec<_> = self.on_device.lock().drain().collect();
+        for (id, model) in on_device {
+            self.evict_from_devices(id, model);
+        }
         let mut sched = self.sched.lock();
         for batch in sched.batcher.flush_all() {
             for req in &batch.requests {
@@ -1141,12 +1192,12 @@ impl LakeDaemon {
     /// Returns the same statuses as `ml_load_model` for undecodable
     /// blobs, version regressions, or device upload failures.
     pub fn restore_model(&self, id: u64, version: u64, blob: &[u8]) -> Result<(), Status> {
-        let (_, weight_bytes, kernel_name, flops_per_item) = Self::decode_model_blob(blob)?;
-        self.store.install(id, version, blob).map_err(store_status)?;
+        let model = self.decode_model(blob)?;
+        let (weight_bytes, kernel_base, flops_per_item) = model.device_footprint(blob.len());
+        self.store.install_decoded(id, version, blob, model).map_err(store_status)?;
         self.next_model_id.fetch_max(id + 1, Ordering::Relaxed);
         self.engine.invalidate(id);
-        self.upload_weights(weight_bytes)?;
-        self.register_model_kernel(id, kernel_name, flops_per_item);
+        self.place_on_devices(id, weight_bytes, kernel_base, flops_per_item)?;
         Ok(())
     }
 
@@ -1162,7 +1213,8 @@ impl LakeDaemon {
         let id = d.get_u64().map_err(|_| Status::Malformed)?;
         let blob = d.get_bytes().map_err(|_| Status::Malformed)?;
         // Validate the blob before touching any queue or store state.
-        let (_, weight_bytes, kernel_name, flops_per_item) = Self::decode_model_blob(blob)?;
+        let model = self.decode_model(blob)?;
+        let (weight_bytes, kernel_base, flops_per_item) = model.device_footprint(blob.len());
         let current =
             self.store.version_of(id).ok_or(Status::VendorError(code::ML_UNKNOWN_MODEL))?;
 
@@ -1174,12 +1226,11 @@ impl LakeDaemon {
             self.execute_batch(&mut sched, batch)?;
         }
         let version = current + 1;
-        self.store.install(id, version, blob).map_err(store_status)?;
+        self.store.install_decoded(id, version, blob, model).map_err(store_status)?;
         drop(sched);
 
         self.engine.invalidate(id);
-        self.upload_weights(weight_bytes)?;
-        self.register_model_kernel(id, kernel_name, flops_per_item);
+        self.place_on_devices(id, weight_bytes, kernel_base, flops_per_item)?;
 
         let mut e = Encoder::new();
         e.put_u64(version);
@@ -1326,12 +1377,12 @@ impl LakeDaemon {
                 _ => return Err(Status::VendorError(code::ML_BAD_SHAPE)),
             }
         };
-        let (_, weight_bytes, kernel_name, flops_per_item) = Self::decode_model_blob(&qblob)?;
+        let model = self.decode_model(&qblob)?;
+        let (weight_bytes, kernel_base, flops_per_item) = model.device_footprint(qblob.len());
 
         let new_id = self.next_model_id.fetch_add(1, Ordering::Relaxed);
-        self.store.install(new_id, 1, &qblob).map_err(store_status)?;
-        self.upload_weights(weight_bytes)?;
-        self.register_model_kernel(new_id, kernel_name, flops_per_item);
+        self.store.install_decoded(new_id, 1, &qblob, model).map_err(store_status)?;
+        self.place_on_devices(new_id, weight_bytes, kernel_base, flops_per_item)?;
 
         let mut e = Encoder::new();
         e.put_u64(new_id);

@@ -252,9 +252,11 @@ impl LakeBuilder {
     /// inline payload at or above `threshold` bytes is written into a
     /// **private** staging region and only a 16-byte descriptor crosses
     /// the channel (Fig 6's crossover sits near 4 KB —
-    /// [`lake_rpc::DEFAULT_INLINE_THRESHOLD`]). Off by default: callers
-    /// that manage `lakeShm` buffers themselves already pass handles,
-    /// and their accounting assumes the main region is theirs alone.
+    /// [`lake_rpc::DEFAULT_INLINE_THRESHOLD`]). The rule holds at every
+    /// queue depth: sync calls and queue-pair submissions stage alike.
+    /// Off by default: callers that manage `lakeShm` buffers themselves
+    /// already pass handles, and their accounting assumes the main region
+    /// is theirs alone.
     pub fn staging_threshold(mut self, threshold: usize) -> Self {
         self.staging_threshold = Some(threshold);
         self
@@ -485,6 +487,14 @@ impl LakeBuilder {
             exec_workers,
         );
         daemon.set_stall_schedule(self.stall_schedule);
+        // A private region, not the kernel-visible lakeShm: staged frames
+        // are engine bookkeeping, and the main region's accounting
+        // (orphan sweeps, `in_use == 0` invariants) belongs to callers
+        // that stage buffers explicitly. In the linked modes the serve
+        // thread maps the same region so staged descriptors resolve.
+        let staging = self
+            .staging_threshold
+            .map(|threshold| (ShmRegion::with_capacity(self.shm_capacity), threshold));
         // The supervisor is always wired (an empty crash schedule is a
         // no-op lease), so the engine's per-call lifecycle hook and the
         // epoch plumbing behave identically with and without chaos.
@@ -494,18 +504,11 @@ impl LakeBuilder {
             self.supervisor_policy,
             Arc::clone(&daemon),
             shm.clone(),
+            staging.as_ref().map(|(region, _)| region.clone()),
             Arc::clone(&pool),
         );
         let fault_plan =
             self.transport_faults.map(|(spec, seed)| Arc::new(FaultPlan::new(spec, seed)));
-        // A private region, not the kernel-visible lakeShm: staged frames
-        // are engine bookkeeping, and the main region's accounting
-        // (orphan sweeps, `in_use == 0` invariants) belongs to callers
-        // that stage buffers explicitly. In the linked modes the serve
-        // thread maps the same region so staged descriptors resolve.
-        let staging = self
-            .staging_threshold
-            .map(|threshold| (ShmRegion::with_capacity(self.shm_capacity), threshold));
         // One counter set per deployment, shared between the stub-side
         // engine and the daemon serve thread: multi-shard processes must
         // attribute copies to the shard that performed them (the
@@ -642,6 +645,9 @@ pub struct FaultReport {
     /// `lakeShm` allocator stats, including `orphaned_bytes` and the
     /// reclamation counters.
     pub shm: AllocStats,
+    /// The same for the call engine's private staging region, when
+    /// [`LakeBuilder::staging_threshold`] attached one.
+    pub staging: Option<AllocStats>,
     /// Daemon lifecycle counters (crashes, restarts, replay, breaker,
     /// orphan reclamation).
     pub supervisor: SupervisorStats,
@@ -829,6 +835,7 @@ impl Lake {
             shard: self.shard_id,
             transport: self.fault_counters(),
             shm: self.shm.stats(),
+            staging: self.engine.staging_stats(),
             supervisor: self.supervisor.stats(),
             tickets_lost: self.daemon.tickets_lost(),
         }

@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 
 use lake_rpc::DaemonLifecycle;
 use lake_sched::DevicePool;
-use lake_shm::ShmRegion;
+use lake_shm::{ReclaimReport, ShmRegion};
 use lake_sim::{CrashSchedule, Duration, Instant, SharedClock};
 
 use crate::daemon::LakeDaemon;
@@ -130,6 +130,10 @@ pub struct DaemonSupervisor {
     policy: SupervisorPolicy,
     daemon: Arc<LakeDaemon>,
     shm: ShmRegion,
+    /// The call engine's private staging region, when it stages bulk
+    /// payloads: its buffers are request-owned like lakeShm's, so the
+    /// same restart and idle sweeps collect the ones a dead call disowned.
+    staging: Option<ShmRegion>,
     pool: Arc<DevicePool>,
     /// Shared with linked-mode serve threads (which stamp response
     /// frames) without handing them the whole supervisor — the restart
@@ -167,6 +171,7 @@ impl DaemonSupervisor {
         policy: SupervisorPolicy,
         daemon: Arc<LakeDaemon>,
         shm: ShmRegion,
+        staging: Option<ShmRegion>,
         pool: Arc<DevicePool>,
     ) -> Arc<Self> {
         Arc::new(DaemonSupervisor {
@@ -175,6 +180,7 @@ impl DaemonSupervisor {
             policy,
             daemon,
             shm,
+            staging,
             pool,
             epoch: Arc::new(AtomicU64::new(0)),
             on_restart: Mutex::new(None),
@@ -283,12 +289,24 @@ impl DaemonSupervisor {
     /// that killed the ticket has already completed. Counts into the same
     /// reclamation totals as restart sweeps.
     pub fn sweep_idle_orphans(&self) {
-        let report = self.shm.reclaim_orphans();
+        let report = self.reclaim_orphans();
         if report.reclaimed_allocs > 0 {
             self.orphans_reclaimed.fetch_add(report.reclaimed_allocs, Ordering::Relaxed);
             self.state.lock().orphan_bytes_reclaimed += report.reclaimed_bytes;
             self.idle_sweeps.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Frees every explicitly disowned buffer in lakeShm and the staging
+    /// region.
+    fn reclaim_orphans(&self) -> ReclaimReport {
+        let mut total = self.shm.reclaim_orphans();
+        if let Some(staging) = &self.staging {
+            let report = staging.reclaim_orphans();
+            total.reclaimed_allocs += report.reclaimed_allocs;
+            total.reclaimed_bytes += report.reclaimed_bytes;
+        }
+        total
     }
 
     /// One supervised restart: charge detection + backoff + restart
@@ -317,7 +335,10 @@ impl DaemonSupervisor {
         // in-flight idempotent commands whose payloads reference buffers
         // staged before the crash — even across a multi-restart storm.
         self.shm.set_epoch(new_epoch);
-        let report = self.shm.reclaim_orphans();
+        if let Some(staging) = &self.staging {
+            staging.set_epoch(new_epoch);
+        }
+        let report = self.reclaim_orphans();
         self.orphans_reclaimed.fetch_add(report.reclaimed_allocs, Ordering::Relaxed);
         st.orphan_bytes_reclaimed += report.reclaimed_bytes;
 

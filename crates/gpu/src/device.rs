@@ -341,6 +341,12 @@ impl GpuDevice {
             .insert(name.to_owned(), Kernel { flops_per_item, body: Arc::new(body) });
     }
 
+    /// Drops a registered kernel (unloading its module); returns whether
+    /// it was registered.
+    pub fn unregister_kernel(&self, name: &str) -> bool {
+        self.state.lock().kernels.remove(name).is_some()
+    }
+
     /// `cuMemAlloc`: allocates `bytes` of device memory.
     ///
     /// # Errors
@@ -426,6 +432,28 @@ impl GpuDevice {
         st.mem.write(ptr, 0, data)?;
         st.bytes_h2d += data.len() as u64;
         let t = self.spec.transfer_time(data.len());
+        self.occupy(&mut st, t);
+        Ok(())
+    }
+
+    /// The timing half of [`GpuDevice::memcpy_htod`]: occupies the engine
+    /// and counts the traffic for a `len`-byte host→device copy into `ptr`
+    /// without moving any bytes — for uploads whose content the simulation
+    /// never reads back (model weights are served host-side; the device
+    /// copy is their footprint and transfer cost).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpuError::OutOfBounds`] if `len` exceeds the allocation,
+    /// [`GpuError::InvalidPtr`] for stale pointers.
+    pub fn charge_htod(&self, ptr: DevicePtr, len: usize) -> Result<(), GpuError> {
+        let mut st = self.state.lock();
+        let size = st.mem.size_of(ptr)?;
+        if len > size {
+            return Err(GpuError::OutOfBounds { ptr, end: len, size });
+        }
+        st.bytes_h2d += len as u64;
+        let t = self.spec.transfer_time(len);
         self.occupy(&mut st, t);
         Ok(())
     }
@@ -683,6 +711,30 @@ mod tests {
         assert_eq!(gpu.memory_used(), 16);
         gpu.mem_free(ptr).unwrap();
         assert_eq!(gpu.memory_used(), 0);
+    }
+
+    #[test]
+    fn charge_htod_costs_exactly_what_the_copy_would() {
+        let (copied, charged) = (device(), device());
+        let a = copied.mem_alloc(4096).unwrap();
+        let b = charged.mem_alloc(4096).unwrap();
+        copied.memcpy_htod(a, &[0u8; 4096]).unwrap();
+        charged.charge_htod(b, 4096).unwrap();
+        assert_eq!(copied.clock().now(), charged.clock().now());
+        assert_eq!(copied.transfer_stats(), charged.transfer_stats());
+        assert_eq!(copied.engine_free_at(), charged.engine_free_at());
+        assert!(matches!(charged.charge_htod(b, 4097), Err(GpuError::OutOfBounds { .. })));
+        assert!(matches!(charged.charge_htod(DevicePtr(1), 1), Err(GpuError::InvalidPtr(_))));
+    }
+
+    #[test]
+    fn unregistered_kernels_no_longer_launch() {
+        let gpu = device();
+        gpu.register_kernel("noop", 1.0, |_, _| Ok(()));
+        gpu.launch_kernel("noop", 1, &[]).unwrap();
+        assert!(gpu.unregister_kernel("noop"));
+        assert!(!gpu.unregister_kernel("noop"));
+        assert!(matches!(gpu.launch_kernel("noop", 1, &[]), Err(GpuError::UnknownKernel(_))));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! ([`PressurePlan`]) can tighten the *effective* budget inside
 //! virtual-time windows without ever raising the ceiling.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -42,6 +42,11 @@ use lake_sim::{PressurePlan, SharedClock, SimRng};
 /// Page granularity for weight blobs: blobs round up to whole pages so
 /// eviction returns clean, coalescible spans to the region.
 pub const MODEL_PAGE_SIZE: usize = 4096;
+
+/// Cold-miss latencies kept for [`ModelStore::fault_latencies_us`]: the
+/// most recent this many, so a long-lived store's memory does not grow
+/// with its miss count.
+const FAULT_LATENCY_WINDOW: usize = 4096;
 
 /// Errors returned by the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +128,9 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Versions installed (loads, trains, hot-swaps, restores).
     pub installs: u64,
+    /// Blob decodes: one per install (the decoded model is handed through
+    /// to the resident page) plus one per cold-miss fault.
+    pub decodes: u64,
     /// Old versions retired by a hot-swap.
     pub swaps_retired: u64,
     /// Crash resets ([`ModelStore::crash_reset`]).
@@ -194,12 +202,13 @@ struct Shared<T> {
     misses: AtomicU64,
     evictions: AtomicU64,
     installs: AtomicU64,
+    decodes: AtomicU64,
     swaps_retired: AtomicU64,
     resets: AtomicU64,
     pages_reclaimed: AtomicU64,
     fault_ns: AtomicU64,
     peak_resident: AtomicUsize,
-    fault_lat_us: Mutex<Vec<f64>>,
+    fault_lat_us: Mutex<VecDeque<f64>>,
 }
 
 /// A refcounted pin on one installed model version.
@@ -331,12 +340,13 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
                 misses: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
                 installs: AtomicU64::new(0),
+                decodes: AtomicU64::new(0),
                 swaps_retired: AtomicU64::new(0),
                 resets: AtomicU64::new(0),
                 pages_reclaimed: AtomicU64::new(0),
                 fault_ns: AtomicU64::new(0),
                 peak_resident: AtomicUsize::new(0),
-                fault_lat_us: Mutex::new(Vec::new()),
+                fault_lat_us: Mutex::new(VecDeque::new()),
             }),
         }
     }
@@ -461,25 +471,36 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
         let latency = st.device.read_latency(now, blob.len().max(1));
         self.shared.clock.advance(latency);
         self.shared.fault_ns.fetch_add(latency.as_nanos(), Ordering::Relaxed);
-        self.shared
-            .fault_lat_us
-            .lock()
-            .expect("store poisoned")
-            .push(latency.as_nanos() as f64 / 1_000.0);
-        self.install_resident(st, id, &blob, true)?;
-        Ok(())
+        {
+            let mut window = self.shared.fault_lat_us.lock().expect("store poisoned");
+            if window.len() == FAULT_LATENCY_WINDOW {
+                window.pop_front();
+            }
+            window.push_back(latency.as_nanos() as f64 / 1_000.0);
+        }
+        let model = self.decode(&blob).ok_or(StoreError::Decode { id })?;
+        self.install_resident(st, id, &blob, model)
     }
 
-    /// Copies the blob into a fresh page and decodes it. `charged` only
-    /// affects accounting labels; the NVMe charge happens in `fault_in`.
+    /// Decodes `blob` with the store's decoder, counted in
+    /// [`StoreStats::decodes`]. Callers that need the decoded model before
+    /// installing (to validate it, to size its device footprint) decode
+    /// here and pass the result to [`ModelStore::install_decoded`], so the
+    /// blob is parsed once per write.
+    pub fn decode(&self, blob: &[u8]) -> Option<T> {
+        self.shared.decodes.fetch_add(1, Ordering::Relaxed);
+        (self.shared.decode)(blob)
+    }
+
+    /// Copies the blob into a fresh page holding `model`, its decoded
+    /// form. Any NVMe charge has already happened in `fault_in`.
     fn install_resident(
         &self,
         st: &mut State<T>,
         id: u64,
         blob: &[u8],
-        _charged: bool,
+        model: T,
     ) -> Result<(), StoreError> {
-        let model = (self.shared.decode)(blob).ok_or(StoreError::Decode { id })?;
         let page = match self.shared.pages.alloc_owned_paged(blob.len(), MODEL_PAGE_SIZE, id) {
             Ok(page) => page,
             Err(_) => {
@@ -524,49 +545,59 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
     /// installed one; [`StoreError::Decode`] if the blob is undecodable.
     pub fn install(&self, id: u64, version: u64, blob: &[u8]) -> Result<(), StoreError> {
         // Validate before mutating anything.
-        (self.shared.decode)(blob).ok_or(StoreError::Decode { id })?;
+        let model = self.decode(blob).ok_or(StoreError::Decode { id })?;
+        self.install_decoded(id, version, blob, model)
+    }
+
+    /// [`ModelStore::install`] for a caller that already holds `model`,
+    /// the decoded form of `blob` (from [`ModelStore::decode`]): the
+    /// store neither re-validates nor re-decodes.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::StaleVersion`] if `version` does not advance the
+    /// installed one.
+    pub fn install_decoded(
+        &self,
+        id: u64,
+        version: u64,
+        blob: &[u8],
+        model: T,
+    ) -> Result<(), StoreError> {
         let mut st = self.state();
         let st = &mut *st;
-        match st.slots.get_mut(&id) {
-            Some(slot) => {
-                if version <= slot.version {
-                    return Err(StoreError::StaleVersion {
-                        id,
-                        offered: version,
-                        installed: slot.version,
-                    });
-                }
-                if let Some(res) = slot.resident.take() {
-                    if res.pins > 0 {
-                        // In-flight work finishes on the old version.
-                        st.retired.push(Retired {
-                            id,
-                            version: slot.version,
-                            page: res.page,
-                            bytes: res.bytes,
-                            pins: res.pins,
-                            _model: res.model,
-                        });
-                    } else {
-                        st.resident_bytes -= res.bytes;
-                        let _ = self.shared.pages.free(res.page);
-                    }
-                    self.shared.swaps_retired.fetch_add(1, Ordering::Relaxed);
-                }
-                slot.version = version;
-                slot.blob = Arc::new(blob.to_vec());
+        if let Some(slot) = st.slots.get_mut(&id) {
+            if version <= slot.version {
+                return Err(StoreError::StaleVersion {
+                    id,
+                    offered: version,
+                    installed: slot.version,
+                });
             }
-            None => {
-                st.slots
-                    .insert(id, Slot { version, blob: Arc::new(blob.to_vec()), resident: None });
+            if let Some(res) = slot.resident.take() {
+                if res.pins > 0 {
+                    // In-flight work finishes on the old version.
+                    st.retired.push(Retired {
+                        id,
+                        version: slot.version,
+                        page: res.page,
+                        bytes: res.bytes,
+                        pins: res.pins,
+                        _model: res.model,
+                    });
+                } else {
+                    st.resident_bytes -= res.bytes;
+                    let _ = self.shared.pages.free(res.page);
+                }
+                self.shared.swaps_retired.fetch_add(1, Ordering::Relaxed);
             }
         }
+        let blob = Arc::new(blob.to_vec());
+        st.slots.insert(id, Slot { version, blob: Arc::clone(&blob), resident: None });
         self.shared.installs.fetch_add(1, Ordering::Relaxed);
         // Eager residency when the budget allows; otherwise lazy fault-in.
-        let need = Self::page_len(blob.len());
-        if self.make_room(st, id, need).is_ok() {
-            let blob = Arc::clone(&st.slots.get(&id).expect("just installed").blob);
-            let _ = self.install_resident(st, id, &blob, false);
+        if self.make_room(st, id, Self::page_len(blob.len())).is_ok() {
+            let _ = self.install_resident(st, id, &blob, model);
         }
         self.assert_budget(st);
         Ok(())
@@ -702,6 +733,7 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
             misses: self.shared.misses.load(Ordering::Relaxed),
             evictions: self.shared.evictions.load(Ordering::Relaxed),
             installs: self.shared.installs.load(Ordering::Relaxed),
+            decodes: self.shared.decodes.load(Ordering::Relaxed),
             swaps_retired: self.shared.swaps_retired.load(Ordering::Relaxed),
             resets: self.shared.resets.load(Ordering::Relaxed),
             pages_reclaimed: self.shared.pages_reclaimed.load(Ordering::Relaxed),
@@ -709,9 +741,10 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
         }
     }
 
-    /// Cold-miss fault latencies observed so far, microseconds, in order.
+    /// The most recent cold-miss fault latencies (a fixed-size window),
+    /// microseconds, oldest first.
     pub fn fault_latencies_us(&self) -> Vec<f64> {
-        self.shared.fault_lat_us.lock().expect("store poisoned").clone()
+        self.shared.fault_lat_us.lock().expect("store poisoned").iter().copied().collect()
     }
 }
 
@@ -802,6 +835,40 @@ mod tests {
         let _ = st.acquire(1).unwrap(); // faults 1 back in (2 evicted it)
         assert!(clock.now() > before, "cold miss must advance virtual time");
         assert_eq!(st.fault_latencies_us().len(), 1);
+    }
+
+    #[test]
+    fn installs_decode_once_and_faults_once_more() {
+        let (_clock, st) = store(Some(4096));
+        st.install(1, 1, &blob(1, 100)).unwrap();
+        assert_eq!(st.stats().decodes, 1, "validate and make resident from one decode");
+        let model = st.decode(&blob(2, 100)).unwrap();
+        st.install_decoded(2, 1, &blob(2, 100), model).unwrap();
+        assert_eq!(st.stats().decodes, 2, "a pre-decoded install adds no decode of its own");
+        assert_eq!(st.acquire(2).unwrap()[0], 2);
+        assert_eq!(st.stats().decodes, 2, "resident hit");
+        assert_eq!(st.acquire(1).unwrap()[0], 1);
+        assert_eq!(st.stats().decodes, 3, "the refault of evicted model 1 decodes its blob");
+        assert!(st.install(3, 1, &[]).is_err());
+        assert!(st.version_of(3).is_none(), "an undecodable blob installs nothing");
+    }
+
+    #[test]
+    fn fault_latency_history_is_a_bounded_window() {
+        let (_clock, st) = store(Some(4096));
+        st.install(1, 1, &blob(1, 100)).unwrap();
+        st.install(2, 1, &blob(2, 100)).unwrap();
+        let rounds = FAULT_LATENCY_WINDOW / 2 + 8;
+        for _ in 0..rounds {
+            // One page of budget: each acquire evicts the other model.
+            drop(st.acquire(1).unwrap());
+            drop(st.acquire(2).unwrap());
+        }
+        let s = st.stats();
+        assert!(s.misses as usize > FAULT_LATENCY_WINDOW);
+        let window = st.fault_latencies_us();
+        assert_eq!(window.len(), FAULT_LATENCY_WINDOW);
+        assert!(window.iter().all(|&us| us > 0.0));
     }
 
     #[test]

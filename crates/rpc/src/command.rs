@@ -31,6 +31,10 @@ pub enum Status {
     UnknownApi,
     /// The daemon could not decode the command payload.
     Malformed,
+    /// The command executed, but its response is longer than the link's
+    /// [`max_frame_len`](lake_transport::Channel::max_frame_len) and was
+    /// withheld.
+    ResponseTooLarge,
     /// The underlying library (simulated CUDA, ML runtime, ...) failed;
     /// the code is vendor-specific.
     VendorError(u32),
@@ -42,6 +46,7 @@ impl Status {
             Status::Ok => 0,
             Status::UnknownApi => 1,
             Status::Malformed => 2,
+            Status::ResponseTooLarge => 3,
             Status::VendorError(code) => 0x1000 + code,
         }
     }
@@ -51,6 +56,7 @@ impl Status {
             0 => Status::Ok,
             1 => Status::UnknownApi,
             2 => Status::Malformed,
+            3 => Status::ResponseTooLarge,
             v => Status::VendorError(v.saturating_sub(0x1000)),
         }
     }
@@ -63,6 +69,10 @@ impl Status {
 
 const COMMAND_MAGIC: u8 = 0xC5;
 const RESPONSE_MAGIC: u8 = 0x5C;
+
+/// Bytes a command frame adds around its payload: magic, api id, seq,
+/// payload length prefix, checksum trailer.
+pub(crate) const COMMAND_FRAME_OVERHEAD: usize = 1 + 4 + 8 + 4 + 4;
 
 /// FNV-1a over the frame body; appended as a little-endian u32 trailer so a
 /// corrupted frame is *detected* at decode instead of silently delivering a
@@ -203,7 +213,7 @@ impl Command {
 
     /// Size of the encoded frame, used for transport cost accounting.
     pub fn encoded_len(&self) -> usize {
-        1 + 4 + 8 + 4 + self.payload.len() + 4
+        COMMAND_FRAME_OVERHEAD + self.payload.len()
     }
 
     /// Best-effort recovery of the sequence number from a frame that may
@@ -346,7 +356,13 @@ mod tests {
 
     #[test]
     fn response_roundtrip_all_statuses() {
-        for status in [Status::Ok, Status::UnknownApi, Status::Malformed, Status::VendorError(3)] {
+        for status in [
+            Status::Ok,
+            Status::UnknownApi,
+            Status::Malformed,
+            Status::ResponseTooLarge,
+            Status::VendorError(3),
+        ] {
             let r = Response { seq: 9, epoch: 3, status, payload: Bytes::from_static(&[1, 2]) };
             let frame = r.encode();
             assert_eq!(frame.len(), r.encoded_len());

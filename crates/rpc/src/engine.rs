@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use lake_shm::ShmRegion;
+use lake_shm::{ShmBuffer, ShmRegion};
 use lake_sim::{Duration, FaultPlan, FrameFault, Instant, SharedClock};
 use lake_transport::{Channel, Mechanism};
 
@@ -93,6 +93,16 @@ pub enum RpcError {
         /// Incarnation epoch the daemon was serving under when it died.
         epoch: u64,
     },
+    /// The encoded command is longer than the link's
+    /// [`max_frame_len`](Channel::max_frame_len) and was never sent. Only
+    /// reachable for payloads that could not be staged (no staging region
+    /// attached, or the region was full).
+    FrameTooLarge {
+        /// Encoded frame length in bytes.
+        len: usize,
+        /// The link's limit.
+        max: usize,
+    },
 }
 
 impl fmt::Display for RpcError {
@@ -104,6 +114,9 @@ impl fmt::Display for RpcError {
             RpcError::TimedOut => f.write_str("call deadline expired (frame lost?)"),
             RpcError::DaemonRestarted { epoch } => {
                 write!(f, "daemon incarnation {epoch} died mid-call; state was replayed")
+            }
+            RpcError::FrameTooLarge { len, max } => {
+                write!(f, "command frame of {len} bytes exceeds the link limit of {max}")
             }
         }
     }
@@ -514,20 +527,15 @@ impl CallEngine {
     ///
     /// Returns [`RpcError::Remote`] when the daemon reports failure,
     /// [`RpcError::Wire`] on framing corruption, [`RpcError::Disconnected`]
-    /// if the daemon thread is gone, and [`RpcError::TimedOut`] when a
-    /// frame was lost and the call could not be (further) retried.
+    /// if the daemon thread is gone, [`RpcError::TimedOut`] when a frame
+    /// was lost and the call could not be (further) retried, and
+    /// [`RpcError::FrameTooLarge`] when an unstaged command exceeds the
+    /// link's frame limit.
     pub fn call(&self, api: ApiId, payload: Bytes) -> Result<Bytes, RpcError> {
-        if self.staging.as_ref().is_some_and(|s| payload.len() >= s.threshold) {
-            let n = payload.len();
-            // The payload already exists in caller memory, so staging it
-            // costs one real memcpy into shm — still a win: the inline
-            // path pays (at least) encode + retry-clone copies per send.
-            let staged = self.try_call_staged(api, n, &|dst: &mut [u8]| {
-                dst.copy_from_slice(&payload);
-                self.perf.note_copy(n);
-            });
-            if let Some(result) = staged {
-                return result;
+        if self.stages(payload.len()) {
+            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+            if let Some(staged) = self.stage_payload(api, seq, &payload) {
+                return self.call_staged(api, staged);
             }
             // Staging full: fall through to the inline path.
         }
@@ -553,9 +561,10 @@ impl CallEngine {
         len: usize,
         fill: impl Fn(&mut [u8]),
     ) -> Result<Bytes, RpcError> {
-        if self.staging.as_ref().is_some_and(|s| len >= s.threshold) {
-            if let Some(result) = self.try_call_staged(api, len, &fill) {
-                return result;
+        if self.stages(len) {
+            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+            if let Some(staged) = self.stage_command(api, seq, len, &fill) {
+                return self.call_staged(api, staged);
             }
         }
         let mut buf = vec![0u8; len];
@@ -626,12 +635,7 @@ impl CallEngine {
         self.call_framed(api, payload, self.is_idempotent(api))
     }
 
-    pub(crate) fn call_framed(
-        &self,
-        api: ApiId,
-        payload: Bytes,
-        idempotent: bool,
-    ) -> Result<Bytes, RpcError> {
+    fn call_framed(&self, api: ApiId, payload: Bytes, idempotent: bool) -> Result<Bytes, RpcError> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let cmd = Command { api, seq, payload };
         self.calls.fetch_add(1, Ordering::Relaxed);
@@ -646,17 +650,25 @@ impl CallEngine {
         }
     }
 
-    /// Stages `len` bytes into the shm region and issues the enveloped
-    /// descriptor call. Returns `None` (caller falls back to inline) when
-    /// no staging is attached or the region can't fit the payload.
-    fn try_call_staged(
+    /// Whether a payload of `len` bytes travels through the staging region
+    /// rather than inline — the one rule the sync call path and the queue
+    /// pair share.
+    pub(crate) fn stages(&self, len: usize) -> bool {
+        self.staging.as_ref().is_some_and(|s| len >= s.threshold)
+    }
+
+    /// Lets `fill` write `len` payload bytes into a fresh staging buffer
+    /// and builds the enveloped descriptor command that stands in for them
+    /// on the wire. Returns `None` (caller falls back to inline) when no
+    /// staging is attached or the region can't fit the payload.
+    pub(crate) fn stage_command(
         &self,
         api: ApiId,
+        seq: u64,
         len: usize,
         fill: &dyn Fn(&mut [u8]),
-    ) -> Option<Result<Bytes, RpcError>> {
+    ) -> Option<(Command, ShmBuffer)> {
         let staging = self.staging.as_ref()?;
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         // Owner-tagged with the call's seq: if this request dies with its
         // daemon, the reclamation sweep can attribute and free the buffer.
         let buf = staging.region.alloc_owned(len.max(1), seq).ok()?;
@@ -670,9 +682,32 @@ impl CallEngine {
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.staged_calls.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(cmd.encoded_len() as u64, Ordering::Relaxed);
-        let idempotent = self.is_idempotent(api);
-        let result = self.dispatch_mode(&cmd, idempotent);
-        match &result {
+        Some((cmd, buf))
+    }
+
+    /// [`CallEngine::stage_command`] for a payload that already exists in
+    /// caller memory, when it is at or above the staging threshold: staging
+    /// it costs one real memcpy into shm — still a win, the inline path
+    /// pays (at least) encode + retry-clone copies per send.
+    pub(crate) fn stage_payload(
+        &self,
+        api: ApiId,
+        seq: u64,
+        payload: &[u8],
+    ) -> Option<(Command, ShmBuffer)> {
+        if !self.stages(payload.len()) {
+            return None;
+        }
+        self.stage_command(api, seq, payload.len(), &|dst: &mut [u8]| {
+            dst.copy_from_slice(payload);
+            self.perf.note_copy(payload.len());
+        })
+    }
+
+    /// Releases a staged payload once its call has an outcome.
+    pub(crate) fn release_staged(&self, buf: ShmBuffer, outcome: &Result<Bytes, RpcError>) {
+        let Some(staging) = &self.staging else { return };
+        match outcome {
             // The daemon (or its restarted successor replaying a late
             // frame) may still read the staged bytes: orphan the buffer
             // for the next reclamation sweep instead of freeing it out
@@ -684,7 +719,19 @@ impl CallEngine {
                 let _ = staging.region.free(buf);
             }
         }
-        Some(result)
+    }
+
+    /// The staging region's allocator counters (in use, orphaned,
+    /// reclaimed), when staging is attached.
+    pub fn staging_stats(&self) -> Option<lake_shm::AllocStats> {
+        self.staging.as_ref().map(|s| s.region.stats())
+    }
+
+    /// Issues a staged command and releases its buffer with the outcome.
+    fn call_staged(&self, api: ApiId, (cmd, buf): (Command, ShmBuffer)) -> Result<Bytes, RpcError> {
+        let result = self.dispatch_mode(&cmd, self.is_idempotent(api));
+        self.release_staged(buf, &result);
+        result
     }
 
     fn call_in_process(
@@ -834,6 +881,11 @@ impl CallEngine {
         cmd: &Command,
         idempotent: bool,
     ) -> Result<Bytes, RpcError> {
+        let max = endpoint.max_frame_len();
+        if cmd.encoded_len() > max {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+            return Err(RpcError::FrameTooLarge { len: cmd.encoded_len(), max });
+        }
         let frame = cmd.encode();
         let seq = cmd.seq;
         // Registered for the whole call (across retries — they reuse the
@@ -1339,10 +1391,20 @@ pub(crate) fn serve_serial<C: Channel + ?Sized>(
                 }
             }
         };
-        if endpoint.send(response.encode()).is_err() {
+        if endpoint.send(fit_response(response, endpoint.max_frame_len()).encode()).is_err() {
             break;
         }
     }
+}
+
+/// Replaces a response the link cannot carry with a typed
+/// [`Status::ResponseTooLarge`] answer, so the caller gets an error
+/// instead of the transport refusing (or waiting forever on) the frame.
+pub(crate) fn fit_response(response: Response, max_frame_len: usize) -> Response {
+    if response.encoded_len() <= max_frame_len {
+        return response;
+    }
+    Response { status: Status::ResponseTooLarge, payload: Bytes::new(), ..response }
 }
 
 #[cfg(test)]

@@ -64,7 +64,8 @@ use lake_transport::{completion_queue, Channel, MuxSender};
 
 use crate::command::{ApiId, Command, Response, Status, SEQ_UNMATCHED};
 use crate::engine::{
-    dispatch, serve_serial, ApiHandler, BURST_API_BIT, MAX_BURST_ENTRIES, STAGED_API_BIT,
+    dispatch, fit_response, serve_serial, ApiHandler, BURST_API_BIT, MAX_BURST_ENTRIES,
+    STAGED_API_BIT,
 };
 use crate::perf::PerfCounters;
 use crate::wire::Decoder;
@@ -615,15 +616,18 @@ fn responder_loop<C: Channel + ?Sized>(
     stats: &ExecutorStats,
 ) {
     let mut job_tx = Some(job_tx);
+    let max_frame_len = endpoint.max_frame_len();
     while let Some(batch) = done_rx.drain_wait() {
         let mut wire: Vec<Vec<u8>> = Vec::new();
         for completion in batch {
             match completion {
-                Completion::Direct(response) => wire.push(response.encode()),
+                Completion::Direct(response) => {
+                    wire.push(fit_response(response, max_frame_len).encode());
+                }
                 Completion::Executed { class, response } => {
                     stats.completions.fetch_add(1, Ordering::Relaxed);
                     let dup_waiters = dedup.complete(response.seq, &response);
-                    let frame = response.encode();
+                    let frame = fit_response(response, max_frame_len).encode();
                     // Each duplicate frame that arrived mid-execution is
                     // owed its own copy, so a retrying caller is never
                     // left waiting on a response that was already sent.

@@ -31,6 +31,15 @@
 //! submitted command completes exactly once, with no duplicates, no
 //! matter how the frame fared.
 //!
+//! Bulk payloads never ride inline: an entry at or above the engine's
+//! staging threshold is written into the staging region and goes out as
+//! its own [`STAGED_API_BIT`](crate::STAGED_API_BIT) descriptor frame —
+//! the rule [`CallEngine::call`](crate::CallEngine::call) applies, so
+//! sync and queued submissions stage alike. Burst frames are cut so they
+//! fit the link's [`max_frame_len`](Channel::max_frame_len); a lone
+//! command that still exceeds it completes with the typed
+//! [`RpcError::FrameTooLarge`].
+//!
 //! A queue pair is a **per-client** structure (one SQ/CQ per submitter,
 //! as in NVMe); it is `Sync` and internally locked, but concurrent
 //! submitters should each own a pair rather than contend on one.
@@ -40,14 +49,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
+use lake_shm::ShmBuffer;
 use lake_sim::Instant;
 use lake_transport::Channel;
 
-use crate::command::{ApiId, Command, Response, Status, SEQ_UNMATCHED};
+use crate::command::{ApiId, Command, Response, Status, COMMAND_FRAME_OVERHEAD, SEQ_UNMATCHED};
 use crate::engine::{
     decode_burst_response, CallEngine, Mode, RpcError, MAX_BURST_ENTRIES, ROUTE_POLL,
 };
 use crate::wire::Encoder;
+
+/// Encoded bytes of a burst frame around its entries: the command frame
+/// itself and the entry count.
+const BURST_HEADER_LEN: usize = COMMAND_FRAME_OVERHEAD + 4;
+/// Encoded bytes a burst entry adds to its payload: api id + length prefix.
+const BURST_ENTRY_OVERHEAD: usize = 4 + 4;
 
 /// Default submission-queue depth when none is configured: the sync wire
 /// mode (every submit flushes immediately).
@@ -110,6 +126,9 @@ struct InflightFrame {
     waited: std::time::Duration,
     /// Incarnation that was serving when the current attempt was sent.
     serving_epoch: u64,
+    /// The payload of a staged (always lone) command: held while the
+    /// daemon may read it, released with the frame's outcome.
+    staged: Option<ShmBuffer>,
 }
 
 struct QpState {
@@ -270,8 +289,7 @@ impl QueuePair {
                 // fault/lifecycle/accounting behaviour) and completes at
                 // flush time.
                 for e in entries {
-                    let idempotent = self.engine.is_idempotent(e.api);
-                    let result = self.engine.call_framed(e.api, e.payload, idempotent);
+                    let result = self.engine.call(e.api, e.payload);
                     st.cq.push_back(Completion { id: e.id, api: e.api, result });
                     self.completed.fetch_add(1, Ordering::Relaxed);
                 }
@@ -290,60 +308,51 @@ impl QueuePair {
             Some(l) => l.ensure_up(),
             None => 0,
         };
+        let max_frame_len = endpoint.max_frame_len();
         // Coalesce: consecutive same-idempotency commands share a burst
-        // frame (retries must stay all-or-nothing safe), lone commands go
-        // out as plain frames.
+        // frame (retries must stay all-or-nothing safe) as long as the
+        // frame fits the link; a bulk payload closes the run and travels
+        // alone so it can be staged.
         let mut frames: Vec<(u64, InflightFrame)> = Vec::new();
         let mut run: Vec<SqEntry> = Vec::new();
         let mut run_idempotent = false;
-        let mut close_run = |run: &mut Vec<SqEntry>, idempotent: bool| {
-            for chunk in run.chunks(MAX_BURST_ENTRIES) {
-                let seq = self.engine.next_seq.fetch_add(1, Ordering::Relaxed);
-                let burst = chunk.len() > 1;
-                let cmd = if burst {
-                    let mut e = Encoder::new();
-                    e.put_u32(chunk.len() as u32);
-                    for entry in chunk {
-                        e.put_u32(entry.api.0);
-                        e.put_bytes(&entry.payload);
-                    }
-                    self.engine.burst_frames.fetch_add(1, Ordering::Relaxed);
-                    self.engine.coalesced_commands.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                    Command { api: ApiId(crate::engine::BURST_API_BIT), seq, payload: e.finish() }
-                } else {
-                    let entry = &chunk[0];
-                    Command { api: entry.api, seq, payload: entry.payload.clone() }
-                };
-                // Matches the sync path's per-frame accounting: one call,
-                // its encoded bytes.
-                self.engine.calls.fetch_add(1, Ordering::Relaxed);
-                self.engine.bytes_sent.fetch_add(cmd.encoded_len() as u64, Ordering::Relaxed);
-                frames.push((
-                    seq,
-                    InflightFrame {
-                        wire: cmd.encode(),
-                        entries: chunk.iter().map(|e| (e.id, e.api)).collect(),
-                        burst,
-                        idempotent,
-                        attempts: 1,
-                        sent_at: self.engine.clock.now(),
-                        waited: std::time::Duration::ZERO,
-                        serving_epoch,
-                    },
-                ));
-            }
+        let mut run_len = BURST_HEADER_LEN;
+        let mut close_run = |st: &mut QpState, run: &mut Vec<SqEntry>, idempotent: bool| {
+            let (seq, frame) = self.frame_run(run, idempotent, serving_epoch);
             run.clear();
+            // The link publishes its transfer limit; a frame over it is
+            // never handed to the transport.
+            if frame.wire.len() > max_frame_len {
+                self.engine.failures.fetch_add(1, Ordering::Relaxed);
+                let len = frame.wire.len();
+                let err = RpcError::FrameTooLarge { len, max: max_frame_len };
+                self.complete_frame(st, frame, Err(err));
+            } else {
+                frames.push((seq, frame));
+            }
         };
         for entry in entries {
             let idempotent = self.engine.is_idempotent(entry.api);
-            if !run.is_empty() && idempotent != run_idempotent {
-                close_run(&mut run, run_idempotent);
+            let entry_len = BURST_ENTRY_OVERHEAD + entry.payload.len();
+            let lone = self.engine.stages(entry.payload.len());
+            let splits = lone
+                || idempotent != run_idempotent
+                || run.len() == MAX_BURST_ENTRIES
+                || run_len + entry_len > max_frame_len;
+            if !run.is_empty() && splits {
+                close_run(st, &mut run, run_idempotent);
+                run_len = BURST_HEADER_LEN;
             }
             run_idempotent = idempotent;
+            run_len += entry_len;
             run.push(entry);
+            if lone {
+                close_run(st, &mut run, idempotent);
+                run_len = BURST_HEADER_LEN;
+            }
         }
         if !run.is_empty() {
-            close_run(&mut run, run_idempotent);
+            close_run(st, &mut run, run_idempotent);
         }
 
         // The whole drain ships under a single doorbell: the transport
@@ -362,11 +371,65 @@ impl QueuePair {
                 self.engine.register_waiter(seq);
                 st.inflight.insert(seq, frame);
             } else {
-                self.complete_frame(st, &frame, |_| Err(RpcError::Disconnected));
+                self.complete_frame(st, frame, Err(RpcError::Disconnected));
             }
         }
         let inflight: u64 = st.inflight.values().map(|f| f.entries.len() as u64).sum();
         self.inflight_high_water.fetch_max(inflight, Ordering::Relaxed);
+    }
+
+    /// Encodes one run of the drain as a wire frame: a burst for two or
+    /// more commands, a plain frame for a lone one — whose payload moves
+    /// through the staging region when it is at or above the threshold
+    /// (and the region has room; otherwise it stays inline).
+    fn frame_run(
+        &self,
+        run: &[SqEntry],
+        idempotent: bool,
+        serving_epoch: u64,
+    ) -> (u64, InflightFrame) {
+        let seq = self.engine.next_seq.fetch_add(1, Ordering::Relaxed);
+        let burst = run.len() > 1;
+        let mut staged = None;
+        let cmd = if burst {
+            let mut e = Encoder::new();
+            e.put_u32(run.len() as u32);
+            for entry in run {
+                e.put_u32(entry.api.0);
+                e.put_bytes(&entry.payload);
+            }
+            self.engine.burst_frames.fetch_add(1, Ordering::Relaxed);
+            self.engine.coalesced_commands.fetch_add(run.len() as u64, Ordering::Relaxed);
+            Command { api: ApiId(crate::engine::BURST_API_BIT), seq, payload: e.finish() }
+        } else {
+            let entry = &run[0];
+            match self.engine.stage_payload(entry.api, seq, &entry.payload) {
+                Some((cmd, buf)) => {
+                    staged = Some(buf);
+                    cmd
+                }
+                None => Command { api: entry.api, seq, payload: entry.payload.clone() },
+            }
+        };
+        if staged.is_none() {
+            // Matches the sync path's per-frame accounting: one call, its
+            // encoded bytes (`stage_command` has done this for a staged
+            // one).
+            self.engine.calls.fetch_add(1, Ordering::Relaxed);
+            self.engine.bytes_sent.fetch_add(cmd.encoded_len() as u64, Ordering::Relaxed);
+        }
+        let frame = InflightFrame {
+            wire: cmd.encode(),
+            entries: run.iter().map(|e| (e.id, e.api)).collect(),
+            burst,
+            idempotent,
+            attempts: 1,
+            sent_at: self.engine.clock.now(),
+            waited: std::time::Duration::ZERO,
+            serving_epoch,
+            staged,
+        };
+        (seq, frame)
     }
 
     /// Services the wire: claims responses stashed for us by sync callers,
@@ -461,7 +524,7 @@ impl QueuePair {
             self.engine.epoch_floor.fetch_max(resp.epoch, Ordering::Relaxed);
             self.engine.bytes_received.fetch_add(resp.encoded_len() as u64, Ordering::Relaxed);
             self.engine.failures.fetch_add(1, Ordering::Relaxed);
-            self.complete_frame(st, &frame, |_| Err(RpcError::Remote(Status::Malformed)));
+            self.complete_frame(st, frame, Err(RpcError::Remote(Status::Malformed)));
             return true;
         }
         // Did the daemon die inside this frame's window? Then the response
@@ -483,7 +546,7 @@ impl QueuePair {
                 self.engine.daemon_restarts.fetch_add(1, Ordering::Relaxed);
                 let epoch = frame.serving_epoch;
                 self.engine.deregister_waiter(seq);
-                self.complete_frame(st, &frame, |_| Err(RpcError::DaemonRestarted { epoch }));
+                self.complete_frame(st, frame, Err(RpcError::DaemonRestarted { epoch }));
                 return true;
             }
         }
@@ -494,7 +557,7 @@ impl QueuePair {
             if !resp.status.is_ok() {
                 // The whole frame failed: every rider shares the fate.
                 self.engine.failures.fetch_add(1, Ordering::Relaxed);
-                self.complete_frame(st, &frame, |_| Err(RpcError::Remote(resp.status)));
+                self.complete_frame(st, frame, Err(RpcError::Remote(resp.status)));
                 return true;
             }
             match decode_burst_response(&resp.payload, frame.entries.len()) {
@@ -508,15 +571,13 @@ impl QueuePair {
                         self.completed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                Err(err) => {
-                    self.complete_frame(st, &frame, |_| Err(err.clone()));
-                }
+                Err(err) => self.complete_frame(st, frame, Err(err)),
             }
         } else if resp.status.is_ok() {
-            self.complete_frame(st, &frame, |_| Ok(resp.payload.clone()));
+            self.complete_frame(st, frame, Ok(resp.payload));
         } else {
             self.engine.failures.fetch_add(1, Ordering::Relaxed);
-            self.complete_frame(st, &frame, |_| Err(RpcError::Remote(resp.status)));
+            self.complete_frame(st, frame, Err(RpcError::Remote(resp.status)));
         }
         true
     }
@@ -535,7 +596,7 @@ impl QueuePair {
         self.engine.perf.note_copy(frame.wire.len());
         if endpoint.send(frame.wire.clone()).is_err() {
             self.engine.deregister_waiter(seq);
-            self.complete_frame(st, &frame, |_| Err(RpcError::Disconnected));
+            self.complete_frame(st, frame, Err(RpcError::Disconnected));
             return;
         }
         self.frame_retries.fetch_add(1, Ordering::Relaxed);
@@ -568,7 +629,7 @@ impl QueuePair {
             } else {
                 self.engine.failures.fetch_add(1, Ordering::Relaxed);
                 self.engine.deregister_waiter(seq);
-                self.complete_frame(st, &frame, |_| Err(RpcError::TimedOut));
+                self.complete_frame(st, frame, Err(RpcError::TimedOut));
             }
         }
     }
@@ -578,19 +639,23 @@ impl QueuePair {
         let frames: Vec<(u64, InflightFrame)> = st.inflight.drain().collect();
         for (seq, frame) in frames {
             self.engine.deregister_waiter(seq);
-            self.complete_frame(st, &frame, |_| Err(err.clone()));
+            self.complete_frame(st, frame, Err(err.clone()));
         }
     }
 
-    /// Fans one per-frame outcome out to a completion per rider.
+    /// Fans one per-frame outcome out to a completion per rider, and
+    /// releases the frame's staged payload according to that outcome.
     fn complete_frame(
         &self,
         st: &mut QpState,
-        frame: &InflightFrame,
-        result: impl Fn(CmdId) -> Result<Bytes, RpcError>,
+        frame: InflightFrame,
+        result: Result<Bytes, RpcError>,
     ) {
+        if let Some(buf) = frame.staged {
+            self.engine.release_staged(buf, &result);
+        }
         for (id, api) in &frame.entries {
-            st.cq.push_back(Completion { id: *id, api: *api, result: result(*id) });
+            st.cq.push_back(Completion { id: *id, api: *api, result: result.clone() });
             self.completed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -821,6 +886,200 @@ mod tests {
         drop(qp);
         drop(engine);
         daemon.join().unwrap();
+    }
+
+    const API_ECHO: ApiId = ApiId(3);
+
+    fn echo_len() -> Arc<dyn ApiHandler> {
+        Arc::new(|_: ApiId, payload: &[u8]| -> Result<Bytes, Status> {
+            let mut e = Encoder::new();
+            e.put_u64(payload.len() as u64).put_u64(payload.iter().map(|&b| b as u64).sum());
+            Ok(e.finish())
+        })
+    }
+
+    /// A small ring (frames of at most ~2 KiB) in front of an echo daemon
+    /// that resolves staged descriptors against `staging`.
+    fn small_ring_daemon(
+        staging: Option<lake_shm::ShmRegion>,
+    ) -> (lake_transport::RingEndpoint, std::thread::JoinHandle<()>) {
+        let rings = lake_shm::ShmRegion::with_capacity(16 * 1024);
+        let (kernel, user) = lake_transport::RingLink::pair_in(
+            &rings,
+            Mechanism::Mmap,
+            SharedClock::new(),
+            4096,
+            lake_transport::WaitStrategy::Adaptive,
+            None,
+        )
+        .unwrap();
+        let daemon = std::thread::spawn(move || {
+            let handler = echo_len();
+            let epoch = AtomicU64::new(0);
+            match &staging {
+                Some(region) => {
+                    crate::engine::serve_with_staging(&user, handler.as_ref(), &epoch, region)
+                }
+                None => serve(&user, handler.as_ref()),
+            }
+        });
+        (kernel, daemon)
+    }
+
+    fn len_and_sum(out: &Bytes) -> (u64, u64) {
+        let mut d = Decoder::new(out);
+        (d.get_u64().unwrap(), d.get_u64().unwrap())
+    }
+
+    #[test]
+    fn bulk_submissions_are_staged_and_bursts_are_cut_to_the_link_limit() {
+        let staging = lake_shm::ShmRegion::with_capacity(1 << 20);
+        let (kernel, daemon) = small_ring_daemon(Some(staging.clone()));
+        let max = kernel.max_frame_len();
+        let engine = Arc::new(CallEngine::linked(kernel).with_staging(staging.clone(), 1024));
+        engine.register_api(API_ECHO, true);
+        let qp = QueuePair::new(engine.clone(), 64);
+        // Twelve 600-byte commands (below the threshold, 7 KiB together:
+        // more than one ring frame) around one 100 KiB command, which no
+        // frame of this ring could carry inline.
+        let mut ids = Vec::new();
+        for i in 0..6u8 {
+            ids.push((qp.submit(API_ECHO, Bytes::from(vec![i; 600])), 600, 600 * i as u64));
+        }
+        ids.push((qp.submit(API_ECHO, Bytes::from(vec![1; 100 << 10])), 100 << 10, 100 << 10));
+        for i in 6..12u8 {
+            ids.push((qp.submit(API_ECHO, Bytes::from(vec![i; 600])), 600, 600 * i as u64));
+        }
+        let done = qp.drain();
+        assert_eq!(done.len(), ids.len());
+        for (id, len, sum) in &ids {
+            let c = done.iter().find(|c| c.id == *id).expect("completed");
+            assert_eq!(len_and_sum(c.result.as_ref().unwrap()), (*len, *sum));
+        }
+        let es = engine.stats();
+        assert_eq!(es.staged_calls, 1, "only the bulk command is staged");
+        assert!(es.burst_frames >= 4, "7 KiB of small commands cannot share one {max}-byte frame");
+        assert_eq!(es.coalesced_commands, 12);
+        assert!(es.bytes_sent < 12 * 700 + 200, "the bulk payload never crossed the link");
+        assert_eq!(staging.stats().in_use, 0, "staged buffer freed on completion");
+        drop(qp);
+        drop(engine);
+        daemon.join().unwrap();
+    }
+
+    #[test]
+    fn unstageable_oversized_command_completes_with_a_typed_error() {
+        // The bulk command has to ride inline when there is no staging
+        // region, and when the region is too full to take it.
+        for staging in [None, Some(lake_shm::ShmRegion::with_capacity(4096))] {
+            let (kernel, daemon) = small_ring_daemon(staging.clone());
+            let max = kernel.max_frame_len();
+            let mut engine = CallEngine::linked(kernel);
+            if let Some(region) = &staging {
+                engine = engine.with_staging(region.clone(), 1024);
+            }
+            let engine = Arc::new(engine);
+            let qp = QueuePair::new(engine.clone(), 64);
+            let small = qp.submit(API_ECHO, Bytes::from(vec![2; 64]));
+            let big = qp.submit(API_ECHO, Bytes::from(vec![1; 8192]));
+            let after = qp.submit(API_ECHO, Bytes::from(vec![3; 64]));
+            let done = qp.drain();
+            let by_id = |id: CmdId| done.iter().find(|c| c.id == id).expect("completed");
+            assert!(matches!(
+                by_id(big).result,
+                Err(RpcError::FrameTooLarge { len, max: m }) if len > 8192 && m == max
+            ));
+            // The link is unharmed: commands around the refused one complete.
+            assert_eq!(len_and_sum(by_id(small).result.as_ref().unwrap()), (64, 128));
+            assert_eq!(len_and_sum(by_id(after).result.as_ref().unwrap()), (64, 192));
+            // The sync path refuses the same frame the same way.
+            let err = engine.call(API_ECHO, Bytes::from(vec![1; 8192])).unwrap_err();
+            assert!(matches!(err, RpcError::FrameTooLarge { .. }), "{err:?}");
+            assert_eq!(engine.stats().staged_calls, 0);
+            drop(qp);
+            drop(engine);
+            daemon.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn staged_submission_is_orphaned_not_freed_when_its_daemon_dies() {
+        use std::sync::atomic::AtomicBool;
+        /// Reports one crash inside the first request window it is asked
+        /// about, as a supervisor whose daemon died mid-call would.
+        struct DiesOnce(AtomicBool);
+        impl crate::engine::DaemonLifecycle for DiesOnce {
+            fn epoch(&self) -> u64 {
+                0
+            }
+            fn ensure_up(&self) -> u64 {
+                0
+            }
+            fn crashed_between(&self, _: Instant, _: Instant) -> bool {
+                !self.0.swap(true, Ordering::Relaxed)
+            }
+        }
+        let staging = lake_shm::ShmRegion::with_capacity(1 << 20);
+        let (kernel, daemon) = small_ring_daemon(Some(staging.clone()));
+        let engine = Arc::new(
+            CallEngine::linked(kernel)
+                .with_staging(staging.clone(), 1024)
+                .with_lifecycle(Arc::new(DiesOnce(AtomicBool::new(false)))),
+        );
+        let qp = QueuePair::new(engine.clone(), 64);
+        // Not registered idempotent: the frame surfaces the restart.
+        let id = qp.submit(API_ECHO, Bytes::from(vec![5; 4096]));
+        assert_eq!(qp.wait(id).unwrap_err(), RpcError::DaemonRestarted { epoch: 0 });
+        let s = staging.stats();
+        assert_eq!(s.live_allocs, 1, "a dead daemon may still read the buffer: {s:?}");
+        assert!(s.orphaned_bytes >= 4096, "{s:?}");
+        assert!(staging.reclaim_orphans().reclaimed_bytes >= 4096);
+        assert_eq!(staging.stats().in_use, 0);
+        drop(qp);
+        drop(engine);
+        daemon.join().unwrap();
+    }
+
+    #[test]
+    fn response_over_the_link_limit_comes_back_as_a_typed_status() {
+        // Payload byte 0 is the response length in KiB.
+        let inflate = |_: ApiId, payload: &[u8]| -> Result<Bytes, Status> {
+            Ok(Bytes::from(vec![0xEE; payload[0] as usize * 1024]))
+        };
+        for workers in [1, 2] {
+            let rings = lake_shm::ShmRegion::with_capacity(16 * 1024);
+            let (kernel, user) = lake_transport::RingLink::pair_in(
+                &rings,
+                Mechanism::Mmap,
+                SharedClock::new(),
+                4096,
+                lake_transport::WaitStrategy::Adaptive,
+                None,
+            )
+            .unwrap();
+            let daemon = std::thread::spawn(move || {
+                crate::executor::serve_executor(
+                    &user,
+                    &inflate,
+                    &AtomicU64::new(0),
+                    None,
+                    &crate::perf::PerfCounters::new(),
+                    workers,
+                    &crate::executor::ExecutorStats::new(),
+                )
+            });
+            let engine = CallEngine::linked(kernel);
+            assert_eq!(engine.call(API_ECHO, Bytes::from(vec![1])).unwrap().len(), 1024);
+            assert_eq!(
+                engine.call(API_ECHO, Bytes::from(vec![4])).unwrap_err(),
+                RpcError::Remote(Status::ResponseTooLarge),
+                "workers = {workers}"
+            );
+            // The daemon keeps serving.
+            assert_eq!(engine.call(API_ECHO, Bytes::from(vec![1])).unwrap().len(), 1024);
+            drop(engine);
+            daemon.join().unwrap();
+        }
     }
 
     #[test]

@@ -211,6 +211,14 @@ impl DevicePool {
         }
     }
 
+    /// Drops a kernel from every device (the model or module it belonged
+    /// to was unloaded).
+    pub fn unregister_kernel(&self, name: &str) {
+        for d in &self.devices {
+            d.device.unregister_kernel(name);
+        }
+    }
+
     /// Moving-average utilization of each device, in percent. Samples are
     /// rate-limited per device (Fig 3's "at most every 5 ms").
     pub fn utilization_snapshot(&self) -> Vec<f64> {

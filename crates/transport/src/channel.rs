@@ -68,6 +68,13 @@ pub trait Channel: Send + Sync {
     /// remains queued.
     fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Vec<u8>>, RecvError>;
 
+    /// The longest frame `send` accepts. Transports with a hard transfer
+    /// limit (the shm ring) publish it here so callers split or stage
+    /// larger payloads up front; the default is unlimited.
+    fn max_frame_len(&self) -> usize {
+        usize::MAX
+    }
+
     /// The mechanism this transport models (costs charged per frame).
     fn mechanism(&self) -> Mechanism;
 

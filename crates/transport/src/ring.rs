@@ -212,8 +212,18 @@ impl RingCore {
         ((HEADER_BYTES + payload_len) as u64 + RECORD_ALIGN - 1) & !(RECORD_ALIGN - 1)
     }
 
+    /// Largest payload one record may carry. A record never wraps, so when
+    /// it does not fit before the ring top the span up to the top is
+    /// sacrificed as well: in the worst tail position a record needs just
+    /// under twice its own length free, and only records of at most half
+    /// the ring are certain to be placeable once the ring has drained.
+    fn max_payload(&self) -> usize {
+        self.capacity as usize / 2 - HEADER_BYTES
+    }
+
     /// Publishes one record; busy-waits (with yields) while the ring is
-    /// full. Fails only if the consumer side is gone.
+    /// full. Fails if the consumer side is gone, or if the payload exceeds
+    /// [`RingCore::max_payload`] (senders are expected to check first).
     ///
     /// Caller must be the sole producer (the endpoint's send lock).
     fn push(&self, payload: &[u8], arrive_at_ns: u64) -> Result<(), ()> {
@@ -233,13 +243,10 @@ impl RingCore {
         arrive_at_ns: u64,
         doorbell: bool,
     ) -> Result<(), ()> {
+        if payload.len() > self.max_payload() {
+            return Err(());
+        }
         let rec = Self::record_len(payload.len());
-        assert!(
-            rec + RECORD_ALIGN < self.capacity,
-            "frame of {} bytes exceeds ring capacity {}",
-            payload.len(),
-            self.capacity
-        );
         let base = self.carve.as_ptr();
         loop {
             if self.consumer_closed.load(Ordering::Acquire) {
@@ -460,7 +467,8 @@ impl RingEndpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`SendError`] if the peer side has been dropped.
+    /// Returns [`SendError`] if the peer side has been dropped, or if the
+    /// frame is longer than [`RingEndpoint::max_frame_len`].
     pub fn send(&self, payload: Vec<u8>) -> Result<Instant, SendError> {
         let _g = self.send_lock.lock().unwrap();
         let sent_at = self.clock.advance(self.mechanism.call_time());
@@ -489,8 +497,9 @@ impl RingEndpoint {
     /// # Errors
     ///
     /// Returns [`SendError`] carrying the failing payload back if the peer
-    /// side has been dropped; earlier frames of the batch may have been
-    /// delivered.
+    /// side has been dropped or the frame is longer than
+    /// [`RingEndpoint::max_frame_len`]; earlier frames of the batch may
+    /// have been delivered.
     pub fn send_batch(&self, frames: Vec<Vec<u8>>) -> Result<(), SendError> {
         if frames.is_empty() {
             return Ok(());
@@ -704,6 +713,13 @@ impl RingEndpoint {
         }
     }
 
+    /// The longest frame this link carries — the ring's hard transfer
+    /// limit, published so callers split or stage anything larger instead
+    /// of handing the ring a record it can never place.
+    pub fn max_frame_len(&self) -> usize {
+        self.tx_core().max_payload()
+    }
+
     /// The wait strategy this side's consumer uses.
     pub fn strategy(&self) -> WaitStrategy {
         self.strategy
@@ -744,6 +760,10 @@ impl Channel for RingEndpoint {
 
     fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Vec<u8>>, RecvError> {
         RingEndpoint::recv_timeout(self, timeout)
+    }
+
+    fn max_frame_len(&self) -> usize {
+        RingEndpoint::max_frame_len(self)
     }
 
     fn mechanism(&self) -> Mechanism {
@@ -886,6 +906,37 @@ mod tests {
             k.send(vec![(i % 251) as u8; 1 + (i * 13) % 200]).unwrap();
         }
         consumer.join().unwrap();
+    }
+
+    /// The half-ring livelock: after the tail has moved, a record longer
+    /// than half the ring needs more free bytes than the ring has. The
+    /// link publishes the limit and refuses the frame instead of spinning.
+    #[test]
+    fn frames_up_to_the_published_limit_fit_at_any_tail_and_larger_are_refused() {
+        let region = ShmRegion::with_capacity(8192);
+        let (k, u) = RingLink::pair_in(
+            &region,
+            Mechanism::Mmap,
+            SharedClock::new(),
+            1024,
+            WaitStrategy::Spin,
+            None,
+        )
+        .unwrap();
+        let max = k.max_frame_len();
+        assert_eq!(max, 1024 / 2 - HEADER_BYTES);
+        // Walk the tail through every alignment; the ring is empty before
+        // each maximal frame, so each one must be placed without waiting.
+        for nudge in 1..=64usize {
+            k.send(vec![7; nudge]).unwrap();
+            assert_eq!(u.recv().unwrap().len(), nudge);
+            k.send(vec![9; max]).unwrap();
+            assert_eq!(u.recv().unwrap(), vec![9; max]);
+        }
+        let refused = k.send(vec![1; max + 1]).unwrap_err();
+        assert_eq!(refused.0.len(), max + 1);
+        assert!(k.send_batch(vec![vec![2; 8], vec![3; max + 1]]).is_err());
+        assert_eq!(u.recv().unwrap(), vec![2; 8], "frames before the refused one still arrive");
     }
 
     #[test]
