@@ -10,7 +10,7 @@
 
 use criterion::Criterion;
 use lake_bench::{banner, fmt_us, quick_criterion};
-use lake_core::{BatchPolicy, Lake};
+use lake_core::{BatchPolicy, BatchThresholdPolicy, Lake};
 use lake_ml::{serialize, Activation, Mlp};
 use lake_sched::{BatchPolicy as Policy, Batcher};
 use lake_sim::{Duration, Instant};
@@ -34,7 +34,7 @@ fn feature_row(i: usize) -> Vec<f32> {
 /// Virtual time (µs) for `rows` one-row synchronous launches.
 fn singleton_makespan(rows: usize) -> f64 {
     let lake = Lake::builder().build();
-    let ml = lake.ml();
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
     let id = ml.load_model(&serialize::encode_mlp(&model())).expect("load");
     lake.clock().advance(Duration::from_millis(6));
     let t0 = lake.clock().now();
@@ -51,7 +51,7 @@ fn batched_makespan(devices: usize, rows: usize) -> f64 {
         .num_devices(devices)
         .batch_policy(BatchPolicy { max_batch: MAX_BATCH, max_wait: Duration::from_millis(50) })
         .build();
-    let ml = lake.ml();
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
     let id = ml.load_model(&serialize::encode_mlp(&model())).expect("load");
     lake.clock().advance(Duration::from_millis(6));
     let t0 = lake.clock().now();

@@ -23,7 +23,7 @@
 
 use criterion::Criterion;
 use lake_bench::{banner, fmt_us, percentiles, quick_criterion, upsert_bench_json};
-use lake_core::Lake;
+use lake_core::{BatchThresholdPolicy, Lake};
 use lake_ml::{serialize, Activation, Mlp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,7 +68,7 @@ fn run_leg(budget_pages: usize) -> Leg {
         builder = builder.model_budget_bytes(budget);
     }
     let lake = builder.build();
-    let ml = lake.ml();
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
     let ids: Vec<_> = blobs.iter().map(|b| ml.load_model(b).expect("load")).collect();
 
     let mut answers = Vec::new();
@@ -183,14 +183,14 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_store");
     group.bench_function("warm_hit_infer", |b| {
         let lake = Lake::builder().model_budget_bytes(PAGE).build();
-        let ml = lake.ml();
+        let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
         let id = ml.load_model(&model_blob(0)).expect("load");
         let row = feature_row(1);
         b.iter(|| ml.infer_mlp(id, 1, COLS, &row).expect("infer"))
     });
     group.bench_function("thrash_refault_infer", |b| {
         let lake = Lake::builder().model_budget_bytes(PAGE).build();
-        let ml = lake.ml();
+        let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
         let a = ml.load_model(&model_blob(0)).expect("load");
         let d = ml.load_model(&model_blob(1)).expect("load");
         let row = feature_row(1);

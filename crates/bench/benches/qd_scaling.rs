@@ -23,7 +23,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use criterion::Criterion;
 use lake_bench::{banner, fmt_us, quick_criterion, upsert_bench_json};
-use lake_core::{Lake, LinkMode};
+use lake_core::{BatchThresholdPolicy, Lake, LinkMode};
 use lake_ml::{serialize, Activation, Mlp};
 use lake_rpc::{serve, ApiHandler, ApiId, CallEngine, Decoder, Encoder, QueuePair, Status};
 use lake_sim::{Duration, SharedClock};
@@ -126,7 +126,7 @@ fn feature_row(i: usize) -> Vec<f32> {
 /// drained while the SQ fills.
 fn e2e_makespan_us(depth: usize) -> f64 {
     let lake = Lake::builder().link_mode(LinkMode::Ring).queue_depth(depth).build();
-    let ml = lake.ml();
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
     let id = ml.load_model(&model_blob()).expect("load");
     lake.clock().advance(Duration::from_millis(2));
 
@@ -223,7 +223,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("qd_hot_path");
     group.bench_function("submit_drain_64", |b| {
         let lake = Lake::builder().queue_depth(64).build();
-        let ml = lake.ml();
+        let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
         let id = ml.load_model(&model_blob()).expect("load");
         let row = feature_row(1);
         b.iter(|| {

@@ -109,7 +109,12 @@ impl LoadedModel {
         steps: usize,
     ) -> Result<(&'static str, u64, f64), Status> {
         match self {
-            LoadedModel::Mlp(m) => Ok(("hl_mlp", rows as u64, m.flops_per_input())),
+            LoadedModel::Mlp(m) => {
+                if m.input_size() != cols {
+                    return Err(Status::VendorError(code::ML_BAD_SHAPE));
+                }
+                Ok(("hl_mlp", rows as u64, m.flops_per_input()))
+            }
             LoadedModel::Lstm(m) => {
                 if steps == 0 || !cols.is_multiple_of(steps) {
                     return Err(Status::VendorError(code::ML_BAD_SHAPE));
@@ -123,7 +128,12 @@ impl LoadedModel {
                 }
                 Ok(("hl_knn", (rows * m.num_refs()) as u64, 3.0 * m.dims() as f64))
             }
-            LoadedModel::QuantMlp(m) => Ok(("hl_qmlp", rows as u64, m.flops_per_input())),
+            LoadedModel::QuantMlp(m) => {
+                if m.input_size() != cols {
+                    return Err(Status::VendorError(code::ML_BAD_SHAPE));
+                }
+                Ok(("hl_qmlp", rows as u64, m.flops_per_input()))
+            }
             LoadedModel::QuantLstm(m) => {
                 if steps == 0 || !cols.is_multiple_of(steps) {
                     return Err(Status::VendorError(code::ML_BAD_SHAPE));
@@ -416,6 +426,11 @@ impl LakeDaemon {
     /// packed-weight cache hits).
     pub fn gemm_stats(&self) -> EngineStats {
         self.engine.stats()
+    }
+
+    /// The GEMM microkernel this daemon's engine dispatches to.
+    pub fn simd_kernel(&self) -> Kernel {
+        self.engine.kernel()
     }
 
     /// Pins the current version of model `id` for the duration of a call;

@@ -6,6 +6,12 @@
 //! TensorFlow/Keras-level functions; `lakeD` realizes them with the
 //! in-daemon ML runtime (`lake-ml`) and the device. Feature batches travel
 //! through `lakeShm`, the "only data copying under its domain".
+//!
+//! Whether an MLP call crosses at all is the installed [`Policy`]'s
+//! decision (§4.2): below the crossover batch the handle classifies in the
+//! caller's thread from the kernel-side shadow copy of the model
+//! ([`DaemonSupervisor::classify_local`]) and nothing is staged, framed or
+//! sent.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,6 +26,7 @@ use lake_shm::{ShmBuffer, ShmRegion};
 
 use crate::api;
 use crate::error::LakeError;
+use crate::policy::{BatchThresholdPolicy, Policy, Target};
 use crate::supervisor::DaemonSupervisor;
 
 /// Identifies a model loaded in the daemon.
@@ -65,6 +72,9 @@ pub struct LakeMl {
     /// Staging buffers riding with queued (not yet completed) inferences,
     /// keyed by submission ticket; unstaged at harvest time.
     staged: Arc<Mutex<HashMap<CmdId, ShmBuffer>>>,
+    /// Decides per MLP call whether it is offloaded (`Target::Gpu`) or
+    /// answered in the caller's thread (`Target::Cpu`).
+    policy: Arc<Mutex<Box<dyn Policy>>>,
 }
 
 impl std::fmt::Debug for LakeMl {
@@ -90,7 +100,39 @@ impl LakeMl {
             next_request: Arc::new(AtomicU64::new(1)),
             queue,
             staged: Arc::new(Mutex::new(HashMap::new())),
+            policy: Arc::new(Mutex::new(Box::new(BatchThresholdPolicy::default()))),
         }
+    }
+
+    /// This handle (and clones made from it afterwards) with `policy`
+    /// deciding where MLP inferences run, in place of the default
+    /// [`BatchThresholdPolicy`] at Table 3's LinnOS crossover of 8 rows.
+    /// `BatchThresholdPolicy { batch_threshold: 0 }` offloads every call —
+    /// for code whose subject is the offload path itself.
+    #[must_use]
+    pub fn with_policy(mut self, policy: impl Policy + 'static) -> Self {
+        self.policy = Arc::new(Mutex::new(Box::new(policy)));
+        self
+    }
+
+    /// Answers an MLP batch in the caller's thread when the policy keeps
+    /// it on the CPU and the kernel-side shadow can answer it exactly as
+    /// the daemon would. `None` sends the call down the offload path
+    /// unchanged, so every error stays the daemon's.
+    fn infer_local(
+        &self,
+        id: ModelId,
+        rows: usize,
+        cols: usize,
+        features: &[f32],
+    ) -> Option<Vec<u32>> {
+        assert_eq!(features.len(), rows * cols, "feature buffer shape mismatch");
+        let sup = self.supervisor.as_ref()?;
+        if self.policy.lock().expect("policy poisoned").decide(rows) != Target::Cpu {
+            return None;
+        }
+        let classes = sup.classify_local(id.0, rows, cols, features)?;
+        Some(classes.into_iter().map(|c| c as u32).collect())
     }
 
     /// One blocking call through the deployment's wire mode: the sync
@@ -230,7 +272,8 @@ impl LakeMl {
     }
 
     /// Batched MLP inference: `rows` inputs of `cols` features; returns
-    /// one class per input.
+    /// one class per input. Below the policy's threshold the batch is
+    /// classified in the caller's thread (see [`LakeMl::with_policy`]).
     ///
     /// # Errors
     ///
@@ -246,6 +289,9 @@ impl LakeMl {
         cols: usize,
         features: &[f32],
     ) -> Result<Vec<u32>, LakeError> {
+        if let Some(classes) = self.infer_local(id, rows, cols, features) {
+            return Ok(classes);
+        }
         self.infer(api::ML_INFER_MLP, id, rows, cols, 0, features)
     }
 
@@ -513,7 +559,9 @@ impl LakeMl {
 
     /// Queue a batched MLP inference; returns immediately with a ticket.
     /// The SQ flushes (one doorbell for the whole drain) when it reaches
-    /// the configured queue depth, or eagerly via [`LakeMl::flush`].
+    /// the configured queue depth, or eagerly via [`LakeMl::flush`]. A
+    /// batch the policy keeps local is classified now and its completion
+    /// posted straight to the CQ.
     ///
     /// # Errors
     ///
@@ -529,6 +577,12 @@ impl LakeMl {
         cols: usize,
         features: &[f32],
     ) -> Result<CmdId, LakeError> {
+        if let Some(classes) = self.infer_local(id, rows, cols, features) {
+            let words: Vec<u64> = classes.into_iter().map(u64::from).collect();
+            let mut e = Encoder::new();
+            e.put_u64_slice(&words);
+            return Ok(self.queue.complete_inline(api::ML_INFER_MLP, Ok(e.finish())));
+        }
         self.submit_infer(api::ML_INFER_MLP, id, rows, cols, 0, features)
     }
 

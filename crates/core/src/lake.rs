@@ -15,7 +15,7 @@ use lake_transport::{Channel, Link, Mechanism, RingEndpoint, RingLink, RingStats
 use crate::daemon::LakeDaemon;
 use crate::highlevel::LakeMl;
 use crate::lakelib::LakeCuda;
-use crate::supervisor::{DaemonSupervisor, SupervisorPolicy, SupervisorStats};
+use crate::supervisor::{DaemonSupervisor, LocalStats, SupervisorPolicy, SupervisorStats};
 
 /// How kernel-side stubs reach the daemon.
 ///
@@ -689,6 +689,10 @@ pub struct PerfReport {
     /// core budget split `host_cores / daemon_workers` — the satellite
     /// guard that executor×pool threads never oversubscribe the host.
     pub effective_pool_threads: usize,
+    /// MLP inferences (and their rows) answered kernel-side below the
+    /// offload crossover, plus the packed copies built for them. The
+    /// local share is `local.rows` over all rows inferred.
+    pub local: LocalStats,
 }
 
 impl std::fmt::Debug for Lake {
@@ -778,6 +782,8 @@ impl Lake {
 
     /// A kernel-space high-level-ML handle (§4.4), with staging-buffer
     /// admission control and crash-replay shadow registration wired in.
+    /// MLP calls below the default policy's 8-row crossover are answered
+    /// kernel-side from the shadow table ([`LakeMl::with_policy`]).
     pub fn ml(&self) -> LakeMl {
         LakeMl::new(
             Arc::clone(&self.engine),
@@ -855,6 +861,7 @@ impl Lake {
             store: self.daemon.store_stats(),
             executor: self.exec_stats.snapshot(),
             effective_pool_threads,
+            local: self.supervisor.local_stats(),
         }
     }
 
@@ -901,6 +908,13 @@ impl Lake {
     pub fn engine(&self) -> &Arc<CallEngine> {
         &self.engine
     }
+}
+
+/// A handle that offloads every inference, for tests whose subject is the
+/// daemon or the path to it.
+#[cfg(test)]
+fn offloading_ml(lake: &Lake) -> LakeMl {
+    lake.ml().with_policy(crate::policy::BatchThresholdPolicy { batch_threshold: 0 })
 }
 
 #[cfg(test)]
@@ -1028,7 +1042,7 @@ mod tests {
 
         let lake = Lake::builder().queue_depth(4).build();
         assert_eq!(lake.queue_depth(), 4);
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
         let sync = ml.infer_mlp(id, 6, 4, x.data()).unwrap();
 
@@ -1067,7 +1081,7 @@ mod tests {
         let model = Mlp::new(&[4, 8, 2], Activation::Relu, &mut rng);
         let lake = Lake::builder().build();
         assert_eq!(lake.queue_depth(), lake_rpc::DEFAULT_QUEUE_DEPTH);
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
         let x = Matrix::from_rows(&[vec![0.5, -0.5, 1.0, 0.0]]);
         ml.infer_mlp(id, 1, 4, x.data()).unwrap();
@@ -1091,7 +1105,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         let model = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
         let lake = Lake::builder().link_mode(LinkMode::Channel).queue_depth(8).build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
 
         let x = Matrix::from_rows(&[vec![1.0, 0.0, -1.0, 0.5]]);
@@ -1269,7 +1283,7 @@ mod fault_tests {
                 Duration::from_micros(300),
             ))
             .build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         // The very first request lands at t=0, inside a stall window: it
         // must park until the window closes rather than fail.
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
@@ -1295,7 +1309,7 @@ mod fault_tests {
             })
             .device_faults(0, lake_gpu::GpuFaultConfig { kernel_faults: Some(dead), oom: None })
             .build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let model = tiny_mlp();
         let x = Matrix::from_rows(&[
             vec![1.0, 0.0, 1.0, 0.0],
@@ -1328,7 +1342,7 @@ mod fault_tests {
             .transport_faults(spec, 42)
             .call_policy(CallPolicy { max_attempts: 10, ..Default::default() })
             .build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let model = tiny_mlp();
         let blob = serialize::encode_mlp(&model);
         // Loading isn't idempotent, so a dropped frame surfaces as an
@@ -1383,7 +1397,7 @@ mod crash_tests {
     #[test]
     fn idempotent_inference_fails_over_across_crashes() {
         let lake = crash_lake(&[500]);
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let model = tiny_mlp();
         let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
         let x = [0.25f32, 0.5, 0.75, 1.0];
@@ -1415,7 +1429,7 @@ mod crash_tests {
     #[test]
     fn non_idempotent_call_surfaces_daemon_restarted_and_model_survives() {
         let lake = crash_lake(&[500]);
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
         // A kernel subsystem that registered a feature-registry schema
         // shadows it with the supervisor so each new incarnation hears
@@ -1453,7 +1467,7 @@ mod crash_tests {
         // (~145us), so crashes 100us apart mean every restart runs the
         // clock into the next crash: a restart storm.
         let lake = crash_lake(&[500, 600, 700]);
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
 
         arm_crash(&lake, 500);
@@ -1483,7 +1497,7 @@ mod crash_tests {
     #[test]
     fn orphaned_staging_buffers_are_swept_back_to_one_free_block() {
         let lake = crash_lake(&[500]);
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
         let base = lake.shm().stats();
         assert_eq!(base.in_use, 0, "model blobs travel inline, not via lakeShm");
@@ -1525,7 +1539,7 @@ mod crash_tests {
             // time.
             .batch_policy(BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(50) })
             .build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
         let ticket = ml.infer_submit(id, 7, 4, 0, &[0.5; 4]).unwrap();
 
@@ -1552,7 +1566,7 @@ mod crash_tests {
         // must bound the wait and surface a typed error instead of
         // spinning forever (or panicking on the allocator).
         let lake = Lake::builder().shm_capacity(256).build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
 
         let t0 = lake.clock().now();
@@ -1600,7 +1614,7 @@ mod link_tests {
     /// Classifies the same batch under `mode` and returns the answers.
     fn classify_under(mode: LinkMode) -> Vec<u32> {
         let lake = Lake::builder().link_mode(mode).build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
         let x = Matrix::from_rows(&[
             vec![1.0, 0.0, 1.0, 0.0],
@@ -1624,7 +1638,7 @@ mod link_tests {
     fn ring_mode_forces_mmap_and_exposes_stats() {
         let lake = Lake::builder().mechanism(Mechanism::Netlink).link_mode(LinkMode::Ring).build();
         assert_eq!(lake.link_mode(), LinkMode::Ring);
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
         assert_eq!(ml.infer_mlp(id, 1, 4, &[0.5; 4]).unwrap().len(), 1);
         let stats = lake.ring_stats().expect("ring deployment exposes ring counters");
@@ -1649,7 +1663,7 @@ mod link_tests {
             .link_mode(LinkMode::Ring)
             .crash_schedule(CrashSchedule::at(crashes))
             .build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let model = tiny_mlp();
         let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
         let x = [0.25f32, 0.5, 0.75, 1.0];
@@ -1689,7 +1703,7 @@ mod link_tests {
                 ..Default::default()
             })
             .build();
-        let ml = lake.ml();
+        let ml = offloading_ml(&lake);
         let model = tiny_mlp();
         let blob = serialize::encode_mlp(&model);
         let id = loop {

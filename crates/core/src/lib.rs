@@ -58,8 +58,8 @@ pub use error::LakeError;
 pub use highlevel::{InferCompletion, LakeMl, ModelId, Ticket};
 pub use lake::{FaultReport, Lake, LakeBuilder, LinkMode, PerfReport};
 pub use lakelib::LakeCuda;
-pub use policy::{CuPolicy, Policy, PolicyConfig, Target};
-pub use supervisor::{DaemonSupervisor, SupervisorPolicy, SupervisorStats};
+pub use policy::{BatchThresholdPolicy, CuPolicy, Policy, PolicyConfig, Target};
+pub use supervisor::{DaemonSupervisor, LocalStats, SupervisorPolicy, SupervisorStats};
 
 // Re-export the types that appear in this crate's public API.
 pub use lake_gpu::{DevicePtr, ExecMode, GpuDevice, GpuError, GpuSpec, KernelArg, KernelCtx};

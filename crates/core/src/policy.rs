@@ -74,11 +74,18 @@ impl Policy for AlwaysCpu {
 }
 
 /// Pure profitability policy: GPU only for batches at or above the
-/// crossover threshold (§4.2).
+/// crossover threshold (§4.2). The default threshold is Table 3's LinnOS
+/// crossover, 8 rows; `batch_threshold: 0` offloads every call.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchThresholdPolicy {
     /// Minimum batch size for the GPU to be profitable (Table 3).
     pub batch_threshold: usize,
+}
+
+impl Default for BatchThresholdPolicy {
+    fn default() -> Self {
+        BatchThresholdPolicy { batch_threshold: 8 }
+    }
 }
 
 impl Policy for BatchThresholdPolicy {

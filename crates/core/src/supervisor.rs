@@ -31,13 +31,19 @@
 //!    recorded at `load_model` time are restored **under their original
 //!    ids** (so retried requests stay valid) and registered
 //!    `lake-registry` schemas are re-announced.
+//!
+//! The shadow table is also the kernel's own copy of every acknowledged
+//! model version, so below the offload crossover an MLP is classified
+//! here, in the caller's thread ([`DaemonSupervisor::classify_local`]),
+//! from a packed copy built lazily out of the shadowed blob.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
+use lake_ml::{serialize, CpuCostModel, Kernel, ModelKind, PackedMlp, PackedQuantMlp};
 use lake_rpc::DaemonLifecycle;
 use lake_sched::DevicePool;
 use lake_shm::{ReclaimReport, ShmRegion};
@@ -105,6 +111,77 @@ pub struct SupervisorStats {
     pub idle_sweeps: u64,
 }
 
+/// Counters of the kernel-side inference path: MLP calls answered from the
+/// shadow table without crossing to the daemon.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LocalStats {
+    /// Inference calls answered locally.
+    pub inferences: u64,
+    /// Feature rows those calls classified.
+    pub rows: u64,
+    /// Packed copies built from shadowed blobs (one per model version
+    /// read locally).
+    pub packs: u64,
+}
+
+/// The packed form of a shadowed MLP, f32 or int8.
+enum PackedLocal {
+    F32(PackedMlp),
+    Int8(PackedQuantMlp),
+}
+
+/// A shadowed MLP ready for kernel-side inference.
+struct LocalMlp {
+    packed: PackedLocal,
+    flops_per_input: f64,
+}
+
+impl LocalMlp {
+    /// Decodes and packs `blob`; `None` for anything but an MLP.
+    fn pack(blob: &[u8]) -> Option<LocalMlp> {
+        Some(match ModelKind::detect(blob).ok()? {
+            ModelKind::Mlp => {
+                let m = serialize::decode_mlp(blob).ok()?;
+                LocalMlp {
+                    packed: PackedLocal::F32(PackedMlp::pack(&m)),
+                    flops_per_input: m.flops_per_input(),
+                }
+            }
+            ModelKind::QuantMlp => {
+                let m = serialize::decode_quant_mlp(blob).ok()?;
+                LocalMlp {
+                    packed: PackedLocal::Int8(PackedQuantMlp::pack(&m)),
+                    flops_per_input: m.flops_per_input(),
+                }
+            }
+            _ => return None,
+        })
+    }
+
+    fn input_size(&self) -> usize {
+        match &self.packed {
+            PackedLocal::F32(m) => m.input_size(),
+            PackedLocal::Int8(m) => m.input_size(),
+        }
+    }
+
+    fn classify(&self, features: &[f32], rows: usize, cols: usize, kernel: Kernel) -> Vec<usize> {
+        match &self.packed {
+            PackedLocal::F32(m) => m.classify_with(features, rows, cols, None, kernel),
+            PackedLocal::Int8(m) => m.classify_with(features, rows, cols, None, kernel),
+        }
+    }
+}
+
+/// One model version in the shadow table: the blob replayed into every
+/// new incarnation, and the packed copy local reads use, built on first
+/// use and dropped with the entry.
+struct ShadowModel {
+    version: u64,
+    blob: Vec<u8>,
+    local: OnceLock<Option<LocalMlp>>,
+}
+
 struct SupState {
     /// Crash instants at or before this are already restarted past.
     handled: Instant,
@@ -112,12 +189,13 @@ struct SupState {
     recent: Vec<Instant>,
     /// While set, the breaker holds the pool in forced fallback.
     breaker_until: Option<Instant>,
-    /// Kernel-side shadow of loaded models: id -> (version, blob). The
-    /// version rides along so replay restores exactly the version set
-    /// that was current — a crash landing inside a hot-swap window
-    /// replays whichever version the swap had (or had not yet)
-    /// acknowledged, never both.
-    shadow_models: BTreeMap<u64, (u64, Vec<u8>)>,
+    /// Kernel-side shadow of loaded models by id. The version rides along
+    /// so replay restores exactly the version set that was current — a
+    /// crash landing inside a hot-swap window replays whichever version
+    /// the swap had (or had not yet) acknowledged, never both. Entries
+    /// are shared with in-progress local reads, which finish on the
+    /// version they started on.
+    shadow_models: BTreeMap<u64, Arc<ShadowModel>>,
     /// Kernel-side shadow of registered `lake-registry` schemas.
     shadow_schemas: Vec<(String, String)>,
     orphan_bytes_reclaimed: usize,
@@ -152,6 +230,9 @@ pub struct DaemonSupervisor {
     breaker_trips: AtomicU64,
     orphans_reclaimed: AtomicU64,
     idle_sweeps: AtomicU64,
+    local_inferences: AtomicU64,
+    local_rows: AtomicU64,
+    local_packs: AtomicU64,
 }
 
 impl std::fmt::Debug for DaemonSupervisor {
@@ -199,6 +280,9 @@ impl DaemonSupervisor {
             breaker_trips: AtomicU64::new(0),
             orphans_reclaimed: AtomicU64::new(0),
             idle_sweeps: AtomicU64::new(0),
+            local_inferences: AtomicU64::new(0),
+            local_rows: AtomicU64::new(0),
+            local_packs: AtomicU64::new(0),
         })
     }
 
@@ -227,14 +311,72 @@ impl DaemonSupervisor {
     /// replayed under the same id *and version* into every new
     /// incarnation. The blob is the one recorded here — refresh it (the
     /// train/swap responses carry the new version and weights) whenever
-    /// daemon-side state moves forward.
+    /// daemon-side state moves forward. Replacing an entry drops its
+    /// packed copy, so local reads see the new version from here on.
     pub fn record_model(&self, id: u64, version: u64, blob: &[u8]) {
-        self.state.lock().shadow_models.insert(id, (version, blob.to_vec()));
+        let entry = ShadowModel { version, blob: blob.to_vec(), local: OnceLock::new() };
+        self.state.lock().shadow_models.insert(id, Arc::new(entry));
     }
 
-    /// Drops a model from the shadow table (paired with `unload_model`).
+    /// Drops a model and its packed copy from the shadow table (paired
+    /// with `unload_model`).
     pub fn forget_model(&self, id: u64) {
         self.state.lock().shadow_models.remove(&id);
+    }
+
+    /// Classifies `rows` × `cols` features with the shadowed MLP `id` in
+    /// the caller's thread, charging the virtual clock what the daemon's
+    /// CPU path charges for the same rows. The packed copy is built from
+    /// the shadowed blob on first use, with the daemon's microkernel, so
+    /// answers are bit-identical to the offloaded ones.
+    ///
+    /// Returns `None` — leaving the call to the daemon, errors included —
+    /// when nothing here can answer it exactly: no shadow entry, a model
+    /// that is not an f32/int8 MLP, zero rows, or a `cols` other than the
+    /// model's input width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` is shorter than `rows * cols`.
+    pub fn classify_local(
+        &self,
+        id: u64,
+        rows: usize,
+        cols: usize,
+        features: &[f32],
+    ) -> Option<Vec<usize>> {
+        if rows == 0 {
+            return None;
+        }
+        let entry = Arc::clone(self.state.lock().shadow_models.get(&id)?);
+        let model = entry
+            .local
+            .get_or_init(|| {
+                let packed = LocalMlp::pack(&entry.blob);
+                if packed.is_some() {
+                    self.local_packs.fetch_add(1, Ordering::Relaxed);
+                }
+                packed
+            })
+            .as_ref()?;
+        if cols != model.input_size() {
+            return None;
+        }
+        let classes = model.classify(features, rows, cols, self.daemon.simd_kernel());
+        let flops = model.flops_per_input * rows as f64;
+        self.clock.advance(CpuCostModel::default().time_for_flops(flops));
+        self.local_inferences.fetch_add(1, Ordering::Relaxed);
+        self.local_rows.fetch_add(rows as u64, Ordering::Relaxed);
+        Some(classes)
+    }
+
+    /// Counters of the kernel-side inference path.
+    pub fn local_stats(&self) -> LocalStats {
+        LocalStats {
+            inferences: self.local_inferences.load(Ordering::Relaxed),
+            rows: self.local_rows.load(Ordering::Relaxed),
+            packs: self.local_packs.load(Ordering::Relaxed),
+        }
     }
 
     /// Records a `lake-registry` schema `(name, subsystem)` for replay
@@ -348,8 +490,8 @@ impl DaemonSupervisor {
         // Replay the shadow registration table: models under their
         // original ids and versions, then the registry schema
         // announcements.
-        for (&id, (version, blob)) in &st.shadow_models {
-            if self.daemon.restore_model(id, *version, blob).is_ok() {
+        for (&id, model) in &st.shadow_models {
+            if self.daemon.restore_model(id, model.version, &model.blob).is_ok() {
                 self.models_replayed.fetch_add(1, Ordering::Relaxed);
             }
         }

@@ -41,7 +41,9 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lake_core::{FaultReport, Lake, LakeBuilder, LakeError, LakeMl, ModelId, PerfReport, Ticket};
+use lake_core::{
+    FaultReport, Lake, LakeBuilder, LakeError, LakeMl, ModelId, PerfReport, Policy, Ticket,
+};
 use lake_rpc::{CmdId, PerfSnapshot, RpcError};
 use lake_sim::{Duration, SharedClock};
 use lake_transport::RingStats;
@@ -398,6 +400,15 @@ pub struct FleetMl<'f> {
 }
 
 impl FleetMl<'_> {
+    /// This handle with `policy` deciding, on every shard, where MLP
+    /// inferences run (see [`LakeMl::with_policy`]). Tenant admission and
+    /// routing still run before every call, local or offloaded.
+    #[must_use]
+    pub fn with_policy(mut self, policy: impl Policy + Clone + 'static) -> Self {
+        self.mls = self.mls.into_iter().map(|ml| ml.with_policy(policy.clone())).collect();
+        self
+    }
+
     fn route(&self, id: FleetModelId) -> Result<ModelRoute, LakeError> {
         self.fleet
             .routes
@@ -632,7 +643,8 @@ impl FleetMl<'_> {
     /// weights are exported and installed on the backup *at the
     /// primary's version*, updating the backup supervisor's shadow copy
     /// so post-crash replay restores the fresh weights at the right
-    /// version. Residency rides the install: the backup store admits the
+    /// version and the backup's local reads serve them. Residency rides
+    /// the install: the backup store admits the
     /// pages eagerly when its budget allows, so a failover target is
     /// warm without a cold-miss fault. No-op on a single-shard fleet.
     ///
@@ -817,6 +829,12 @@ mod tests {
         serialize::encode_mlp(&Mlp::new(&[COLS, 16, 2], Activation::Relu, &mut rng))
     }
 
+    /// A handle that offloads every inference: these tests watch the
+    /// shards' daemons and engines, which small batches would not reach.
+    fn offloading(fleet: &DaemonFleet) -> FleetMl<'_> {
+        fleet.ml().with_policy(lake_core::BatchThresholdPolicy { batch_threshold: 0 })
+    }
+
     fn row(i: usize) -> Vec<f32> {
         (0..COLS).map(|j| ((i * 13 + j * 7) % 29) as f32 / 29.0 - 0.5).collect()
     }
@@ -846,7 +864,7 @@ mod tests {
         let want = sml.infer_mlp(sid, 1, COLS, &row(3)).unwrap();
 
         let fleet = DaemonFleet::deploy(Lake::builder().shards(3));
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         let got = ml.infer_mlp(0, id, 1, COLS, &row(3)).unwrap();
         assert_eq!(got, want, "routing must not change answers");
@@ -856,7 +874,7 @@ mod tests {
     #[test]
     fn models_replicate_to_a_distinct_backup() {
         let fleet = DaemonFleet::deploy(Lake::builder().shards(3));
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         let (p, b) = fleet.route_of(id).expect("route exists");
         assert_ne!(p, b, "3-shard ring always has a distinct backup");
@@ -871,9 +889,9 @@ mod tests {
         // The ring is deterministic: discover key 0's primary on a clean
         // fleet, then rebuild with a crash armed on that shard only.
         let probe = DaemonFleet::deploy(Lake::builder().shards(2));
-        let pid = probe.ml().load_model(&model_blob()).unwrap();
+        let pid = offloading(&probe).load_model(&model_blob()).unwrap();
         let (primary, _) = probe.route_of(pid).unwrap();
-        let want = probe.ml().infer_mlp(0, pid, 1, COLS, &row(1)).unwrap();
+        let want = offloading(&probe).infer_mlp(0, pid, 1, COLS, &row(1)).unwrap();
         drop(probe);
 
         let crash_at = Duration::from_micros(500);
@@ -885,7 +903,7 @@ mod tests {
                     b
                 }
             });
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         assert_eq!(fleet.route_of(id).unwrap().0, primary, "same key, same route");
 
@@ -913,7 +931,7 @@ mod tests {
     #[test]
     fn add_shard_grows_the_ring_without_moving_existing_routes() {
         let mut fleet = DaemonFleet::deploy(Lake::builder().shards(2));
-        let id = fleet.ml().load_model(&model_blob()).unwrap();
+        let id = offloading(&fleet).load_model(&model_blob()).unwrap();
         let before = fleet.route_of(id).unwrap();
         let newcomer = fleet.add_shard();
         assert_eq!(newcomer, 2);
@@ -924,7 +942,7 @@ mod tests {
         fleet.clock().advance(Duration::from_micros(5));
         assert_eq!(fleet.shard(2).clock().now(), fleet.clock().now());
         // And it can serve a fresh model once the ring hands it one.
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         for _ in 0..32 {
             let id = ml.load_model(&model_blob()).unwrap();
             let (p, b) = fleet.route_of(id).unwrap();
@@ -940,7 +958,7 @@ mod tests {
     fn tenant_admission_gates_the_data_plane() {
         let fleet = DaemonFleet::deploy(Lake::builder().shards(2));
         fleet.governor().set_weight(7, 2);
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         ml.infer_mlp(7, id, 1, COLS, &row(0)).unwrap();
         let stats = fleet.stats();
@@ -951,7 +969,7 @@ mod tests {
     #[test]
     fn perf_totals_sum_per_engine_counters() {
         let fleet = DaemonFleet::deploy(Lake::builder().shards(2));
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         ml.infer_mlp(0, id, 2, COLS, &[row(0), row(1)].concat()).unwrap();
         let perf = fleet.perf_report();
@@ -967,7 +985,7 @@ mod tests {
         {
             // Spread traffic until every shard has served at least one
             // model, so every engine's counters are non-trivial.
-            let ml = fleet.ml();
+            let ml = offloading(&fleet);
             let mut touched = [false; 3];
             for _ in 0..32 {
                 let id = ml.load_model(&model_blob()).unwrap();
@@ -1021,15 +1039,15 @@ mod tests {
         // Discover key 0's primary, then rebuild with that shard armed
         // to crash — mirrors `pending_crash_diverts_then_primary_recovers`.
         let probe = DaemonFleet::deploy(Lake::builder().shards(2));
-        let pid = probe.ml().load_model(&model_blob()).unwrap();
+        let pid = offloading(&probe).load_model(&model_blob()).unwrap();
         let (primary, _) = probe.route_of(pid).unwrap();
-        let want = probe.ml().infer_mlp(0, pid, 1, COLS, &row(5)).unwrap();
+        let want = offloading(&probe).infer_mlp(0, pid, 1, COLS, &row(5)).unwrap();
         drop(probe);
 
         // Healthy fleet first: queued submissions land on the primary's
         // SQ and drain to the same answers as the sync path.
         let fleet = DaemonFleet::deploy(Lake::builder().shards(2));
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         let t0 = ml.submit_mlp(0, id, 1, COLS, &row(5)).unwrap();
         let t1 = ml.submit_mlp(0, id, 1, COLS, &row(5)).unwrap();
@@ -1061,7 +1079,7 @@ mod tests {
                 }
             },
         );
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         // Park just shy of the first crash so the queued frame's
         // in-flight window spans it (the submit itself still routes the
@@ -1082,7 +1100,7 @@ mod tests {
     #[test]
     fn export_roundtrips_and_replicas_resync() {
         let fleet = DaemonFleet::deploy(Lake::builder().shards(2));
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         let before = ml.export_model(id).unwrap();
         assert_eq!(before, model_blob());
@@ -1101,7 +1119,7 @@ mod tests {
     #[test]
     fn replica_sync_skips_when_versions_match() {
         let fleet = DaemonFleet::deploy(Lake::builder().shards(2));
-        let ml = fleet.ml();
+        let ml = offloading(&fleet);
         let id = ml.load_model(&model_blob()).unwrap();
         let route = fleet.routes.lock().get(&id.0).copied().unwrap();
 

@@ -131,6 +131,11 @@ impl Mlp {
         sizes
     }
 
+    /// Input width expected by the first layer.
+    pub fn input_size(&self) -> usize {
+        self.layers[0].w.rows()
+    }
+
     /// The hidden activation in use.
     pub fn hidden_activation(&self) -> Activation {
         self.hidden_activation

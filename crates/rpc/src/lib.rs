@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod coalesce;
 pub mod command;
 pub mod engine;
 pub mod executor;
@@ -30,7 +29,6 @@ pub mod perf;
 pub mod queue;
 pub mod wire;
 
-pub use coalesce::{CoalescePolicy, Coalescer, DEFAULT_BURST_MAX, DEFAULT_BURST_WINDOW};
 pub use command::{ApiId, Command, CommandRef, Response, ResponseRef, Status, SEQ_UNMATCHED};
 pub use engine::{
     serve, serve_engine, serve_with_epoch, serve_with_staging, ApiHandler, CallEngine, CallPolicy,

@@ -224,6 +224,20 @@ impl QueuePair {
         id
     }
 
+    /// Completes a command the caller answered without crossing the
+    /// boundary: allocates its ticket and posts `result` straight to the
+    /// CQ, where [`QueuePair::poll`], [`QueuePair::drain`] and
+    /// [`QueuePair::wait`] harvest it like any other completion. No frame
+    /// is built or sent.
+    pub fn complete_inline(&self, api: ApiId, result: Result<Bytes, RpcError>) -> CmdId {
+        let id = CmdId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        let mut st = self.state.lock().expect("queue pair poisoned");
+        st.cq.push_back(Completion { id, api, result });
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        id
+    }
+
     /// Drains the SQ onto the wire: coalesce, send every frame of the
     /// drain under one doorbell, mark in flight.
     pub fn flush(&self) {
@@ -717,6 +731,23 @@ mod tests {
         }
         let qs = qp.stats();
         assert_eq!((qs.submitted, qs.completed, qs.flushes), (3, 3, 1));
+    }
+
+    #[test]
+    fn inline_completions_join_the_cq_without_a_frame() {
+        let engine =
+            Arc::new(CallEngine::in_process(Mechanism::Netlink, SharedClock::new(), adder()));
+        let qp = QueuePair::new(Arc::clone(&engine), 4);
+        let queued = qp.submit(API_ADD, encode_pair(2, 3));
+        let inline = qp.complete_inline(API_ADD, Ok(encode_pair(7, 0)));
+        assert_ne!(queued, inline, "tickets come from one sequence");
+        assert_eq!(qp.outstanding(), 1, "only the queued command is outstanding");
+        assert_eq!(Decoder::new(&qp.wait(inline).unwrap()).get_u64().unwrap(), 7);
+        let rest = qp.drain();
+        assert_eq!((rest.len(), rest[0].id, sum_of(&rest[0])), (1, queued, 5));
+        let qs = qp.stats();
+        assert_eq!((qs.submitted, qs.completed), (2, 2));
+        assert_eq!(engine.stats().calls, 1, "the inline completion never called the daemon");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   the LAKE series).
 
 use lake_block::replay::{IoFeatures, IoSample, SlowIoPredictor};
-use lake_core::{Lake, LakeMl, ModelId};
+use lake_core::{BatchThresholdPolicy, Lake, LakeMl, ModelId};
 use lake_ml::{serialize, Activation, CpuCostModel, Matrix, Mlp, SgdConfig};
 use lake_sim::{Duration, Instant, SharedClock};
 use rand::rngs::StdRng;
@@ -208,8 +208,22 @@ impl std::fmt::Debug for LinnosPredictor {
 }
 
 impl LinnosPredictor {
-    /// Creates a predictor.
+    /// Creates a predictor. In [`LinnosMode::Lake`] the predictor makes
+    /// the batching decision itself, so its handle offloads every batch
+    /// it is given.
     pub fn new(model: LinnosModel, mode: LinnosMode) -> Self {
+        let mode = match mode {
+            LinnosMode::Lake { ml, clock, model_id, quantum, batch_threshold } => {
+                LinnosMode::Lake {
+                    ml: ml.with_policy(BatchThresholdPolicy { batch_threshold: 0 }),
+                    clock,
+                    model_id,
+                    quantum,
+                    batch_threshold,
+                }
+            }
+            LinnosMode::Cpu => LinnosMode::Cpu,
+        };
         LinnosPredictor {
             model,
             mode,
@@ -308,7 +322,8 @@ pub fn inference_timings(
     let cpu_model = CpuCostModel::default();
     let flops = mlp.flops_per_input();
 
-    let ml = lake.ml();
+    // The LAKE series measures the offload path at every batch size.
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
     let model_id = ml.load_model(&serialize::encode_mlp(&mlp)).expect("model loads");
 
     let cpu: Vec<BatchTiming> = batches

@@ -11,7 +11,7 @@
 //! featurizer computing the statistics KML-style models consume
 //! (sequentiality ratio, stride regularity, gap statistics, reuse).
 
-use lake_core::{Lake, LakeError};
+use lake_core::{BatchThresholdPolicy, Lake, LakeError};
 use lake_ml::{serialize, Activation, CpuCostModel, Matrix, Mlp, SgdConfig};
 use lake_sim::SimRng;
 use rand::rngs::StdRng;
@@ -201,7 +201,8 @@ pub fn inference_timings(lake: &Lake, batches: &[usize]) -> Result<crate::Timing
     let model = build_model(2);
     let flops = model.flops_per_input();
     let cpu_model = CpuCostModel::default();
-    let ml = lake.ml();
+    // The LAKE series measures the offload path at every batch size.
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
     let id = ml.load_model(&serialize::encode_mlp(&model))?;
 
     let mut cpu = Vec::new();

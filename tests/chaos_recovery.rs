@@ -17,7 +17,7 @@
 //! `CHAOS_SEED` selects the fault plan's seed (CI runs a small matrix);
 //! any seed must satisfy the same invariants.
 
-use lake::core::{Lake, LakeError, PoolPolicy};
+use lake::core::{BatchThresholdPolicy, Lake, LakeError, LakeMl, PoolPolicy};
 use lake::gpu::GpuFaultConfig;
 use lake::ml::{serialize, Activation, Mlp};
 use lake::rpc::{CallPolicy, RpcError};
@@ -27,6 +27,13 @@ use rand::SeedableRng;
 
 const COLS: usize = 31; // LinnOS feature vector width
 const CALLS: usize = 600;
+
+/// A handle that offloads every inference: the daemon and the path to it
+/// are what the faults target, and small batches would otherwise be
+/// answered kernel-side.
+fn offloading(lake: &Lake) -> LakeMl {
+    lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 })
+}
 
 fn chaos_seed() -> u64 {
     std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(7)
@@ -52,7 +59,7 @@ fn batch(i: usize) -> (usize, Vec<f32>) {
 /// latencies (ns) and every call's classes. Panics if any call fails —
 /// that is the "zero lost requests" assertion.
 fn run_workload(lake: &Lake) -> (Vec<u64>, Vec<Vec<u32>>) {
-    let ml = lake.ml();
+    let ml = offloading(lake);
     let blob = serialize::encode_mlp(&model());
     // Model load is not idempotent, so under frame loss the engine
     // surfaces an error instead of silently retrying; init-time code owns
@@ -204,7 +211,7 @@ fn linnos_workload_survives_chaos_with_bounded_inflation() {
 /// learning rate keeps the weights — and therefore every inference
 /// answer — bit-identical to a run with no crashes at all.
 fn run_crashy_workload(lake: &Lake) -> (Vec<u64>, Vec<Vec<u32>>, u64) {
-    let ml = lake.ml();
+    let ml = offloading(lake);
     let blob = serialize::encode_mlp(&model());
     let id = loop {
         if let Ok(id) = ml.load_model(&blob) {

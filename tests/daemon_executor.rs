@@ -22,13 +22,19 @@
 //! degenerates to comparing a worker count against itself, which is
 //! harmless.
 
-use lake::core::{Lake, LinkMode};
+use lake::core::{BatchThresholdPolicy, Lake, LakeMl, LinkMode};
 use lake::ml::{serialize, Activation, Mlp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const COLS: usize = 16;
 const CALLS: usize = 120;
+
+/// A handle that offloads every inference: the daemon's executor is the
+/// subject, and small batches would otherwise be answered kernel-side.
+fn offloading(lake: &Lake) -> LakeMl {
+    lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 })
+}
 
 fn model(seed: u64) -> Mlp {
     Mlp::new(&[COLS, 12, 3], Activation::Relu, &mut StdRng::seed_from_u64(seed))
@@ -51,7 +57,7 @@ fn run_workload(workers: usize) -> (Vec<Vec<u32>>, Vec<u8>) {
         .queue_depth(16)
         .daemon_workers(workers)
         .build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let a = ml.load_model(&serialize::encode_mlp(&model(1))).expect("load a");
     let b = ml.load_model(&serialize::encode_mlp(&model(2))).expect("load b");
     let mut answers = Vec::with_capacity(CALLS);
@@ -79,7 +85,7 @@ fn four_workers_bit_identical_to_serial() {
 fn pipelined_bursts_drain_through_completion_mux() {
     let lake =
         Lake::builder().link_mode(LinkMode::Channel).queue_depth(16).daemon_workers(4).build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let a = ml.load_model(&serialize::encode_mlp(&model(1))).expect("load a");
     let b = ml.load_model(&serialize::encode_mlp(&model(2))).expect("load b");
 
@@ -126,7 +132,7 @@ fn pipelined_bursts_drain_through_completion_mux() {
 #[test]
 fn executor_stats_stay_zero_in_process() {
     let lake = Lake::builder().daemon_workers(4).build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&model(1))).expect("load");
     let (rows, feats) = batch(0);
     ml.infer_mlp(id, rows, COLS, &feats).expect("infer");
@@ -141,7 +147,7 @@ fn executor_stats_stay_zero_in_process() {
 fn core_budget_clamps_combined_threads() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let lake = Lake::builder().link_mode(LinkMode::Channel).daemon_workers(4).build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&model(1))).expect("load");
     let (rows, feats) = batch(3);
     ml.infer_mlp(id, rows, COLS, &feats).expect("infer");

@@ -18,7 +18,7 @@
 //! transport, so CI can run the same test over the channel and ring
 //! links; `CRASH_SEED` selects the crash plan.
 
-use lake::core::{Lake, LakeError};
+use lake::core::{BatchThresholdPolicy, Lake, LakeError};
 use lake::fleet::{DaemonFleet, FleetModelId, FleetPolicy};
 use lake::ml::{serialize, Activation, Mlp};
 use lake::rpc::RpcError;
@@ -65,7 +65,9 @@ fn deploy(crashes: Option<CrashSchedule>) -> DaemonFleet {
 /// classes plus the count of typed `DaemonRestarted` training errors.
 /// Panics on any lost inference — the zero-lost-requests assertion.
 fn run_workload(fleet: &DaemonFleet) -> (Vec<Vec<u32>>, u64) {
-    let ml = fleet.ml();
+    // Every inference offloads: the crashing shard's daemon is the
+    // subject, and small batches would otherwise be answered kernel-side.
+    let ml = fleet.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
     // Model load is not idempotent, so a load that rides through shard
     // 0's crash surfaces a typed error; init-time code owns the retry
     // loop, as a kernel module's probe path would.

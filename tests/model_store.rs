@@ -16,7 +16,7 @@
 //! * **crash-safe swaps** — a daemon crash inside the swap window
 //!   replays exactly one winning version through the shadow table.
 
-use lake::core::{BatchPolicy, CrashSchedule, Lake, LakeError};
+use lake::core::{BatchPolicy, BatchThresholdPolicy, CrashSchedule, Lake, LakeError, LakeMl};
 use lake::ml::{serialize, Activation, LstmClassifier, Mlp};
 use lake::rpc::RpcError;
 use lake::sim::{BurstSchedule, Duration, Instant, PressurePlan};
@@ -25,6 +25,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const COLS: usize = 16;
+
+/// A handle that offloads every inference: the store under test lives in
+/// the daemon, and small batches would otherwise be answered kernel-side.
+fn offloading(lake: &Lake) -> LakeMl {
+    lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 })
+}
 
 fn mlp(seed: u64) -> Mlp {
     Mlp::new(&[COLS, 32, 2], Activation::Relu, &mut StdRng::seed_from_u64(seed))
@@ -49,8 +55,8 @@ fn oversubscribed_budget_evicts_faults_and_stays_bit_identical() {
 
     let unbounded = Lake::builder().build();
     let bounded = Lake::builder().model_budget_bytes(budget).build();
-    let uml = unbounded.ml();
-    let bml = bounded.ml();
+    let uml = offloading(&unbounded);
+    let bml = offloading(&bounded);
     let uids: Vec<_> = blobs.iter().map(|b| uml.load_model(b).unwrap()).collect();
     let bids: Vec<_> = blobs.iter().map(|b| bml.load_model(b).unwrap()).collect();
 
@@ -99,7 +105,7 @@ fn pressure_storm_trims_residency_without_changing_answers() {
     let budget = 2 * one; // both models fit — until the storm halves it
 
     let lake = Lake::builder().model_budget_bytes(budget).build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let ids: Vec<_> = blobs.iter().map(|b| ml.load_model(b).unwrap()).collect();
     let reference: Vec<Vec<u32>> = ids
         .iter()
@@ -146,7 +152,7 @@ fn pinned_weights_survive_budget_pressure_from_competing_models() {
         .model_budget_bytes(one) // exactly one resident model
         .batch_policy(BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(50) })
         .build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let a = ml.load_model(&blob_a).unwrap();
     assert!(lake.daemon().model_resident(a.0), "first load is eager-resident");
 
@@ -189,7 +195,7 @@ fn crash_inside_swap_window_replays_one_winning_version() {
     let lake = Lake::builder()
         .crash_schedule(CrashSchedule::at(vec![Instant::EPOCH + Duration::from_micros(500)]))
         .build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&v1)).unwrap();
     assert_eq!(ml.infer_mlp(id, 1, COLS, &x).unwrap(), on_v1);
 
@@ -250,7 +256,7 @@ proptest! {
             // Rows park until the swap's barrier flush drains them.
             .batch_policy(BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(50) })
             .build();
-        let ml = lake.ml();
+        let ml = offloading(&lake);
         let id = ml.load_model(&serialize::encode_lstm(&v1)).unwrap();
 
         let tickets: Vec<_> = rows

@@ -18,7 +18,9 @@
 //! `LAKE_DAEMON_WORKERS={1,4}`: depth 1 takes `CallEngine::call`, depth 64
 //! the queue pair, and both must stage.
 
-use lake::core::{CrashSchedule, Lake, LakeBuilder, LakeError, LinkMode};
+use lake::core::{
+    BatchThresholdPolicy, CrashSchedule, Lake, LakeBuilder, LakeError, LakeMl, LinkMode,
+};
 use lake::gpu::GpuError;
 use lake::ml::{serialize, Activation, Matrix, Mlp};
 use lake::rpc::RpcError;
@@ -35,6 +37,12 @@ fn production() -> LakeBuilder {
         .queue_depth(64)
         .daemon_workers(2)
         .staging_threshold(STAGING_THRESHOLD)
+}
+
+/// A handle whose reads all cross to the daemon: the reads here move the
+/// ring and pay restarts, which below the 8-row crossover they would not.
+fn offloading(lake: &Lake) -> LakeMl {
+    lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 })
 }
 
 fn mlp(hidden: &[usize], seed: u64) -> Mlp {
@@ -59,7 +67,7 @@ fn classify(model: &Mlp, x: &Matrix) -> Vec<u32> {
 #[test]
 fn blobs_larger_than_a_ring_frame_load_and_classify_like_the_local_model() {
     let lake = production().build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
 
     let huge = mlp(&[512, 512], 1);
     let huge_blob = serialize::encode_mlp(&huge);
@@ -101,7 +109,7 @@ fn unstageable_blob_over_the_ring_limit_fails_typed_instead_of_hanging() {
     if lake.link_mode() != LinkMode::Ring {
         return; // LAKE_LINK override: no frame limit to hit
     }
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let small = mlp(&[16], 5);
     let small_id = ml.load_model(&serialize::encode_mlp(&small)).unwrap();
     let x = rows(1, 9);
@@ -122,7 +130,7 @@ fn unstageable_blob_over_the_ring_limit_fails_typed_instead_of_hanging() {
 fn device_memory_tracks_the_installed_version_across_swaps_restart_and_unload() {
     let crash = Instant::EPOCH + Duration::from_secs(3600);
     let lake = Lake::builder().crash_schedule(CrashSchedule::at(vec![crash])).build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let gpu = lake.gpu();
     let before = gpu.memory_used();
 
@@ -202,7 +210,7 @@ fn staged_write_orphans_its_buffer_when_the_daemon_dies_and_restart_reclaims_it(
 
     let crash = Instant::EPOCH + Duration::from_millis(50);
     let lake = production().crash_schedule(CrashSchedule::at(vec![crash])).build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&v1)).unwrap();
     assert_eq!(ml.infer_mlp(id, 4, COLS, x.data()).unwrap(), classify(&v1, &x));
     assert!(lake.clock().now() < crash);

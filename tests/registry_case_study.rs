@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use lake::block::{IoKind, NvmeDevice, NvmeSpec, TraceSpec};
-use lake::core::Lake;
+use lake::core::{BatchThresholdPolicy, Lake};
 use lake::ml::{serialize, Activation, Mlp};
 use lake::registry::{Arch, FeatureRegistryService, Schema};
 use lake::sim::{CrashSchedule, Duration, Instant, SimRng};
@@ -138,7 +138,9 @@ fn registry_catalog_is_replayed_into_new_daemon_incarnations() {
         lake.supervisor().record_schema(&name, &subsystem);
     }
 
-    let ml = lake.ml();
+    // The failover call below must reach the daemon, so this handle
+    // offloads even its one-row batch.
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
     let mut rng = StdRng::seed_from_u64(5);
     let model = Mlp::new(&[4, 8, 2], Activation::Relu, &mut rng);
     let id = ml.load_model(&serialize::encode_mlp(&model)).expect("load model");

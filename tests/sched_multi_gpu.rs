@@ -7,7 +7,7 @@
 //! policy reproduces Fig 13's CPU fallback and recovery.
 
 use lake::core::error::code;
-use lake::core::{BatchPolicy, Lake, SchedMetrics, Ticket};
+use lake::core::{BatchPolicy, BatchThresholdPolicy, Lake, LakeMl, SchedMetrics, Ticket};
 use lake::ml::{serialize, Activation, Matrix, Mlp};
 use lake::sim::Duration;
 use rand::rngs::StdRng;
@@ -15,6 +15,12 @@ use rand::SeedableRng;
 
 const COLS: usize = 256;
 const ROWS: usize = 64;
+
+/// A handle that offloads every inference: the daemon's scheduler is the
+/// subject, and small batches would otherwise be answered kernel-side.
+fn offloading(lake: &Lake) -> LakeMl {
+    lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 })
+}
 
 /// Deterministic feature rows (no RNG in the hot path).
 fn feature_row(i: usize) -> Vec<f32> {
@@ -36,7 +42,7 @@ fn run_batched(num_devices: usize) -> (Duration, SchedMetrics, Vec<u32>) {
         .num_devices(num_devices)
         .batch_policy(BatchPolicy { max_batch: 16, max_wait: Duration::from_millis(50) })
         .build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&wide_model())).expect("load model");
     // Let the weight-upload DMA traffic age out of the 5 ms NVML window
     // so placement starts from an idle utilization reading.
@@ -90,7 +96,7 @@ fn batched_dispatch_beats_singleton_launches_past_crossover() {
     // Singleton baseline: one synchronous launch per row (rows = 1 never
     // amortizes the launch overhead or fills the occupancy ramp).
     let lake = Lake::builder().build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&wide_model())).expect("load model");
     lake.clock().advance(Duration::from_millis(6));
     let t0 = lake.clock().now();
@@ -132,7 +138,7 @@ fn small_model() -> Mlp {
 fn contention_on_all_devices_falls_back_to_cpu_and_recovers() {
     let lake = Lake::builder().num_devices(2).build();
     lake.register_kernel("burn", 1.0, |_, _| Ok(()));
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&small_model())).expect("load model");
 
     burn(&lake, 0, 60);
@@ -160,7 +166,7 @@ fn contention_on_all_devices_falls_back_to_cpu_and_recovers() {
 fn backpressure_is_per_device_not_global() {
     let lake = Lake::builder().num_devices(2).build();
     lake.register_kernel("burn", 1.0, |_, _| Ok(()));
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&small_model())).expect("load model");
 
     // Only device 0 is contended; the pool must steer to device 1
@@ -179,7 +185,7 @@ fn ticket_lifecycle_poll_flush_and_errors() {
     let lake = Lake::builder()
         .batch_policy(BatchPolicy { max_batch: 16, max_wait: Duration::from_micros(200) })
         .build();
-    let ml = lake.ml();
+    let ml = offloading(&lake);
     let id = ml.load_model(&serialize::encode_mlp(&small_model())).expect("load model");
     let feats: Vec<f32> = (0..8).map(|j| j as f32 / 8.0).collect();
 
