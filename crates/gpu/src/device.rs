@@ -1,7 +1,7 @@
 //! The simulated device: memory, kernel registry, launches, and the busy
 //! timeline that contention and utilization sampling are built on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -231,6 +231,63 @@ impl Memory {
     }
 }
 
+/// Recent busy intervals of both engines, for NVML-style utilization
+/// sampling.
+///
+/// Each engine's intervals are sorted and disjoint: an op starts no
+/// earlier than the previous op on that engine ended. So the intervals a
+/// trim drops (those ending before the horizon) are always a prefix of
+/// their engine's deque, and a push costs amortised O(1).
+#[derive(Default)]
+struct BusyLog {
+    compute: VecDeque<(Instant, Instant)>,
+    dma: VecDeque<(Instant, Instant)>,
+}
+
+impl BusyLog {
+    /// Total intervals past which a push trims the log.
+    const TRIM_LEN: usize = 4096;
+    /// A trim keeps intervals ending within this span of the newest end:
+    /// a generous 4 s (policies sample over milliseconds).
+    const HORIZON_NS: u64 = 4_000_000_000;
+
+    fn push(&mut self, dma: bool, start: Instant, end: Instant) {
+        let engine = if dma { &mut self.dma } else { &mut self.compute };
+        engine.push_back((start, end));
+        if self.compute.len() + self.dma.len() > Self::TRIM_LEN {
+            let horizon = end.as_nanos().saturating_sub(Self::HORIZON_NS);
+            for engine in [&mut self.compute, &mut self.dma] {
+                while engine.front().is_some_and(|&(_, e)| e.as_nanos() < horizon) {
+                    engine.pop_front();
+                }
+            }
+        }
+    }
+
+    /// Busy fraction of `[now - window, now]`, capped at 1. Work queued
+    /// beyond `now` is clipped, so it counts only up to `now`.
+    fn utilization(&self, now: Instant, window: Duration) -> f64 {
+        if window.is_zero() {
+            return 0.0;
+        }
+        let win_start = Instant::from_nanos(now.as_nanos().saturating_sub(window.as_nanos()));
+        let busy: u64 = self
+            .compute
+            .iter()
+            .chain(&self.dma)
+            .map(|&(s, e)| {
+                let (s, e) = (s.max(win_start), e.min(now));
+                if e > s {
+                    (e - s).as_nanos()
+                } else {
+                    0
+                }
+            })
+            .sum();
+        (busy as f64 / window.as_nanos().min(now.as_nanos()).max(1) as f64).min(1.0)
+    }
+}
+
 struct State {
     mem: Memory,
     kernels: HashMap<String, Kernel>,
@@ -242,8 +299,13 @@ struct State {
     /// Per-stream completion cursors (stream 0 is the default stream).
     streams: HashMap<u32, Instant>,
     next_stream: u32,
-    /// Recent busy intervals for NVML-style utilization sampling.
-    busy_log: Vec<(Instant, Instant)>,
+    /// Recent busy intervals per engine; on each engine they are sorted
+    /// and disjoint, which is what makes the trim a prefix pop.
+    busy: BusyLog,
+    /// When set, the single-`Vec` log `busy` replaced, fed the same
+    /// intervals: the oracle the equivalence test compares `busy` against.
+    #[cfg(test)]
+    reference: Option<tests::ReferenceLog>,
     exec_mode: ExecMode,
     launches: u64,
     bytes_h2d: u64,
@@ -288,7 +350,9 @@ impl GpuDevice {
                 dma_free: Instant::EPOCH,
                 streams: HashMap::new(),
                 next_stream: 1,
-                busy_log: Vec::new(),
+                busy: BusyLog::default(),
+                #[cfg(test)]
+                reference: None,
                 exec_mode: ExecMode::Full,
                 launches: 0,
                 bytes_h2d: 0,
@@ -411,12 +475,10 @@ impl GpuDevice {
         } else {
             st.engine_free = end;
         }
-        st.busy_log.push((start, end));
-        // Trim the log so long simulations do not grow unboundedly; keep
-        // a generous 4s window (policies sample over milliseconds).
-        if st.busy_log.len() > 4096 {
-            let horizon = end.as_nanos().saturating_sub(4_000_000_000);
-            st.busy_log.retain(|&(_, e)| e.as_nanos() >= horizon);
+        st.busy.push(dma, start, end);
+        #[cfg(test)]
+        if let Some(reference) = &mut st.reference {
+            reference.push(start, end);
         }
         (start, end)
     }
@@ -523,26 +585,7 @@ impl GpuDevice {
     /// by the Fig 3 contention policy.
     pub fn utilization_over(&self, window: Duration) -> f64 {
         let now = self.clock.now();
-        let st = self.state.lock();
-        let win_start = Instant::from_nanos(now.as_nanos().saturating_sub(window.as_nanos()));
-        let mut busy = 0u64;
-        for &(s, e) in &st.busy_log {
-            let s = s.max(win_start);
-            let e = e.min(now);
-            if e > s {
-                busy += (e - s).as_nanos();
-            }
-        }
-        // Work queued beyond `now` also counts as a busy engine.
-        if st.engine_free > now {
-            // the interval [engine_free-?..now] is already in the log; no
-            // extra accounting needed because occupy() logs future busy
-            // spans which are clipped by `min(now)` above.
-        }
-        if window.is_zero() {
-            return 0.0;
-        }
-        (busy as f64 / window.as_nanos().min(now.as_nanos()).max(1) as f64).min(1.0)
+        self.state.lock().busy.utilization(now, window)
     }
 
     // -- streams (asynchronous data movement, §7's "LAKE" series) --------
@@ -948,5 +991,167 @@ mod tests {
         gpu.launch_kernel("nn", 1024, &[]).unwrap();
         let per_item_large = (gpu.clock().now() - t0).as_micros_f64() / 1024.0;
         assert!(per_item_small > per_item_large * 20.0);
+    }
+
+    /// The busy log before per-engine deques, kept verbatim as the oracle:
+    /// one `Vec` across both engines, `retain`-trimmed on every push past
+    /// 4096 entries.
+    #[derive(Default)]
+    pub(super) struct ReferenceLog(Vec<(Instant, Instant)>);
+
+    impl ReferenceLog {
+        pub(super) fn push(&mut self, start: Instant, end: Instant) {
+            self.0.push((start, end));
+            if self.0.len() > 4096 {
+                let horizon = end.as_nanos().saturating_sub(4_000_000_000);
+                self.0.retain(|&(_, e)| e.as_nanos() >= horizon);
+            }
+        }
+
+        fn utilization(&self, now: Instant, window: Duration) -> f64 {
+            let win_start = Instant::from_nanos(now.as_nanos().saturating_sub(window.as_nanos()));
+            let mut busy = 0u64;
+            for &(s, e) in &self.0 {
+                let s = s.max(win_start);
+                let e = e.min(now);
+                if e > s {
+                    busy += (e - s).as_nanos();
+                }
+            }
+            if window.is_zero() {
+                return 0.0;
+            }
+            (busy as f64 / window.as_nanos().min(now.as_nanos()).max(1) as f64).min(1.0)
+        }
+    }
+
+    #[test]
+    fn trim_keeps_exactly_the_intervals_ending_within_the_horizon() {
+        // One op ends every 100 us, so 4 s holds 40k intervals, every push
+        // past the first 4096 trims, and one interval ends exactly on the
+        // final horizon (10 s - 4 s) and must be kept.
+        let gpu = device();
+        let ptr = gpu.mem_alloc(1024).unwrap();
+        let idle = Duration::from_micros(100).saturating_sub(gpu.spec().transfer_time(1024));
+        let mut ends = Vec::new();
+        for _ in 0..100_000 {
+            gpu.clock().advance(idle);
+            gpu.charge_htod(ptr, 1024).unwrap();
+            ends.push(gpu.clock().now());
+        }
+        assert_eq!(*ends.last().unwrap(), Instant::from_nanos(10_000_000_000));
+        let expected: Vec<Instant> =
+            ends.into_iter().filter(|e| e.as_nanos() >= 6_000_000_000).collect();
+        assert_eq!(expected.len(), 40_001);
+        let st = gpu.state.lock();
+        assert!(st.busy.dma.is_empty());
+        let retained: Vec<Instant> = st.busy.compute.iter().map(|&(_, e)| e).collect();
+        assert_eq!(retained, expected);
+    }
+
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        const BUF: usize = 64 << 10;
+
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Htod(usize),
+            ChargeHtod(usize),
+            Launch(u64),
+            Dtoh(usize),
+            HtodAsync(usize, usize),
+            LaunchAsync(usize, u64),
+            DtohAsync(usize, usize),
+            StreamSync(usize),
+            Advance(u64),
+            Query(u64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0..BUF).prop_map(Op::Htod),
+                (0..BUF).prop_map(Op::ChargeHtod),
+                (1u64..100_000).prop_map(Op::Launch),
+                (0..BUF).prop_map(Op::Dtoh),
+                (0usize..2, 0..BUF).prop_map(|(s, len)| Op::HtodAsync(s, len)),
+                (0usize..2, 1u64..100_000).prop_map(|(s, items)| Op::LaunchAsync(s, items)),
+                (0usize..2, 0..BUF).prop_map(|(s, len)| Op::DtohAsync(s, len)),
+                (0usize..2).prop_map(Op::StreamSync),
+                // Mostly up to 20 ms, so ~4096 ops span the 4 s horizon
+                // and trims drop part of the log; rarely a jump past it
+                // that empties the log on the next trim.
+                (0u32..200, 0u64..20_000_000).prop_map(|(jump, ns)| {
+                    Op::Advance(if jump == 0 { 4_000_000_000 + ns * 100 } else { ns })
+                }),
+                // Window 0, a sampling-sized window, or one longer than
+                // the horizon.
+                (0u8..3, 1u64..50_000_000, 1u64..16_000_000_000).prop_map(|(k, short, long)| {
+                    Op::Query(match k {
+                        0 => 0,
+                        1 => short,
+                        _ => 4_000_000_000 + long,
+                    })
+                }),
+            ]
+        }
+
+        proptest! {
+            /// Random interleavings of sync, stream and clock ops keep the
+            /// per-engine deques holding exactly the intervals the
+            /// single-`Vec` log holds, and every utilization reading is
+            /// bit-identical to the reference's.
+            #[test]
+            fn deques_match_the_single_vec_log(ops in proptest::collection::vec(op(), 8_000..14_000)) {
+                let gpu = device();
+                gpu.state.lock().reference = Some(ReferenceLog::default());
+                gpu.register_kernel("work", 1.0e3, |_, _| Ok(()));
+                let ptr = gpu.mem_alloc(BUF).unwrap();
+                let payload = vec![0u8; BUF];
+                let streams = [gpu.stream_create(), gpu.stream_create()];
+                let (mut trims, mut last_len) = (0u32, 0usize);
+                for op in ops {
+                    match op {
+                        Op::Htod(len) => gpu.memcpy_htod(ptr, &payload[..len]).unwrap(),
+                        Op::ChargeHtod(len) => gpu.charge_htod(ptr, len).unwrap(),
+                        Op::Launch(items) => gpu.launch_kernel("work", items, &[]).unwrap(),
+                        Op::Dtoh(len) => drop(gpu.memcpy_dtoh(ptr, len).unwrap()),
+                        Op::HtodAsync(s, len) => {
+                            gpu.memcpy_htod_async(streams[s], ptr, &payload[..len]).unwrap()
+                        }
+                        Op::LaunchAsync(s, items) => {
+                            gpu.launch_kernel_async(streams[s], "work", items, &[]).unwrap()
+                        }
+                        Op::DtohAsync(s, len) => {
+                            drop(gpu.memcpy_dtoh_async(streams[s], ptr, len).unwrap())
+                        }
+                        Op::StreamSync(s) => gpu.stream_synchronize(streams[s]).unwrap(),
+                        Op::Advance(ns) => {
+                            gpu.clock().advance(Duration::from_nanos(ns));
+                        }
+                        Op::Query(ns) => {
+                            let window = Duration::from_nanos(ns);
+                            let got = gpu.utilization_over(window);
+                            let st = gpu.state.lock();
+                            let want = st.reference.as_ref().unwrap().utilization(gpu.clock().now(), window);
+                            prop_assert_eq!(got.to_bits(), want.to_bits(), "window {} ns", ns);
+                        }
+                    }
+                    let st = gpu.state.lock();
+                    let len = st.busy.compute.len() + st.busy.dma.len();
+                    prop_assert_eq!(len, st.reference.as_ref().unwrap().0.len());
+                    trims += u32::from(len < last_len);
+                    last_len = len;
+                }
+                let st = gpu.state.lock();
+                let mut deques: Vec<_> = st.busy.compute.iter().chain(&st.busy.dma).copied().collect();
+                let mut reference = st.reference.as_ref().unwrap().0.clone();
+                deques.sort_unstable();
+                reference.sort_unstable();
+                prop_assert!(deques == reference, "retained intervals differ");
+                prop_assert!(trims > 0, "the log never grew past the trim threshold");
+            }
+        }
     }
 }
