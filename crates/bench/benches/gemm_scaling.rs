@@ -171,6 +171,8 @@ fn json_series(rows: &[Row], model: &str) -> String {
 
 fn print_gemm_scaling() {
     banner("gemm_scaling", "packed GEMM engine vs naive forward paths");
+    // `workers` is the pool width and counts the calling thread: at 2 the
+    // caller computes one part and one helper thread the other.
     println!(
         "{:<6} {:>6} {:>8} {:>12} {:>12} {:>9} {:>12}",
         "model", "batch", "workers", "naive", "engine", "speedup", "rows/s"

@@ -318,25 +318,6 @@ impl LakeDaemon {
         model_budget: Option<usize>,
         simd: Option<Kernel>,
     ) -> Arc<Self> {
-        Self::with_executor_budget(pool, shm, batch_policy, model_pages, model_budget, simd, 1)
-    }
-
-    /// [`LakeDaemon::with_model_store`] for a daemon running under a
-    /// parallel executor with `executor_workers` threads: the GEMM worker
-    /// pool is budgeted against the executor so the *combined*
-    /// `executor_workers × pool_threads` never oversubscribes the host's
-    /// cores (the PR 4 caveat — oversubscription used to be silent).
-    /// `executor_workers = 1` reproduces [`LakeDaemon::with_model_store`]
-    /// exactly.
-    pub fn with_executor_budget(
-        pool: Arc<DevicePool>,
-        shm: ShmRegion,
-        batch_policy: BatchPolicy,
-        model_pages: ShmRegion,
-        model_budget: Option<usize>,
-        simd: Option<Kernel>,
-        executor_workers: usize,
-    ) -> Arc<Self> {
         let store =
             ModelStore::new(pool.clock().clone(), model_pages, model_budget, LoadedModel::decode);
         let sched = Mutex::new(SchedState {
@@ -349,13 +330,11 @@ impl LakeDaemon {
         });
         // Size the GEMM pool to the host, capped: inference batches are
         // latency-sensitive and small enough that more workers only add
-        // hand-off overhead. Executor workers each run their own handler
-        // calls, so the per-call pool budget is the host's cores divided
-        // among them — combined threads never exceed the host.
+        // hand-off overhead. The pool counts its caller, so an executor
+        // worker computes its own batch alongside whichever helpers are
+        // idle; no split against the executor width is needed.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let requested = cores.min(4);
-        let pool_budget = (cores / executor_workers.max(1)).max(1);
-        let mut engine = InferenceEngine::with_host_cores(requested, pool_budget);
+        let mut engine = InferenceEngine::new(cores.min(4));
         if let Some(kernel) = simd {
             engine = engine.with_kernel(kernel);
         }

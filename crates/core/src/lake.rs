@@ -305,9 +305,9 @@ impl LakeBuilder {
     /// worker threads, and return completions out of order through a
     /// completion mux (one responder per link keeps the SPSC ring
     /// invariant). Non-idempotent commands (`ml.swap_model`, `train`,
-    /// load) take a per-model ordering barrier, and the GEMM worker
-    /// pool's core budget is divided by the executor width so the two
-    /// pools never oversubscribe the host. [`LinkMode::InProcess`] has
+    /// load) take a per-model ordering barrier. Each worker computes its
+    /// own batches inside the GEMM pool, which keeps its full width at
+    /// every executor width. [`LinkMode::InProcess`] has
     /// no serve thread and ignores this. The `LAKE_DAEMON_WORKERS`
     /// environment variable overrides this at build time.
     ///
@@ -473,18 +473,13 @@ impl LakeBuilder {
             None => 8 << 20,
         };
         let model_pages = ShmRegion::with_capacity(page_capacity);
-        // The executor only exists in the linked modes (it *is* the
-        // serve thread's worker pool); in-process calls dispatch on the
-        // caller's thread, so the GEMM pool keeps its full core budget.
-        let exec_workers = if link_mode == LinkMode::InProcess { 1 } else { daemon_workers };
-        let daemon = LakeDaemon::with_executor_budget(
+        let daemon = LakeDaemon::with_model_store(
             Arc::clone(&pool),
             shm.clone(),
             self.batch_policy,
             model_pages,
             model_budget,
             simd,
-            exec_workers,
         );
         daemon.set_stall_schedule(self.stall_schedule);
         // A private region, not the kernel-visible lakeShm: staged frames
@@ -540,7 +535,7 @@ impl LakeBuilder {
                     supervisor.epoch_counter(),
                     staging.as_ref().map(|(region, _)| region.clone()),
                     Arc::clone(&perf),
-                    exec_workers,
+                    daemon_workers,
                     Arc::clone(&exec_stats),
                 );
                 (CallEngine::linked(kernel), None)
@@ -569,7 +564,7 @@ impl LakeBuilder {
                     supervisor.epoch_counter(),
                     staging.as_ref().map(|(region, _)| region.clone()),
                     Arc::clone(&perf),
-                    exec_workers,
+                    daemon_workers,
                     Arc::clone(&exec_stats),
                 );
                 (CallEngine::linked(kernel.clone()), Some(kernel))
@@ -604,7 +599,8 @@ impl LakeBuilder {
             link_mode,
             ring,
             queue_depth,
-            daemon_workers: exec_workers,
+            // In-process calls dispatch on the caller's thread: no executor.
+            daemon_workers: if link_mode == LinkMode::InProcess { 1 } else { daemon_workers },
             exec_stats,
             shard_id: self.shard_id,
         }
@@ -673,8 +669,9 @@ pub struct PerfReport {
     /// Calls whose payloads travelled as shm handles instead of inline
     /// frames (requires [`LakeBuilder::staging_threshold`]).
     pub staged_calls: u64,
-    /// Packed GEMM engine counters: worker-pool runs vs direct runs and
-    /// packed-weight cache hits/misses.
+    /// Packed GEMM engine counters: pool width (`workers`, caller
+    /// included), worker-pool runs vs direct runs and packed-weight cache
+    /// hits/misses.
     pub gemm: lake_ml::EngineStats,
     /// Paged model-store counters: budget/resident/pinned bytes, weight
     /// hits vs cold-miss faults, evictions, installs, and retired swaps.
@@ -685,10 +682,6 @@ pub struct PerfReport {
     /// zero in [`LinkMode::InProcess`] deployments (no serve thread) and
     /// on the serial path's mux-specific fields.
     pub executor: lake_rpc::ExecutorSnapshot,
-    /// The GEMM worker-pool width actually deployed after the shared
-    /// core budget split `host_cores / daemon_workers` — the satellite
-    /// guard that executor×pool threads never oversubscribe the host.
-    pub effective_pool_threads: usize,
     /// MLP inferences (and their rows) answered kernel-side below the
     /// offload crossover, plus the packed copies built for them. The
     /// local share is `local.rows` over all rows inferred.
@@ -851,16 +844,13 @@ impl Lake {
     /// plus the process rollup), staged-call count, and the GEMM engine's
     /// pool/cache counters.
     pub fn perf_report(&self) -> PerfReport {
-        let gemm = self.daemon.gemm_stats();
-        let effective_pool_threads = gemm.workers;
         PerfReport {
             rpc: self.engine.perf_counters().snapshot(),
             rpc_process: lake_rpc::perf::snapshot(),
             staged_calls: self.engine.stats().staged_calls,
-            gemm,
+            gemm: self.daemon.gemm_stats(),
             store: self.daemon.store_stats(),
             executor: self.exec_stats.snapshot(),
-            effective_pool_threads,
             local: self.supervisor.local_stats(),
         }
     }

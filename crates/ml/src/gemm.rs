@@ -20,10 +20,11 @@
 //!   accumulator starting from `0.0`, with the same `a == 0.0` skip the
 //!   naive saxpy applies — the exact same float operation sequence, so the
 //!   result is the exact same bits.
-//! * A fixed-size [`WorkerPool`] partitions **disjoint output row ranges**
-//!   across threads. Since no two workers ever touch the same accumulator,
-//!   the reduction order per element is unchanged no matter how many
-//!   workers run.
+//! * A fixed-width [`WorkerPool`] partitions **disjoint output row ranges**
+//!   across the calling thread and its helper threads, each claiming parts
+//!   until none are left. Since no two parts ever touch the same
+//!   accumulator, the reduction order per element is unchanged no matter
+//!   how wide the pool is or which thread runs which part.
 //! * Bias and activation are fused into the store ([`PackedMlp::forward`]):
 //!   elementwise epilogues commute with the row partition, and the scalar
 //!   formulas replicate [`Activation`]'s exactly.
@@ -48,9 +49,9 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
 use crate::lstm::LstmClassifier;
 use crate::mlp::{Activation, Mlp};
@@ -583,23 +584,59 @@ fn gemm_rows(
 // Worker pool
 // ---------------------------------------------------------------------------
 
-/// A job handed to the pool: called once per worker with the worker index.
+/// A job handed to the pool: called once per part with the part index.
 type Job = &'static (dyn Fn(usize) + Sync);
 
-enum Msg {
-    Run(Job),
-    Exit,
+/// One [`WorkerPool::run`] call, shared by its caller and every helper it
+/// was published to.
+struct Run {
+    job: Job,
+    parts: usize,
+    /// Next unclaimed part; a claim at or past `parts` claims nothing.
+    next: AtomicUsize,
+    /// Parts that returned or unwound, whoever ran them.
+    finished: AtomicUsize,
+    panicked: AtomicBool,
+    /// The `run` caller, unparked when a helper finishes the last part.
+    caller: Thread,
 }
 
-/// Fixed-size pool of persistent worker threads for partitioned GEMM.
+impl Run {
+    /// Claims and runs parts until none are left. Returns whether this
+    /// thread finished the run's last part.
+    fn work(&self) -> bool {
+        let mut last = false;
+        loop {
+            // Relaxed: the claim only needs the RMW's uniqueness; `job`
+            // itself was published by the channel send.
+            let part = self.next.fetch_add(1, Ordering::Relaxed);
+            if part >= self.parts {
+                return last;
+            }
+            if catch_unwind(AssertUnwindSafe(|| (self.job)(part))).is_err() {
+                self.panicked.store(true, Ordering::Relaxed);
+            }
+            // Release pairs with the caller's Acquire load in `run`: the
+            // part's writes (and `panicked`) are visible once it counts.
+            last = self.finished.fetch_add(1, Ordering::Release) + 1 == self.parts;
+        }
+    }
+}
+
+/// Fixed-width pool for partitioned GEMM in which the caller is one of the
+/// workers.
 ///
-/// [`WorkerPool::run`] hands every worker the same closure plus its worker
-/// index; the closure picks its own disjoint output slice from the index.
-/// `run` blocks until every worker has finished, so the closure may borrow
-/// from the caller's stack even though the channel type is `'static`.
+/// [`WorkerPool::run`] splits a job into [`WorkerPool::workers`] parts and
+/// publishes it to `workers − 1` persistent helper threads. The caller and
+/// every helper claim parts from one atomic counter until none are left;
+/// the caller then waits only for parts a helper claimed and has not
+/// finished. A helper still busy with another caller's run therefore never
+/// stalls this one, and concurrent `run`s from several threads share the
+/// helpers without serialising on each other. `run` returns only after
+/// every part has finished, so the job may borrow from the caller's stack
+/// even though the channel type is `'static`.
 pub struct WorkerPool {
-    txs: Vec<mpsc::Sender<Msg>>,
-    done_rx: Mutex<mpsc::Receiver<bool>>,
+    txs: Vec<mpsc::Sender<Arc<Run>>>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
     runs: AtomicU64,
@@ -615,82 +652,82 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` persistent threads (clamped to at least 1).
+    /// A pool `workers` wide (clamped to at least 1), counting the caller
+    /// of [`WorkerPool::run`]: spawns `workers − 1` helper threads.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let (done_tx, done_rx) = mpsc::channel::<bool>();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = mpsc::channel::<Msg>();
-            let done = done_tx.clone();
-            handles.push(
-                std::thread::Builder::new()
+        let (txs, handles) = (1..workers)
+            .map(|w| {
+                let (tx, rx) = mpsc::channel::<Arc<Run>>();
+                let handle = std::thread::Builder::new()
                     .name(format!("lake-gemm-{w}"))
                     .spawn(move || {
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                Msg::Run(job) => {
-                                    let ok = catch_unwind(AssertUnwindSafe(|| job(w))).is_ok();
-                                    if done.send(ok).is_err() {
-                                        break;
-                                    }
-                                }
-                                Msg::Exit => break,
+                        while let Ok(run) = rx.recv() {
+                            if run.work() {
+                                run.caller.unpark();
                             }
                         }
                     })
-                    .expect("spawn gemm worker"),
-            );
-            txs.push(tx);
-        }
-        WorkerPool { txs, done_rx: Mutex::new(done_rx), handles, workers, runs: AtomicU64::new(0) }
+                    .expect("spawn gemm helper");
+                (tx, handle)
+            })
+            .unzip();
+        WorkerPool { txs, handles, workers, runs: AtomicU64::new(0) }
     }
 
-    /// Number of worker threads.
+    /// Pool width: the caller plus its helper threads.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Jobs executed so far (each job fans out to every worker).
+    /// Jobs executed so far (each job splits into `workers()` parts).
     pub fn runs(&self) -> u64 {
         self.runs.load(Ordering::Relaxed)
     }
 
-    /// Runs `job(worker_index)` on every worker and blocks until all done.
+    /// Runs `job(part)` once for every part in `0..workers()`, on the
+    /// calling thread and any idle helpers, and returns when all are done.
     ///
     /// # Panics
     ///
-    /// Panics if any worker's closure panicked.
+    /// Panics if any part panicked (after every part has finished).
     pub fn run(&self, job: &(dyn Fn(usize) + Sync)) {
         self.runs.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the job reference is only lent to the workers for the
-        // duration of this call — we block below until every worker has
-        // reported completion, after which no worker retains the pointer.
+        // SAFETY: the job reference is only lent out for the duration of
+        // this call. A helper touches `job` only after claiming a part
+        // below `parts`, and this call returns only once `finished ==
+        // parts`, i.e. after every claimed part has returned or unwound.
+        // From then on every claim lands at or past `parts`, so a stale
+        // `Arc<Run>` still queued to a busy helper never calls the job.
         let job: Job = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job)
         };
-        // One receiver guarded by a mutex serializes concurrent `run`s, so
-        // completions from overlapping jobs cannot be misattributed.
-        // Poisoning is benign here: a panicked `run` still drains every
-        // completion before re-panicking, so the receiver state is clean.
-        let done = self.done_rx.lock().unwrap_or_else(|e| e.into_inner());
+        let run = Arc::new(Run {
+            job,
+            parts: self.workers,
+            next: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
+            caller: std::thread::current(),
+        });
         for tx in &self.txs {
-            tx.send(Msg::Run(job)).expect("gemm worker gone");
+            // A helper that is gone only leaves more parts to the caller.
+            let _ = tx.send(Arc::clone(&run));
         }
-        let mut ok = true;
-        for _ in 0..self.workers {
-            ok &= done.recv().expect("gemm worker gone");
+        run.work();
+        // `park` may return spuriously, or on a token a helper left for an
+        // earlier run of this thread; the count is the only exit.
+        while run.finished.load(Ordering::Acquire) < run.parts {
+            std::thread::park();
         }
-        assert!(ok, "gemm worker panicked");
+        assert!(!run.panicked.load(Ordering::Relaxed), "gemm worker panicked");
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        for tx in &self.txs {
-            let _ = tx.send(Msg::Exit);
-        }
+        // Closing the channels ends every helper's receive loop.
+        self.txs.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -739,15 +776,15 @@ pub fn matmul_packed_with(
     out
 }
 
-/// Partitions `rows` across the pool and hands each worker its disjoint
-/// chunk of `out` (`row_width` floats per row). Falls back to inline
+/// Partitions `rows` across the pool and hands each part its disjoint
+/// chunk of `out` (`row_width` elements per row). Falls back to inline
 /// execution for tiny batches or a single worker.
-pub(crate) fn run_partitioned(
+pub(crate) fn run_partitioned<T: Send>(
     pool: Option<&WorkerPool>,
     rows: usize,
     row_width: usize,
-    out: &mut [f32],
-    work: impl Fn(Range<usize>, &mut [f32]) + Sync,
+    out: &mut [T],
+    work: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
     let parallel = match pool {
         Some(p) if p.workers() > 1 && rows > 1 => Some(p),
@@ -758,13 +795,13 @@ pub(crate) fn run_partitioned(
         Some(pool) => {
             let ranges = partition(rows, pool.workers());
             let per = ranges[0].len();
-            let chunks: Vec<Mutex<(Range<usize>, &mut [f32])>> = out
+            let chunks: Vec<Mutex<(Range<usize>, &mut [T])>> = out
                 .chunks_mut(per * row_width)
                 .zip(ranges)
                 .map(|(chunk, range)| Mutex::new((range, chunk)))
                 .collect();
-            let job = |w: usize| {
-                if let Some(slot) = chunks.get(w) {
+            let job = |part: usize| {
+                if let Some(slot) = chunks.get(part) {
                     let mut guard = slot.lock().expect("gemm chunk poisoned");
                     let (range, chunk) = &mut *guard;
                     work(range.clone(), chunk);
@@ -1228,39 +1265,19 @@ impl PackedLstm {
         if rows == 0 {
             return out;
         }
-        // `run_partitioned` is specialised for f32 chunks; partition the
-        // usize output the same way here.
-        let parallel = match pool {
-            Some(p) if p.workers() > 1 && rows > 1 => Some(p),
-            _ => None,
-        };
-        match parallel {
-            // Inline batches under the pool work-size floor also skip the
-            // batched re-layout: the same threshold that says "fan-out
-            // costs more than it buys" marks where the per-layer batch
-            // allocations cost more than the weight-streaming they enable.
-            None if rows < DEFAULT_POOL_MIN_ROWS => {
-                self.classify_rows_lean(kernel, data, cols, steps, 0..rows, &mut out)
+        run_partitioned(pool, rows, 1, &mut out, |range, chunk| {
+            // A whole batch run inline under the pool work-size floor also
+            // skips the batched re-layout: the same threshold that says
+            // "fan-out costs more than it buys" marks where the per-layer
+            // batch allocations cost more than the weight-streaming they
+            // enable. Pooled parts (always fewer rows than the batch) keep
+            // the batched path.
+            if range.len() == rows && rows < DEFAULT_POOL_MIN_ROWS {
+                self.classify_rows_lean(kernel, data, cols, steps, range, chunk)
+            } else {
+                self.classify_rows(kernel, data, cols, steps, range, chunk)
             }
-            None => self.classify_rows(kernel, data, cols, steps, 0..rows, &mut out),
-            Some(pool) => {
-                let ranges = partition(rows, pool.workers());
-                let per = ranges[0].len();
-                let chunks: Vec<Mutex<(Range<usize>, &mut [usize])>> = out
-                    .chunks_mut(per)
-                    .zip(ranges)
-                    .map(|(chunk, range)| Mutex::new((range, chunk)))
-                    .collect();
-                let job = |w: usize| {
-                    if let Some(slot) = chunks.get(w) {
-                        let mut guard = slot.lock().expect("gemm chunk poisoned");
-                        let (range, chunk) = &mut *guard;
-                        self.classify_rows(kernel, data, cols, steps, range.clone(), chunk);
-                    }
-                };
-                pool.run(&job);
-            }
-        }
+        });
         out
     }
 }
@@ -1379,13 +1396,13 @@ impl PackedModelCache {
 /// Point-in-time counters for the fast path.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
-    /// Worker threads in the pool (after the host-core clamp).
+    /// Pool width, the calling thread included (after the host-core clamp).
     pub workers: usize,
-    /// Worker threads originally requested, before clamping to host cores.
+    /// Pool width originally requested, before clamping to host cores.
     pub workers_requested: usize,
     /// Name of the active microkernel (`avx2`, `sse4.1`, `scalar`).
     pub simd: &'static str,
-    /// Pool jobs dispatched (each fans out to every worker).
+    /// Pool jobs dispatched (each splits into `workers` parts).
     pub pool_runs: u64,
     /// Worker-slots that received a non-empty row range.
     pub pool_tasks: u64,
@@ -1437,10 +1454,11 @@ pub struct InferenceEngine {
 }
 
 impl InferenceEngine {
-    /// Engine with a pool of `workers` threads (clamped to the host's
-    /// available cores — an oversubscribed pool only buys context-switch
-    /// latency, the BENCH_PR4 p99 blowup), the default work-size threshold
-    /// ([`DEFAULT_POOL_MIN_ROWS`]), and the `LAKE_SIMD`-selected kernel.
+    /// Engine with a pool `workers` wide, caller included (clamped to
+    /// the host's available cores — an oversubscribed pool only buys
+    /// context-switch latency, the BENCH_PR4 p99 blowup), the default
+    /// work-size threshold ([`DEFAULT_POOL_MIN_ROWS`]), and the
+    /// `LAKE_SIMD`-selected kernel.
     pub fn new(workers: usize) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self::with_host_cores(workers, cores)
@@ -1988,6 +2006,42 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
+
+    /// A helper stuck in one caller's run must not stall another caller:
+    /// the second caller claims every part the helper cannot take and
+    /// finishes on its own thread.
+    #[test]
+    fn busy_helper_never_stalls_another_run() {
+        use std::sync::Barrier;
+        use std::time::Duration;
+        let pool = WorkerPool::new(2);
+        // Both of run A's parts plus this thread meet here twice: once when
+        // A's parts have been entered, once to release them.
+        let gate = Barrier::new(3);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.run(&|_| {
+                    gate.wait();
+                    gate.wait();
+                })
+            });
+            gate.wait();
+            s.spawn(|| {
+                let caller = std::thread::current().id();
+                let on_caller = AtomicUsize::new(0);
+                pool.run(&|_| {
+                    if std::thread::current().id() == caller {
+                        on_caller.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                let _ = tx.send(on_caller.into_inner());
+            });
+            let second = rx.recv_timeout(Duration::from_secs(10));
+            gate.wait();
+            assert_eq!(second, Ok(2), "second run must finish both parts on its caller");
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1995,7 +2049,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Values with a healthy density of exact zeros (both signs) so the
     /// `a == 0.0` skip path is exercised — dropping or reordering the skip
@@ -2110,6 +2164,60 @@ mod proptests {
             let pool = WorkerPool::new(workers);
             prop_assert_eq!(&want, &packed.classify(data, rows, cols, steps, None));
             prop_assert_eq!(&want, &packed.classify(data, rows, cols, steps, Some(&pool)));
+        }
+
+        /// Four threads share one pool: every forward stays bit-identical
+        /// to the naive one while runs from other threads overlap it, and
+        /// every part of every run executes exactly once.
+        #[test]
+        fn concurrent_callers_share_one_pool(
+            width in 1usize..5,
+            rows in proptest::collection::vec(1usize..301, 4 * 3),
+            seed in 0u64..u64::MAX,
+        ) {
+            const FEAT: usize = 5;
+            const STEPS: usize = 3;
+            const COLS: usize = FEAT * STEPS;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mlp = Mlp::new(&[COLS, 20, 4], Activation::Relu, &mut rng);
+            let lstm = LstmClassifier::new(FEAT, 6, 1, 3, &mut rng);
+            let (packed_mlp, packed_lstm) = (PackedMlp::pack(&mlp), PackedLstm::pack(&lstm));
+            let pool = WorkerPool::new(width);
+            let check = |x: &Matrix| {
+                let rows = x.rows();
+                let got = packed_mlp.forward(x.data(), rows, COLS, Some(&pool));
+                for (a, b) in mlp.forward(x).data().iter().zip(got.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "mlp, {rows} rows");
+                }
+                let want: Vec<usize> = (0..rows)
+                    .map(|r| {
+                        let seq: Vec<Vec<f32>> =
+                            x.row(r).chunks(FEAT).map(<[f32]>::to_vec).collect();
+                        lstm.classify(&seq)
+                    })
+                    .collect();
+                let got = packed_lstm.classify(x.data(), rows, COLS, STEPS, Some(&pool));
+                assert_eq!(want, got, "lstm, {rows} rows");
+                let ran: Vec<AtomicUsize> = (0..width).map(|_| AtomicUsize::new(0)).collect();
+                pool.run(&|part| {
+                    ran[part].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(ran.iter().all(|n| n.load(Ordering::Relaxed) == 1), "parts not run once");
+            };
+            let batches: Vec<Matrix> = rows
+                .iter()
+                .map(|&r| {
+                    let data = (0..r * COLS)
+                        .map(|_| if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-2.0..2.0f32) })
+                        .collect();
+                    Matrix::from_vec(r, COLS, data)
+                })
+                .collect();
+            std::thread::scope(|s| {
+                for calls in batches.chunks(3) {
+                    s.spawn(move || calls.iter().for_each(check));
+                }
+            });
         }
     }
 }

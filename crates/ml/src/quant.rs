@@ -32,11 +32,10 @@
 //! occupy ≈ 4× fewer `ModelStore` pages under `LAKE_MODEL_BUDGET`.
 
 use std::ops::Range;
-use std::sync::Mutex;
 
 use crate::gemm::{
-    apply_act, head_argmax, lstm_gate_epilogue, partition, run_partitioned, Kernel, PackedMatrix,
-    WorkerPool, DEFAULT_POOL_MIN_ROWS,
+    apply_act, head_argmax, lstm_gate_epilogue, run_partitioned, Kernel, PackedMatrix, WorkerPool,
+    DEFAULT_POOL_MIN_ROWS,
 };
 use crate::lstm::LstmClassifier;
 use crate::mlp::{Activation, Mlp};
@@ -1047,30 +1046,10 @@ impl PackedQuantLstm {
         if rows == 0 {
             return out;
         }
-        let parallel = match pool {
-            Some(p) if p.workers() > 1 && rows >= DEFAULT_POOL_MIN_ROWS => Some(p),
-            _ => None,
-        };
-        match parallel {
-            None => self.classify_rows(kernel, data, cols, steps, 0..rows, &mut out),
-            Some(pool) => {
-                let ranges = partition(rows, pool.workers());
-                let per = ranges[0].len();
-                let chunks: Vec<Mutex<(Range<usize>, &mut [usize])>> = out
-                    .chunks_mut(per)
-                    .zip(ranges)
-                    .map(|(chunk, range)| Mutex::new((range, chunk)))
-                    .collect();
-                let job = |w: usize| {
-                    if let Some(chunk_slot) = chunks.get(w) {
-                        let mut guard = chunk_slot.lock().expect("gemm chunk poisoned");
-                        let (range, chunk) = &mut *guard;
-                        self.classify_rows(kernel, data, cols, steps, range.clone(), chunk);
-                    }
-                };
-                pool.run(&job);
-            }
-        }
+        let pool = pool.filter(|_| rows >= DEFAULT_POOL_MIN_ROWS);
+        run_partitioned(pool, rows, 1, &mut out, |range, chunk| {
+            self.classify_rows(kernel, data, cols, steps, range, chunk)
+        });
         out
     }
 }

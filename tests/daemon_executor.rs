@@ -14,8 +14,10 @@
 //! * **pipelining** — queue-pair bursts drain completely (no lost or
 //!   duplicated completions) through the out-of-order completion mux;
 //! * **observability** — `perf_report().executor` counts frames and
-//!   completions, and `effective_pool_threads` reflects the shared
-//!   core budget between the executor and the GEMM pool.
+//!   completions, and `perf_report().gemm` shows the GEMM pool spanning
+//!   the host (`cores.min(4)` wide, the calling executor worker
+//!   included) at every executor width, and running the batches at or
+//!   above `DEFAULT_POOL_MIN_ROWS` that the workload mixes in.
 //!
 //! The `LAKE_DAEMON_WORKERS` env override (CI chaos matrices) takes
 //! precedence over the builder knob; under it the bit-identity test
@@ -23,7 +25,7 @@
 //! harmless.
 
 use lake::core::{BatchThresholdPolicy, Lake, LakeMl, LinkMode};
-use lake::ml::{serialize, Activation, Mlp};
+use lake::ml::{serialize, Activation, Mlp, DEFAULT_POOL_MIN_ROWS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,9 +42,14 @@ fn model(seed: u64) -> Mlp {
     Mlp::new(&[COLS, 12, 3], Activation::Relu, &mut StdRng::seed_from_u64(seed))
 }
 
-/// Deterministic synthetic batch for call `i`.
+/// Deterministic synthetic batch for call `i`: mostly 1–8 rows, which the
+/// GEMM engine runs inline, plus two sizes that reach its pool.
 fn batch(i: usize) -> (usize, Vec<f32>) {
-    let rows = 1 + (i % 8);
+    let rows = match i % 10 {
+        8 => DEFAULT_POOL_MIN_ROWS,
+        9 => 4 * DEFAULT_POOL_MIN_ROWS,
+        r => 1 + r,
+    };
     let feats = (0..rows * COLS).map(|j| ((i * 97 + j * 13) % 199) as f32 / 199.0).collect();
     (rows, feats)
 }
@@ -126,7 +133,7 @@ fn pipelined_bursts_drain_through_completion_mux() {
         report.executor.executed, report.executor.completions,
         "every executed command completed exactly once"
     );
-    assert!(report.effective_pool_threads >= 1, "GEMM pool keeps at least one thread");
+    assert!(report.gemm.workers >= 1, "GEMM pool keeps at least one thread");
 }
 
 #[test]
@@ -138,26 +145,28 @@ fn executor_stats_stay_zero_in_process() {
     ml.infer_mlp(id, rows, COLS, &feats).expect("infer");
     let report = lake.perf_report();
     // In-process dispatch has no serve thread, so the executor never
-    // sees a frame and the GEMM pool keeps its undivided core budget.
+    // sees a frame.
     assert_eq!(lake.daemon_workers(), 1);
     assert_eq!(report.executor.frames, 0);
 }
 
+/// The GEMM pool counts its calling executor worker, so it is sized to
+/// the host at every executor width instead of sharing cores with it, and
+/// a pool-sized batch runs on it.
 #[test]
-fn core_budget_clamps_combined_threads() {
+fn gemm_pool_spans_the_host_at_every_executor_width() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let lake = Lake::builder().link_mode(LinkMode::Channel).daemon_workers(4).build();
-    let ml = offloading(&lake);
-    let id = ml.load_model(&serialize::encode_mlp(&model(1))).expect("load");
-    let (rows, feats) = batch(3);
-    ml.infer_mlp(id, rows, COLS, &feats).expect("infer");
-    let report = lake.perf_report();
-    let workers = lake.daemon_workers();
-    assert!(
-        workers * report.effective_pool_threads <= cores.max(workers),
-        "executor x GEMM threads ({} x {}) oversubscribe {} cores",
-        workers,
-        report.effective_pool_threads,
-        cores
-    );
+    for workers in [1, 4] {
+        let lake = Lake::builder().link_mode(LinkMode::Channel).daemon_workers(workers).build();
+        let ml = offloading(&lake);
+        let id = ml.load_model(&serialize::encode_mlp(&model(1))).expect("load");
+        let (rows, feats) = batch(9);
+        assert_eq!(rows, 4 * DEFAULT_POOL_MIN_ROWS);
+        ml.infer_mlp(id, rows, COLS, &feats).expect("infer");
+        let gemm = lake.perf_report().gemm;
+        assert_eq!(gemm.workers, cores.min(4), "GEMM width at {workers} executor workers");
+        if cores > 1 {
+            assert!(gemm.pool_runs > 0, "a {rows}-row batch pools at {workers} workers: {gemm:?}");
+        }
+    }
 }
