@@ -24,18 +24,20 @@
 //!
 //! * the ring's modeled throughput beats the channel's by ≥ 3× for
 //!   payloads ≤ 512 B under the default Adaptive strategy, and
-//! * a 16-command burst frame delivers ≥ 2× the wall-clock calls/s of
-//!   the same commands issued one frame each.
+//! * a 16-command burst frame (a depth-16 `QueuePair`: 16 submits, one
+//!   drain) delivers ≥ 2× the wall-clock calls/s of the same commands
+//!   issued one frame each.
 //!
 //! Emits the matrix, the raw ring medians, and the burst payoff into
 //! `BENCH_PR5.json`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 use criterion::Criterion;
 use lake_bench::{banner, fmt_us, percentiles, quick_criterion, upsert_bench_json};
-use lake_rpc::{serve, ApiHandler, ApiId, CallEngine, Decoder, Encoder, Status};
+use lake_rpc::{serve, ApiHandler, ApiId, CallEngine, Decoder, Encoder, QueuePair, Status};
 use lake_sim::SharedClock;
 use lake_transport::{Link, Mechanism, RingEndpoint, RingLink, RingStats, WaitStrategy};
 
@@ -59,7 +61,7 @@ fn sink() -> std::sync::Arc<dyn ApiHandler> {
 /// kernel side (engine + retained ring handle) and then joins the daemon.
 struct Rig {
     label: String,
-    engine: Option<CallEngine>,
+    engine: Option<Arc<CallEngine>>,
     /// Kernel-side ring handle kept for stats; `None` on the channel link.
     ring: Option<RingEndpoint>,
     daemon: Option<std::thread::JoinHandle<()>>,
@@ -71,7 +73,7 @@ impl Rig {
         let daemon = std::thread::spawn(move || serve(&user, sink().as_ref()));
         Rig {
             label: "channel".into(),
-            engine: Some(CallEngine::linked(kernel)),
+            engine: Some(Arc::new(CallEngine::linked(kernel))),
             ring: None,
             daemon: Some(daemon),
         }
@@ -82,14 +84,20 @@ impl Rig {
         let daemon = std::thread::spawn(move || serve(&user, sink().as_ref()));
         Rig {
             label: format!("ring/{}", strategy.name()),
-            engine: Some(CallEngine::linked(kernel.clone())),
+            engine: Some(Arc::new(CallEngine::linked(kernel.clone()))),
             ring: Some(kernel),
             daemon: Some(daemon),
         }
     }
 
-    fn engine(&self) -> &CallEngine {
+    fn engine(&self) -> &Arc<CallEngine> {
         self.engine.as_ref().expect("rig is live")
+    }
+
+    /// A queue pair of depth `BURST_LEN` over this rig's engine: the
+    /// `BURST_LEN`-th submit drains the SQ as one burst frame.
+    fn burst_queue(&self) -> QueuePair {
+        QueuePair::new(Arc::clone(self.engine()), BURST_LEN)
     }
 
     fn ring_stats(&self) -> Option<RingStats> {
@@ -198,10 +206,22 @@ fn measure_raw_ring(size: usize) -> f64 {
     best
 }
 
+/// Submits `BURST_LEN` sink commands to `qp` (the last one drains them as
+/// one burst frame) and harvests every completion.
+fn burst_round(qp: &QueuePair, payload: &Bytes) {
+    for _ in 0..BURST_LEN {
+        qp.submit(API_SINK, payload.clone());
+    }
+    for c in qp.drain() {
+        c.result.expect("burst entry");
+    }
+}
+
 /// Wall calls/s for `BURST_LEN` commands issued one frame each vs one
 /// burst frame, on the same rig. Returns `(single_cps, burst_cps)`.
 fn measure_burst(rig: &Rig) -> (f64, f64) {
     let payload = Bytes::from_static(&[0x5A; 48]);
+    let qp = rig.burst_queue();
     let mut best_single = 0.0f64;
     let mut best_burst = 0.0f64;
     for _ in 0..REPS {
@@ -216,11 +236,7 @@ fn measure_burst(rig: &Rig) -> (f64, f64) {
 
         let started = Instant::now();
         for _ in 0..BURST_ROUNDS {
-            let entries: Vec<(ApiId, Bytes)> =
-                (0..BURST_LEN).map(|_| (API_SINK, payload.clone())).collect();
-            for reply in rig.engine().call_burst(entries) {
-                reply.expect("burst entry");
-            }
+            burst_round(&qp, &payload);
         }
         let burst = (BURST_ROUNDS * BURST_LEN) as f64 / started.elapsed().as_secs_f64();
         best_burst = best_burst.max(burst);
@@ -349,11 +365,8 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("ring_burst_16x48", |b| {
         let entry = Bytes::from_static(&[0x5A; 48]);
-        b.iter(|| {
-            let entries: Vec<(ApiId, Bytes)> =
-                (0..BURST_LEN).map(|_| (API_SINK, entry.clone())).collect();
-            ring.engine().call_burst(entries)
-        });
+        let qp = ring.burst_queue();
+        b.iter(|| burst_round(&qp, &entry));
     });
     group.finish();
 }

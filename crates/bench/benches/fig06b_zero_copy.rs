@@ -22,8 +22,8 @@ use bytes::Bytes;
 use criterion::Criterion;
 use lake_bench::{banner, fmt_us, percentiles, quick_criterion, upsert_bench_json};
 use lake_rpc::{
-    perf, serve, serve_with_staging, ApiHandler, ApiId, CallEngine, Decoder, Encoder, Status,
-    DEFAULT_INLINE_THRESHOLD,
+    perf, serve, serve_executor, ApiHandler, ApiId, CallEngine, Decoder, Encoder, ExecutorStats,
+    PerfCounters, Status, DEFAULT_INLINE_THRESHOLD,
 };
 use lake_shm::ShmRegion;
 use lake_sim::SharedClock;
@@ -62,7 +62,17 @@ impl Rig {
         let daemon_region = region.clone();
         let (kernel, user) = Link::pair(Mechanism::Netlink, SharedClock::new());
         let daemon = std::thread::spawn(move || {
-            serve_with_staging(&user, sink().as_ref(), &AtomicU64::new(0), &daemon_region);
+            let (counters, stats) = (PerfCounters::new(), ExecutorStats::new());
+            let epoch = AtomicU64::new(0);
+            serve_executor(
+                &user,
+                sink().as_ref(),
+                &epoch,
+                Some(&daemon_region),
+                &counters,
+                1,
+                &stats,
+            );
         });
         let engine = CallEngine::linked(kernel).with_staging(region, DEFAULT_INLINE_THRESHOLD);
         Rig { engine: Some(engine), daemon: Some(daemon) }

@@ -292,7 +292,7 @@ impl DaemonSupervisor {
     }
 
     /// The live incarnation-epoch counter. A linked daemon serve loop
-    /// reads this through `serve_with_staging` so every response frame is
+    /// reads this through `serve_executor` so every response frame is
     /// stamped with the epoch that actually produced it. Returned as an
     /// owned handle so the serve thread does not keep the supervisor
     /// (and its restart hook's transport endpoint) alive.

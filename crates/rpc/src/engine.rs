@@ -1,14 +1,18 @@
-//! The synchronous call path: stub side ([`CallEngine`]) and daemon side
-//! ([`serve`]).
+//! The call path's two ends: stub side ([`CallEngine`]) and daemon side
+//! ([`serve`], or [`crate::serve_executor`] fully configured).
 //!
 //! Two deployment modes mirror how the artifact can be run:
 //!
 //! * **In-process** — the handler is invoked directly on the caller's
 //!   thread with transport costs charged to the virtual clock. This is the
-//!   deterministic fast path used by the experiment harnesses.
+//!   deterministic fast path used by the experiment harnesses, and the
+//!   place engine-level fault injection ([`CallEngine::with_faults`])
+//!   happens.
 //! * **Linked** — commands travel over a real [`lake_transport::Link`] to a
 //!   daemon thread running [`serve`], exercising actual cross-thread
-//!   queueing like the real `lakeD` process.
+//!   queueing like the real `lakeD` process. A linked call is a one-frame
+//!   round of the [`crate::queue`] frame machine — the one linked fault
+//!   protocol, shared with [`crate::QueuePair`].
 //!
 //! # Fault tolerance
 //!
@@ -341,7 +345,8 @@ pub struct CallEngine {
     /// Entries exist only for seqs registered in `waiters`; see
     /// [`CallEngine::route_response`].
     pending: Mutex<HashMap<u64, Response>>,
-    /// Seqs with a live caller (sync waiter or queue-pair in-flight frame).
+    /// Seqs of frames in flight in some caller's frame table (a sync call's
+    /// or a queue pair's).
     /// Responses routed to any other seq are expired, not stashed — the
     /// pending-table leak fix.
     waiters: Mutex<HashSet<u64>>,
@@ -457,8 +462,9 @@ impl CallEngine {
     ///
     /// The daemon side must resolve descriptors against (a clone of) the
     /// same region: in-process engines unwrap internally, linked daemons
-    /// run [`serve_with_staging`]. Handlers must not re-enter the staging
-    /// region — the staged view is borrowed under the region lock.
+    /// pass it to [`crate::serve_executor`]. Handlers must not re-enter
+    /// the staging region — the staged view is borrowed under the region
+    /// lock.
     pub fn with_staging(mut self, region: ShmRegion, threshold: usize) -> Self {
         self.staging = Some(StagingConfig { region, threshold });
         self
@@ -466,8 +472,8 @@ impl CallEngine {
 
     /// Replaces this engine's copy-accounting counters with `counters`,
     /// typically shared with the daemon thread serving the other end of
-    /// the link ([`serve_engine`]) so both halves of one deployment report
-    /// through a single per-engine set.
+    /// the link ([`crate::serve_executor`]) so both halves of one
+    /// deployment report through a single per-engine set.
     pub fn with_perf(mut self, counters: Arc<PerfCounters>) -> Self {
         self.perf = counters;
         self
@@ -534,8 +540,8 @@ impl CallEngine {
     pub fn call(&self, api: ApiId, payload: Bytes) -> Result<Bytes, RpcError> {
         if self.stages(payload.len()) {
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            if let Some(staged) = self.stage_payload(api, seq, &payload) {
-                return self.call_staged(api, staged);
+            if let Some((cmd, buf)) = self.stage_payload(api, seq, &payload) {
+                return self.issue(api, cmd, Some(buf));
             }
             // Staging full: fall through to the inline path.
         }
@@ -563,8 +569,8 @@ impl CallEngine {
     ) -> Result<Bytes, RpcError> {
         if self.stages(len) {
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            if let Some(staged) = self.stage_command(api, seq, len, &fill) {
-                return self.call_staged(api, staged);
+            if let Some((cmd, buf)) = self.stage_command(api, seq, len, &fill) {
+                return self.issue(api, cmd, Some(buf));
             }
         }
         let mut buf = vec![0u8; len];
@@ -573,81 +579,43 @@ impl CallEngine {
         self.call_inline(api, Bytes::from(buf))
     }
 
-    /// Coalesces `entries` into as few frames as possible and returns one
-    /// result per entry, in order: entries at or above the staging
-    /// threshold keep the shm handle-passing path (their payload should
-    /// not be inlined into a burst frame), lone small entries go out as a
-    /// plain call, and two or more small entries travel together in a
-    /// single [`BURST_API_BIT`] frame — one doorbell each way for the
-    /// whole batch. The burst is retried as a unit, and only when *every*
-    /// entry's API is registered idempotent.
-    pub fn call_burst(&self, entries: Vec<(ApiId, Bytes)>) -> Vec<Result<Bytes, RpcError>> {
-        let threshold =
-            self.staging.as_ref().map(|s| s.threshold).unwrap_or(DEFAULT_INLINE_THRESHOLD);
-        let mut results: Vec<Option<Result<Bytes, RpcError>>> =
-            entries.iter().map(|_| None).collect();
-        let mut small: Vec<(usize, ApiId, Bytes)> = Vec::new();
-        for (i, (api, payload)) in entries.into_iter().enumerate() {
-            if payload.len() >= threshold {
-                results[i] = Some(self.call(api, payload));
-            } else {
-                small.push((i, api, payload));
-            }
-        }
-        if small.len() == 1 {
-            let (i, api, payload) = small.pop().expect("one entry");
-            results[i] = Some(self.call(api, payload));
-        }
-        for chunk in small.chunks(MAX_BURST_ENTRIES).filter(|c| !c.is_empty()) {
-            let idempotent = chunk.iter().all(|(_, api, _)| self.is_idempotent(*api));
-            let mut e = Encoder::new();
-            e.put_u32(chunk.len() as u32);
-            for (_, api, payload) in chunk {
-                e.put_u32(api.0);
-                e.put_bytes(payload);
-            }
-            self.burst_frames.fetch_add(1, Ordering::Relaxed);
-            self.coalesced_commands.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            match self
-                .call_framed(ApiId(BURST_API_BIT), e.finish(), idempotent)
-                .and_then(|body| decode_burst_response(&body, chunk.len()))
-            {
-                Ok(per_entry) => {
-                    for ((i, _, _), result) in chunk.iter().zip(per_entry) {
-                        results[*i] = Some(result.map_err(|status| {
-                            self.failures.fetch_add(1, Ordering::Relaxed);
-                            RpcError::Remote(status)
-                        }));
-                    }
-                }
-                Err(err) => {
-                    // The whole frame failed: every rider shares the fate.
-                    for (i, _, _) in chunk {
-                        results[*i] = Some(Err(err.clone()));
-                    }
-                }
-            }
-        }
-        results.into_iter().map(|r| r.expect("every entry answered")).collect()
-    }
-
     fn call_inline(&self, api: ApiId, payload: Bytes) -> Result<Bytes, RpcError> {
-        self.call_framed(api, payload, self.is_idempotent(api))
-    }
-
-    fn call_framed(&self, api: ApiId, payload: Bytes, idempotent: bool) -> Result<Bytes, RpcError> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let cmd = Command { api, seq, payload };
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(cmd.encoded_len() as u64, Ordering::Relaxed);
-        self.dispatch_mode(&cmd, idempotent)
+        self.issue(api, cmd, None)
     }
 
-    fn dispatch_mode(&self, cmd: &Command, idempotent: bool) -> Result<Bytes, RpcError> {
+    /// Runs one counted command to its outcome — through the handler on
+    /// the caller's thread in-process, as a one-frame round of the queue
+    /// pair's frame machine when linked — and releases its staged payload
+    /// (if any) with that outcome.
+    fn issue(
+        &self,
+        api: ApiId,
+        cmd: Command,
+        staged: Option<ShmBuffer>,
+    ) -> Result<Bytes, RpcError> {
         match &self.mode {
-            Mode::InProcess(handler) => self.call_in_process(&handler.clone(), cmd, idempotent),
-            Mode::Linked(endpoint) => self.call_linked(endpoint.as_ref(), cmd, idempotent),
+            Mode::InProcess(handler) => {
+                let result = self.call_in_process(handler.as_ref(), &cmd, self.is_idempotent(api));
+                if let Some(buf) = staged {
+                    self.release_staged(buf, &result);
+                }
+                result
+            }
+            Mode::Linked(endpoint) => {
+                crate::queue::call_frame(self, endpoint.as_ref(), api, cmd, staged)
+            }
         }
+    }
+
+    /// Supervised restart check before a send: blocks (in virtual time)
+    /// until the daemon serves and returns its incarnation epoch, or 0
+    /// for an unsupervised daemon.
+    pub(crate) fn ensure_up(&self) -> u64 {
+        self.lifecycle.as_ref().map_or(0, |l| l.ensure_up())
     }
 
     /// Whether a payload of `len` bytes travels through the staging region
@@ -727,16 +695,9 @@ impl CallEngine {
         self.staging.as_ref().map(|s| s.region.stats())
     }
 
-    /// Issues a staged command and releases its buffer with the outcome.
-    fn call_staged(&self, api: ApiId, (cmd, buf): (Command, ShmBuffer)) -> Result<Bytes, RpcError> {
-        let result = self.dispatch_mode(&cmd, self.is_idempotent(api));
-        self.release_staged(buf, &result);
-        result
-    }
-
     fn call_in_process(
         &self,
-        handler: &Arc<dyn ApiHandler>,
+        handler: &dyn ApiHandler,
         cmd: &Command,
         idempotent: bool,
     ) -> Result<Bytes, RpcError> {
@@ -747,10 +708,7 @@ impl CallEngine {
             // was idle (or during the previous attempt) is detected and
             // recovered here, charging lease + backoff virtual time, so no
             // command is ever handed to a dead incarnation.
-            let serving_epoch = match &self.lifecycle {
-                Some(l) => l.ensure_up(),
-                None => 0,
-            };
+            let serving_epoch = self.ensure_up();
             let sent_at = self.clock.now();
             // Outbound: call time + half the payload round trip.
             self.clock.advance(self.mechanism.call_time());
@@ -800,7 +758,7 @@ impl CallEngine {
             }
 
             let result = dispatch(
-                handler.as_ref(),
+                handler,
                 self.staging.as_ref().map(|s| &s.region),
                 Some(&self.perf),
                 cmd.api,
@@ -875,140 +833,6 @@ impl CallEngine {
         }
     }
 
-    fn call_linked(
-        &self,
-        endpoint: &dyn Channel,
-        cmd: &Command,
-        idempotent: bool,
-    ) -> Result<Bytes, RpcError> {
-        let max = endpoint.max_frame_len();
-        if cmd.encoded_len() > max {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-            return Err(RpcError::FrameTooLarge { len: cmd.encoded_len(), max });
-        }
-        let frame = cmd.encode();
-        let seq = cmd.seq;
-        // Registered for the whole call (across retries — they reuse the
-        // seq); dropping the guard expires any unclaimed stashed response.
-        let _waiter = SeqWaiter::register(self, seq);
-        let mut attempt = 0u32;
-        'attempts: loop {
-            attempt += 1;
-            // Supervised restart first, exactly as in-process: a crash that
-            // struck while the stub was idle (or during the previous
-            // attempt) is detected and recovered before any frame is
-            // handed to a dead incarnation.
-            let serving_epoch = match &self.lifecycle {
-                Some(l) => l.ensure_up(),
-                None => 0,
-            };
-            let sent_at = self.clock.now();
-            // The link consumes its frame; each (re)send clones the
-            // retry buffer.
-            self.perf.note_copy(frame.len());
-            endpoint.send(frame.clone()).map_err(|_| RpcError::Disconnected)?;
-            let mut waited = std::time::Duration::ZERO;
-            let resp = loop {
-                // A response for us may have been received (and stashed)
-                // by another in-flight caller.
-                if let Some(resp) = self.take_routed(seq) {
-                    if self.is_stale_epoch(&resp) {
-                        // Fenced: a dead incarnation's answer surfaced from
-                        // the routing table. Keep waiting for a live one.
-                        self.stale_epochs.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        break resp;
-                    }
-                }
-                match endpoint.recv_timeout(ROUTE_POLL) {
-                    Err(_) => return Err(RpcError::Disconnected),
-                    Ok(None) => {
-                        waited += ROUTE_POLL;
-                        let Some(patience) = self.policy.recv_patience else { continue };
-                        if waited < patience {
-                            continue;
-                        }
-                        // Real-time silence: the attempt is lost. Charge
-                        // the virtual deadline, expire orphaned stashes,
-                        // and retry if safe.
-                        self.timeouts.fetch_add(1, Ordering::Relaxed);
-                        self.clock.advance(self.policy.deadline);
-                        self.sweep_pending();
-                        if idempotent && attempt < self.policy.max_attempts {
-                            self.retry_backoff(attempt);
-                            continue 'attempts;
-                        }
-                        self.failures.fetch_add(1, Ordering::Relaxed);
-                        return Err(RpcError::TimedOut);
-                    }
-                    Ok(Some(raw)) => match Response::decode(&raw) {
-                        Err(_) => {
-                            // A garbled frame for *someone*; if it was ours
-                            // the patience timer will catch the loss.
-                            self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(resp) if self.is_stale_epoch(&resp) => {
-                            // A dead incarnation's answer arrived after its
-                            // successor already spoke: fence it out. If it
-                            // was ours, the patience timer declares the
-                            // attempt lost and retries under the new epoch.
-                            self.stale_epochs.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(resp) if resp.seq == seq => {
-                            if resp.status == Status::Malformed {
-                                // The daemon could not decode our command
-                                // (corrupted in flight) — it never
-                                // executed, so any API may retry without a
-                                // crash check (there is nothing to replay).
-                                self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                                if attempt < self.policy.max_attempts {
-                                    self.retry_backoff(attempt);
-                                    continue 'attempts;
-                                }
-                                return self.finish_response(resp);
-                            }
-                            break resp;
-                        }
-                        Ok(resp) if resp.seq == SEQ_UNMATCHED => {
-                            // The daemon couldn't attribute some frame;
-                            // if it was ours, patience expires below.
-                            self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(resp) => {
-                            // Another caller's response: route it — unless
-                            // its caller already gave up, in which case
-                            // stashing it would be the leak.
-                            self.route_response(resp);
-                        }
-                    },
-                }
-            };
-            // Did the daemon die inside this request's window? Then the
-            // response was computed by a dead incarnation: fence it out
-            // (never delivered), charge the deadline for discovering the
-            // silence, and either fail over to the next incarnation
-            // (idempotent — ensure_up restarts at the top of the next
-            // attempt) or surface the typed restart error. Mirrors the
-            // in-process accounting exactly.
-            if let Some(l) = &self.lifecycle {
-                if l.crashed_between(sent_at, self.clock.now()) {
-                    self.stale_epochs.fetch_add(1, Ordering::Relaxed);
-                    self.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.clock.advance(self.policy.deadline);
-                    if idempotent && attempt < self.policy.max_attempts {
-                        self.failed_over.fetch_add(1, Ordering::Relaxed);
-                        self.retry_backoff(attempt);
-                        continue 'attempts;
-                    }
-                    self.failures.fetch_add(1, Ordering::Relaxed);
-                    self.daemon_restarts.fetch_add(1, Ordering::Relaxed);
-                    return Err(RpcError::DaemonRestarted { epoch: serving_epoch });
-                }
-            }
-            return self.finish_response(resp);
-        }
-    }
-
     /// Registers `seq` as having a live caller: only registered seqs may
     /// have responses stashed for them in the pending table.
     pub(crate) fn register_waiter(&self, seq: u64) {
@@ -1030,8 +854,8 @@ impl CallEngine {
     /// abandoned seqs (the caller timed out, failed over, or was already
     /// satisfied by a retry) are counted and dropped instead of
     /// accumulating forever; with [`CallEngine::deregister_waiter`]'s
-    /// drop-time expiry this bounds the table by the number of concurrent
-    /// callers, which `pending_high_water` makes observable.
+    /// completion-time expiry this bounds the table by the number of
+    /// concurrent callers, which `pending_high_water` makes observable.
     pub(crate) fn route_response(&self, resp: Response) {
         let waiting = self.waiters.lock().expect("waiter registry poisoned").contains(&resp.seq);
         if !waiting {
@@ -1113,30 +937,6 @@ impl CallEngine {
             pending_high_water: self.pending_high_water.load(Ordering::Relaxed),
             pending_expired: self.pending_expired.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// RAII registration of a caller actively waiting on a seq: responses are
-/// only stashed for registered waiters, and deregistration (drop) expires
-/// any unclaimed stash — together the two halves of the pending-table leak
-/// fix. Queue pairs, whose in-flight seqs outlive any single stack frame,
-/// use [`CallEngine::register_waiter`]/[`CallEngine::deregister_waiter`]
-/// directly.
-struct SeqWaiter<'a> {
-    engine: &'a CallEngine,
-    seq: u64,
-}
-
-impl<'a> SeqWaiter<'a> {
-    fn register(engine: &'a CallEngine, seq: u64) -> Self {
-        engine.register_waiter(seq);
-        SeqWaiter { engine, seq }
-    }
-}
-
-impl Drop for SeqWaiter<'_> {
-    fn drop(&mut self) {
-        self.engine.deregister_waiter(self.seq);
     }
 }
 
@@ -1252,7 +1052,9 @@ pub(crate) const SERVE_DEDUP_WINDOW: usize = 128;
 
 /// Runs the daemon dispatch loop over `endpoint` until the peer
 /// disconnects: receive command, decode, execute, respond. This is
-/// `lakeD`'s main loop.
+/// `lakeD`'s main loop in its default configuration — epoch 0, no staging
+/// region, copies counted in the process-wide rollup only, one frame at a
+/// time. [`crate::serve_executor`] is the fully configured entry point.
 ///
 /// Robustness:
 ///
@@ -1265,57 +1067,7 @@ pub(crate) const SERVE_DEDUP_WINDOW: usize = 128;
 ///   command is answered from the cache instead of re-executed, giving
 ///   retries at-most-once semantics.
 pub fn serve<C: Channel + ?Sized>(endpoint: &C, handler: &dyn ApiHandler) {
-    serve_loop(endpoint, handler, &AtomicU64::new(0), None, None);
-}
-
-/// [`serve`] for a supervised daemon: every response is stamped with the
-/// current value of `epoch`, the daemon's incarnation number. A supervisor
-/// bumps the atomic on restart; stubs fence out responses stamped by dead
-/// incarnations. (`serve` itself is this loop pinned to epoch 0.)
-pub fn serve_with_epoch<C: Channel + ?Sized>(
-    endpoint: &C,
-    handler: &dyn ApiHandler,
-    epoch: &AtomicU64,
-) {
-    serve_loop(endpoint, handler, epoch, None, None);
-}
-
-/// [`serve_with_epoch`] for a daemon that shares a staging region with its
-/// stubs: staged commands are unwrapped and the handler executes against a
-/// borrowed view of the shm bytes (see [`CallEngine::with_staging`]).
-pub fn serve_with_staging<C: Channel + ?Sized>(
-    endpoint: &C,
-    handler: &dyn ApiHandler,
-    epoch: &AtomicU64,
-    staging: &ShmRegion,
-) {
-    serve_loop(endpoint, handler, epoch, Some(staging), None);
-}
-
-/// [`serve_with_staging`] with copy accounting attributed to an engine's
-/// [`PerfCounters`] (shared with the stub-side [`CallEngine::with_perf`])
-/// instead of the anonymous process-wide rollup — the entry point for
-/// deployments that run several daemons in one process and must not
-/// double-count each other's traffic. `staging` is optional here so one
-/// signature covers both inline-only and staged daemons.
-pub fn serve_engine<C: Channel + ?Sized>(
-    endpoint: &C,
-    handler: &dyn ApiHandler,
-    epoch: &AtomicU64,
-    staging: Option<&ShmRegion>,
-    counters: &PerfCounters,
-) {
-    serve_loop(endpoint, handler, epoch, staging, Some(counters));
-}
-
-fn serve_loop<C: Channel + ?Sized>(
-    endpoint: &C,
-    handler: &dyn ApiHandler,
-    epoch: &AtomicU64,
-    staging: Option<&ShmRegion>,
-    counters: Option<&PerfCounters>,
-) {
-    serve_serial(endpoint, handler, epoch, staging, counters, None);
+    serve_serial(endpoint, handler, &AtomicU64::new(0), None, None, None);
 }
 
 pub(crate) fn serve_serial<C: Channel + ?Sized>(
@@ -1437,6 +1189,18 @@ mod tests {
         let mut e = Encoder::new();
         e.put_u64(a).put_u64(b);
         e.finish()
+    }
+
+    /// A one-worker daemon stamping responses with `epoch` and resolving
+    /// staged descriptors against `staging`.
+    fn serve_daemon<C: Channel + ?Sized>(
+        endpoint: &C,
+        handler: &dyn ApiHandler,
+        epoch: &AtomicU64,
+        staging: Option<&ShmRegion>,
+    ) {
+        let (counters, stats) = (PerfCounters::new(), ExecutorStats::new());
+        crate::serve_executor(endpoint, handler, epoch, staging, &counters, 1, &stats);
     }
 
     #[test]
@@ -1746,14 +1510,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_with_epoch_stamps_responses() {
+    fn serve_stamps_responses_with_the_daemon_epoch() {
         let clock = SharedClock::new();
         let (kernel, user) = Link::pair(Mechanism::Netlink, clock);
         let epoch = Arc::new(AtomicU64::new(5));
         let daemon_epoch = epoch.clone();
         let daemon = std::thread::spawn(move || {
             let handler = adder();
-            serve_with_epoch(&user, handler.as_ref(), &daemon_epoch);
+            serve_daemon(&user, handler.as_ref(), &daemon_epoch, None);
         });
         let cmd = Command { api: API_ADD, seq: 1, payload: encode_pair(1, 1) };
         kernel.send(cmd.encode()).unwrap();
@@ -1892,7 +1656,7 @@ mod tests {
         let daemon_region = region.clone();
         let daemon = std::thread::spawn(move || {
             let handler = echo();
-            serve_with_staging(&user, handler.as_ref(), &AtomicU64::new(0), &daemon_region);
+            serve_daemon(&user, handler.as_ref(), &AtomicU64::new(0), Some(&daemon_region));
         });
         let engine =
             CallEngine::linked(kernel).with_staging(region.clone(), DEFAULT_INLINE_THRESHOLD);
@@ -1942,60 +1706,6 @@ mod tests {
     }
 
     #[test]
-    fn burst_coalesces_small_commands_over_a_link() {
-        let clock = SharedClock::new();
-        let (kernel, user) = Link::pair(Mechanism::Netlink, clock);
-        let daemon = std::thread::spawn(move || {
-            let handler = echo();
-            serve(&user, handler.as_ref());
-        });
-        let engine = CallEngine::linked(kernel);
-        let entries: Vec<(ApiId, Bytes)> =
-            (0..8u8).map(|i| (ApiId(3), Bytes::from(vec![i; 16]))).collect();
-        let results = engine.call_burst(entries);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap()[..], [i as u8; 16][..], "burst reordered entry {i}");
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.calls, 1, "8 commands must ride one frame");
-        assert_eq!(stats.burst_frames, 1);
-        assert_eq!(stats.coalesced_commands, 8);
-        drop(engine);
-        daemon.join().unwrap();
-    }
-
-    #[test]
-    fn burst_routes_large_entries_through_staging() {
-        let region = ShmRegion::with_capacity(64 * 1024);
-        let engine = CallEngine::in_process(Mechanism::Netlink, SharedClock::new(), echo())
-            .with_staging(region.clone(), 64);
-        let big = Bytes::from(vec![7u8; 4096]);
-        let results = engine.call_burst(vec![
-            (ApiId(1), Bytes::from_static(b"a")),
-            (ApiId(1), big.clone()),
-            (ApiId(1), Bytes::from_static(b"b")),
-        ]);
-        assert_eq!(results[0].as_ref().unwrap(), &Bytes::from_static(b"a"));
-        assert_eq!(results[1].as_ref().unwrap(), &big);
-        assert_eq!(results[2].as_ref().unwrap(), &Bytes::from_static(b"b"));
-        let stats = engine.stats();
-        assert_eq!(stats.staged_calls, 1, "the large entry keeps the shm path");
-        assert_eq!(stats.burst_frames, 1);
-        assert_eq!(stats.coalesced_commands, 2, "only the small entries coalesce");
-        assert_eq!(region.stats().in_use, 0);
-    }
-
-    #[test]
-    fn lone_small_entry_skips_the_burst_envelope() {
-        let engine = CallEngine::in_process(Mechanism::Netlink, SharedClock::new(), echo());
-        let results = engine.call_burst(vec![(ApiId(1), Bytes::from_static(b"solo"))]);
-        assert_eq!(results[0].as_ref().unwrap(), &Bytes::from_static(b"solo"));
-        let stats = engine.stats();
-        assert_eq!(stats.burst_frames, 0, "a burst of one is just a call");
-        assert_eq!(stats.calls, 1);
-    }
-
-    #[test]
     fn nested_burst_is_rejected_as_malformed() {
         let engine = CallEngine::in_process(Mechanism::Netlink, SharedClock::new(), echo());
         let mut inner = Encoder::new();
@@ -2014,7 +1724,7 @@ mod tests {
         let daemon_lc = lifecycle.clone();
         let daemon = std::thread::spawn(move || {
             let handler = adder();
-            serve_with_epoch(&user, handler.as_ref(), &daemon_lc.epoch);
+            serve_daemon(&user, handler.as_ref(), &daemon_lc.epoch, None);
         });
         let engine =
             CallEngine::linked(kernel).with_lifecycle(lifecycle.clone()).with_policy(CallPolicy {
@@ -2043,7 +1753,7 @@ mod tests {
         let daemon_lc = lifecycle.clone();
         let daemon = std::thread::spawn(move || {
             let handler = adder();
-            serve_with_epoch(&user, handler.as_ref(), &daemon_lc.epoch);
+            serve_daemon(&user, handler.as_ref(), &daemon_lc.epoch, None);
         });
         let engine = CallEngine::linked(kernel).with_lifecycle(lifecycle.clone());
         // API_ADD deliberately NOT registered idempotent.
@@ -2081,7 +1791,7 @@ mod tests {
         let epoch = Arc::new(AtomicU64::new(0));
         let daemon_epoch = epoch.clone();
         let daemon =
-            std::thread::spawn(move || serve_with_epoch(&user, handler.as_ref(), &daemon_epoch));
+            std::thread::spawn(move || serve_daemon(&user, handler.as_ref(), &daemon_epoch, None));
 
         let cmd = Command { api: ApiId(9), seq: 77, payload: Bytes::new() };
         kernel.send(cmd.encode()).unwrap();
@@ -2237,7 +1947,7 @@ mod proptests {
         /// Burst encode → daemon decode → per-entry dispatch → response
         /// decode is a lossless round trip for arbitrary entry counts and
         /// payload shapes: every entry comes back in order with its own
-        /// payload, regardless of how the batch is sliced into frames.
+        /// payload.
         #[test]
         fn burst_roundtrip_preserves_order_and_payloads(
             payloads in proptest::collection::vec(
@@ -2257,13 +1967,12 @@ mod proptests {
                     Ok(e.finish())
                 }),
             );
-            let entries: Vec<(ApiId, Bytes)> = payloads
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (ApiId(i as u32 + 1), Bytes::from(p.clone())))
-                .collect();
-            let results = engine.call_burst(entries);
-            prop_assert_eq!(results.len(), payloads.len());
+            let entries =
+                payloads.iter().enumerate().map(|(i, p)| (ApiId(i as u32 + 1), &p[..]));
+            let body = engine
+                .call(ApiId(BURST_API_BIT), crate::queue::encode_burst(entries))
+                .expect("burst frame failed");
+            let results = decode_burst_response(&body, payloads.len()).expect("burst body");
             for (i, (result, want)) in results.into_iter().zip(&payloads).enumerate() {
                 let got = result.expect("echo entry failed");
                 let mut d = crate::wire::Decoder::new(&got);

@@ -673,7 +673,7 @@ fn responder_loop<C: Channel + ?Sized>(
 
 /// Runs the daemon dispatch loop with a parallel worker pool.
 ///
-/// `workers <= 1` runs the serial [`crate::serve_engine`] loop (same
+/// `workers <= 1` runs the serial [`crate::serve`] loop (same
 /// thread, same frame-at-a-time semantics — bit-identical to a daemon
 /// without an executor) while still recording [`ExecutorStats`].
 /// `workers > 1` runs the acceptor/worker/responder pipeline described in

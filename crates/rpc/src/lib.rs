@@ -17,6 +17,10 @@
 //! * [`engine`] — [`CallEngine`], the synchronous call path charging
 //!   transport costs to the virtual clock, in-process or across a real
 //!   daemon thread; and [`serve`], the daemon-side dispatch loop.
+//! * [`queue`] — the linked frame machine (the one retry/fence/patience
+//!   protocol) and [`QueuePair`], its submission/completion front end.
+//! * [`executor`] — [`serve_executor`], the daemon loop with a worker
+//!   pool, staging and per-engine accounting.
 //!
 //! The CUDA/NVML/TensorFlow API surface built on top lives in `lake-core`.
 
@@ -31,9 +35,8 @@ pub mod wire;
 
 pub use command::{ApiId, Command, CommandRef, Response, ResponseRef, Status, SEQ_UNMATCHED};
 pub use engine::{
-    serve, serve_engine, serve_with_epoch, serve_with_staging, ApiHandler, CallEngine, CallPolicy,
-    CallStats, DaemonLifecycle, RpcError, StagingConfig, BURST_API_BIT, DEFAULT_INLINE_THRESHOLD,
-    MAX_BURST_ENTRIES, STAGED_API_BIT,
+    serve, ApiHandler, CallEngine, CallPolicy, CallStats, DaemonLifecycle, RpcError, StagingConfig,
+    BURST_API_BIT, DEFAULT_INLINE_THRESHOLD, MAX_BURST_ENTRIES, STAGED_API_BIT,
 };
 pub use executor::{serve_executor, CommandClass, ExecutorSnapshot, ExecutorStats};
 pub use perf::{PerfCounters, PerfSnapshot};

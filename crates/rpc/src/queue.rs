@@ -1,44 +1,50 @@
-//! NVMe-style submission/completion queue pairs over the call engine.
+//! NVMe-style submission/completion queue pairs, and the one linked fault
+//! protocol every remoted call runs through.
 //!
-//! The synchronous [`CallEngine::call`](crate::CallEngine::call) path is
-//! one-request-per-caller: serialize, send, spin on the reply. That keeps
-//! the daemon starved — the ring transport answers a command in a couple
-//! of microseconds, but the client pays a full doorbell round trip per
-//! call. [`QueuePair`] changes the wire mode instead of the API surface:
+//! A linked call is a *frame* in flight: its encoded bytes, the commands
+//! riding in it, and its attempt bookkeeping. The frame machine in this
+//! module — send under one doorbell, receive and route by seq, fence stale
+//! epochs, retry naks, fail over crash windows, expire silence — is the
+//! only implementation of that protocol. It runs over a [`FrameTable`] and
+//! a [`CallEngine`], and two callers own tables:
 //!
-//! * [`QueuePair::submit`] is **non-blocking** — it appends the command to
-//!   a submission queue (SQ) and returns a [`CmdId`] ticket immediately.
-//! * [`QueuePair::flush`] drains the whole SQ in one shot: consecutive
-//!   same-idempotency commands are coalesced into
-//!   [`BURST_API_BIT`](crate::BURST_API_BIT) frames (the PR 5 burst wire
-//!   format, generalized from an API call into the native transmit mode)
-//!   and every frame of the drain goes out through
-//!   [`Channel::send_batch`] under a **single doorbell**.
-//! * [`QueuePair::poll`] harvests completions **out of order**: responses
-//!   are matched to in-flight frames by seq, and responses that belong to
-//!   other callers are routed through the engine's shared pending table —
-//!   the same table the sync path uses, so sync and queued callers can
-//!   share one engine.
+//! * **A sync call** — [`CallEngine::call`](crate::CallEngine::call) in
+//!   linked mode — is a one-frame round: it builds its frame on a
+//!   stack-local table, ships it and pumps until it completes. Concurrent
+//!   sync callers each own a table, so they never serialise on a lock.
+//! * **A [`QueuePair`]** keeps one table under its mutex, beside its
+//!   submission queue (SQ):
+//!   * [`QueuePair::submit`] is **non-blocking** — it appends the command
+//!     to the SQ and returns a [`CmdId`] ticket immediately.
+//!   * [`QueuePair::flush`] drains the whole SQ in one shot: consecutive
+//!     same-idempotency commands are coalesced into
+//!     [`BURST_API_BIT`](crate::BURST_API_BIT) frames and every frame of
+//!     the drain goes out through [`Channel::send_batch`] under a
+//!     **single doorbell**.
+//!   * [`QueuePair::poll`] harvests completions **out of order**.
 //!
-//! Fault semantics mirror the sync path exactly, per frame: epoch fencing
-//! drops stale incarnations' answers, `Malformed` naks retry any API (the
-//! daemon never executed), crash windows fail over idempotent frames to
-//! the next incarnation and surface typed
-//! [`RpcError::DaemonRestarted`] otherwise, and real-time silence past
-//! [`CallPolicy::recv_patience`](crate::CallPolicy) charges the virtual
-//! deadline and retries idempotent frames. Retries reuse the frame's seq,
-//! so the daemon's dedup window keeps execution at-most-once — every
-//! submitted command completes exactly once, with no duplicates, no
-//! matter how the frame fared.
+//! Responses are matched to in-flight frames by seq; a response that
+//! belongs to another caller's table is routed through the engine's shared
+//! pending table, so any mix of sync and queued callers can share one
+//! engine.
+//!
+//! Fault semantics, per frame: epoch fencing drops stale incarnations'
+//! answers — whether read off the wire or taken from the pending table —
+//! `Malformed` naks retry any API (the daemon never executed), crash
+//! windows fail over idempotent frames to the next incarnation and surface
+//! typed [`RpcError::DaemonRestarted`] otherwise, and real-time silence
+//! past [`CallPolicy::recv_patience`](crate::CallPolicy) charges the
+//! virtual deadline and retries idempotent frames. Retries reuse the
+//! frame's seq, so the daemon's dedup window keeps execution at-most-once
+//! — every command completes exactly once, no matter how its frame fared.
 //!
 //! Bulk payloads never ride inline: an entry at or above the engine's
 //! staging threshold is written into the staging region and goes out as
-//! its own [`STAGED_API_BIT`](crate::STAGED_API_BIT) descriptor frame —
-//! the rule [`CallEngine::call`](crate::CallEngine::call) applies, so
-//! sync and queued submissions stage alike. Burst frames are cut so they
-//! fit the link's [`max_frame_len`](Channel::max_frame_len); a lone
-//! command that still exceeds it completes with the typed
-//! [`RpcError::FrameTooLarge`].
+//! its own [`STAGED_API_BIT`](crate::STAGED_API_BIT) descriptor frame,
+//! carrying its [`ShmBuffer`] until the frame's outcome releases it. Burst
+//! frames are cut so they fit the link's
+//! [`max_frame_len`](Channel::max_frame_len); a lone command that still
+//! exceeds it completes with the typed [`RpcError::FrameTooLarge`].
 //!
 //! A queue pair is a **per-client** structure (one SQ/CQ per submitter,
 //! as in NVMe); it is `Sync` and internally locked, but concurrent
@@ -55,7 +61,7 @@ use lake_transport::Channel;
 
 use crate::command::{ApiId, Command, Response, Status, COMMAND_FRAME_OVERHEAD, SEQ_UNMATCHED};
 use crate::engine::{
-    decode_burst_response, CallEngine, Mode, RpcError, MAX_BURST_ENTRIES, ROUTE_POLL,
+    decode_burst_response, CallEngine, Mode, RpcError, BURST_API_BIT, MAX_BURST_ENTRIES, ROUTE_POLL,
 };
 use crate::wire::Encoder;
 
@@ -112,11 +118,11 @@ struct SqEntry {
 
 /// One wire frame in flight: its encoded bytes (reused verbatim on retry,
 /// so the seq — and the daemon's dedup — survive), the commands riding in
-/// it, and the attempt bookkeeping the sync path keeps on its stack.
+/// it (two or more make it a burst), and its attempt bookkeeping.
 struct InflightFrame {
+    seq: u64,
     wire: Vec<u8>,
     entries: Vec<(CmdId, ApiId)>,
-    burst: bool,
     idempotent: bool,
     attempts: u32,
     /// Virtual send instant of the current attempt (crash-window lower
@@ -131,10 +137,341 @@ struct InflightFrame {
     staged: Option<ShmBuffer>,
 }
 
-struct QpState {
-    sq: VecDeque<SqEntry>,
+impl InflightFrame {
+    fn new(
+        engine: &CallEngine,
+        cmd: &Command,
+        entries: Vec<(CmdId, ApiId)>,
+        idempotent: bool,
+        serving_epoch: u64,
+        staged: Option<ShmBuffer>,
+    ) -> Self {
+        InflightFrame {
+            seq: cmd.seq,
+            wire: cmd.encode(),
+            entries,
+            idempotent,
+            attempts: 1,
+            sent_at: engine.clock.now(),
+            waited: std::time::Duration::ZERO,
+            serving_epoch,
+            staged,
+        }
+    }
+}
+
+/// The in-flight half of the frame machine: frames on the wire, the
+/// completions they produced, and the counters [`QueueStats`] reports. A
+/// [`QueuePair`] keeps one under its mutex; a sync linked call builds one
+/// on its stack for its single frame.
+#[derive(Default)]
+pub(crate) struct FrameTable {
     inflight: HashMap<u64, InflightFrame>,
     cq: VecDeque<Completion>,
+    completed: u64,
+    flushes: u64,
+    frames_sent: u64,
+    frame_retries: u64,
+    inflight_high_water: u64,
+}
+
+/// A sync linked call: `cmd` (already counted by the engine) as a
+/// one-frame round through a stack-local [`FrameTable`] — ship it, pump
+/// until it completes.
+pub(crate) fn call_frame(
+    engine: &CallEngine,
+    endpoint: &dyn Channel,
+    api: ApiId,
+    cmd: Command,
+    staged: Option<ShmBuffer>,
+) -> Result<Bytes, RpcError> {
+    let idempotent = engine.is_idempotent(api);
+    let frame = InflightFrame::new(
+        engine,
+        &cmd,
+        vec![(CmdId(0), api)],
+        idempotent,
+        engine.ensure_up(),
+        staged,
+    );
+    let mut table = FrameTable::default();
+    table.ship(engine, endpoint, vec![frame]);
+    loop {
+        if let Some(done) = table.cq.pop_front() {
+            return done.result;
+        }
+        table.pump(engine, endpoint, true);
+    }
+}
+
+impl FrameTable {
+    /// Commands riding in frames still in flight.
+    fn inflight_commands(&self) -> usize {
+        self.inflight.values().map(|f| f.entries.len()).sum()
+    }
+
+    /// Sends `frames` under one doorbell and marks them in flight. A frame
+    /// over the link's limit is never handed to the transport: it
+    /// completes with [`RpcError::FrameTooLarge`] instead.
+    fn ship(&mut self, engine: &CallEngine, endpoint: &dyn Channel, frames: Vec<InflightFrame>) {
+        let max = endpoint.max_frame_len();
+        let mut wire = Vec::with_capacity(frames.len());
+        let mut sending = Vec::with_capacity(frames.len());
+        for frame in frames {
+            if frame.wire.len() > max {
+                engine.failures.fetch_add(1, Ordering::Relaxed);
+                let err = RpcError::FrameTooLarge { len: frame.wire.len(), max };
+                self.complete_frame(engine, frame, Err(err));
+                continue;
+            }
+            // The link consumes its frame; each (re)send clones the retry
+            // buffer.
+            engine.perf.note_copy(frame.wire.len());
+            wire.push(frame.wire.clone());
+            // Registered before the send: the answer may reach another
+            // caller's pump before this one returns, and is only routed to
+            // a registered seq.
+            engine.register_waiter(frame.seq);
+            sending.push(frame);
+        }
+        let sent = endpoint.send_batch(wire).is_ok();
+        self.flushes += 1;
+        for frame in sending {
+            if sent {
+                self.frames_sent += 1;
+                self.inflight.insert(frame.seq, frame);
+            } else {
+                engine.deregister_waiter(frame.seq);
+                self.complete_frame(engine, frame, Err(RpcError::Disconnected));
+            }
+        }
+        self.inflight_high_water = self.inflight_high_water.max(self.inflight_commands() as u64);
+    }
+
+    /// Services the wire: claims responses other callers stashed for us,
+    /// drains everything already arrived, and (when `block`) waits one
+    /// [`ROUTE_POLL`] slice for more, charging silence toward patience.
+    fn pump(&mut self, engine: &CallEngine, endpoint: &dyn Channel, block: bool) {
+        if self.inflight.is_empty() {
+            return;
+        }
+        let mut progressed = false;
+        let seqs: Vec<u64> = self.inflight.keys().copied().collect();
+        for seq in seqs {
+            let Some(resp) = engine.take_routed(seq) else { continue };
+            if engine.is_stale_epoch(&resp) {
+                // Fenced: a dead incarnation's answer surfaced from the
+                // routing table (the floor rose after it was stashed).
+                // Keep waiting for a live one.
+                engine.stale_epochs.fetch_add(1, Ordering::Relaxed);
+            } else {
+                progressed |= self.on_response(engine, endpoint, resp);
+            }
+        }
+        loop {
+            match endpoint.try_recv() {
+                Err(_) => return self.fail_all(engine, RpcError::Disconnected),
+                Ok(Some(raw)) => progressed |= self.on_raw(engine, endpoint, &raw),
+                Ok(None) => break,
+            }
+        }
+        if progressed || !block || self.inflight.is_empty() {
+            return;
+        }
+        match endpoint.recv_timeout(ROUTE_POLL) {
+            Err(_) => self.fail_all(engine, RpcError::Disconnected),
+            Ok(Some(raw)) => {
+                self.on_raw(engine, endpoint, &raw);
+            }
+            Ok(None) => self.note_silence(engine, endpoint, ROUTE_POLL),
+        }
+    }
+
+    /// Routes one raw frame off the wire.
+    fn on_raw(&mut self, engine: &CallEngine, endpoint: &dyn Channel, raw: &[u8]) -> bool {
+        match Response::decode(raw) {
+            Err(_) => {
+                // A garbled frame for someone; if it was ours the patience
+                // timer will catch the loss.
+                engine.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            Ok(resp) if engine.is_stale_epoch(&resp) => {
+                // A dead incarnation's answer arrived after its successor
+                // already spoke: fence it out. If it was ours, patience
+                // (or the crash window) retries under the new epoch.
+                engine.stale_epochs.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            Ok(resp) if self.inflight.contains_key(&resp.seq) => {
+                self.on_response(engine, endpoint, resp)
+            }
+            Ok(resp) if resp.seq == SEQ_UNMATCHED => {
+                // The daemon couldn't attribute some frame; if it was
+                // ours, patience expires.
+                engine.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            Ok(resp) => {
+                // Another caller's response: route it — unless its caller
+                // already gave up, in which case stashing it would leak.
+                engine.route_response(resp);
+                false
+            }
+        }
+    }
+
+    /// Handles a (non-stale) response for one of our frames. Returns true
+    /// — the frame always either completes or is retried.
+    fn on_response(&mut self, engine: &CallEngine, endpoint: &dyn Channel, resp: Response) -> bool {
+        let frame = self.inflight.remove(&resp.seq).expect("routed to an in-flight seq");
+        let policy = engine.policy;
+        if resp.status == Status::Malformed {
+            // The daemon could not decode our frame — it never executed,
+            // so any API may retry without a crash check.
+            engine.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+            if frame.attempts < policy.max_attempts {
+                engine.retry_backoff(frame.attempts);
+                self.resend(engine, endpoint, frame);
+                return true;
+            }
+            engine.deregister_waiter(frame.seq);
+            let result = engine.finish_response(resp);
+            self.complete_frame(engine, frame, result);
+            return true;
+        }
+        // Did the daemon die inside this frame's window? Then the response
+        // was computed by a dead incarnation: fence it out (never
+        // delivered), charge the deadline for discovering the silence, and
+        // either fail over to the next incarnation (idempotent — the
+        // resend's `ensure_up` restarts it) or surface the typed restart
+        // error. Mirrors the in-process accounting exactly.
+        if let Some(l) = &engine.lifecycle {
+            if l.crashed_between(frame.sent_at, engine.clock.now()) {
+                engine.stale_epochs.fetch_add(1, Ordering::Relaxed);
+                engine.timeouts.fetch_add(1, Ordering::Relaxed);
+                engine.clock.advance(policy.deadline);
+                if frame.idempotent && frame.attempts < policy.max_attempts {
+                    engine.failed_over.fetch_add(1, Ordering::Relaxed);
+                    engine.retry_backoff(frame.attempts);
+                    self.resend(engine, endpoint, frame);
+                    return true;
+                }
+                engine.failures.fetch_add(1, Ordering::Relaxed);
+                engine.daemon_restarts.fetch_add(1, Ordering::Relaxed);
+                let epoch = frame.serving_epoch;
+                engine.deregister_waiter(frame.seq);
+                self.complete_frame(engine, frame, Err(RpcError::DaemonRestarted { epoch }));
+                return true;
+            }
+        }
+        engine.deregister_waiter(frame.seq);
+        let result = engine.finish_response(resp);
+        if frame.entries.len() == 1 {
+            self.complete_frame(engine, frame, result);
+            return true;
+        }
+        // A burst: the whole frame failed (every rider shares the fate),
+        // or each rider gets its own status from the body.
+        match result.and_then(|body| decode_burst_response(&body, frame.entries.len())) {
+            Ok(per_entry) => {
+                for ((id, api), result) in frame.entries.iter().zip(per_entry) {
+                    let result = result.map_err(|status| {
+                        engine.failures.fetch_add(1, Ordering::Relaxed);
+                        RpcError::Remote(status)
+                    });
+                    self.cq.push_back(Completion { id: *id, api: *api, result });
+                    self.completed += 1;
+                }
+            }
+            Err(err) => self.complete_frame(engine, frame, Err(err)),
+        }
+        true
+    }
+
+    /// Re-sends a frame verbatim (same seq — the daemon dedups) after a
+    /// loss, nak, or crash window: supervised restart first, then the
+    /// retry-buffer clone.
+    fn resend(&mut self, engine: &CallEngine, endpoint: &dyn Channel, mut frame: InflightFrame) {
+        frame.attempts += 1;
+        frame.serving_epoch = engine.ensure_up();
+        frame.sent_at = engine.clock.now();
+        frame.waited = std::time::Duration::ZERO;
+        engine.perf.note_copy(frame.wire.len());
+        if endpoint.send(frame.wire.clone()).is_err() {
+            engine.deregister_waiter(frame.seq);
+            self.complete_frame(engine, frame, Err(RpcError::Disconnected));
+            return;
+        }
+        self.frame_retries += 1;
+        self.inflight.insert(frame.seq, frame);
+    }
+
+    /// Charges one slice of real-time silence to every in-flight frame
+    /// and expires those past patience.
+    fn note_silence(
+        &mut self,
+        engine: &CallEngine,
+        endpoint: &dyn Channel,
+        slice: std::time::Duration,
+    ) {
+        let Some(patience) = engine.policy.recv_patience else {
+            return;
+        };
+        let seqs: Vec<u64> = self.inflight.keys().copied().collect();
+        for seq in seqs {
+            let mut frame = self.inflight.remove(&seq).expect("iterating live seqs");
+            frame.waited += slice;
+            if frame.waited < patience {
+                self.inflight.insert(seq, frame);
+                continue;
+            }
+            // Real-time silence: the attempt is lost. Charge the virtual
+            // deadline, expire orphaned stashes, and retry if safe.
+            engine.timeouts.fetch_add(1, Ordering::Relaxed);
+            engine.clock.advance(engine.policy.deadline);
+            engine.sweep_pending();
+            if frame.idempotent && frame.attempts < engine.policy.max_attempts {
+                engine.retry_backoff(frame.attempts);
+                self.resend(engine, endpoint, frame);
+            } else {
+                engine.failures.fetch_add(1, Ordering::Relaxed);
+                engine.deregister_waiter(seq);
+                self.complete_frame(engine, frame, Err(RpcError::TimedOut));
+            }
+        }
+    }
+
+    /// Completes every in-flight frame with the link error.
+    fn fail_all(&mut self, engine: &CallEngine, err: RpcError) {
+        let frames: Vec<InflightFrame> = self.inflight.drain().map(|(_, f)| f).collect();
+        for frame in frames {
+            engine.deregister_waiter(frame.seq);
+            self.complete_frame(engine, frame, Err(err.clone()));
+        }
+    }
+
+    /// Fans one per-frame outcome out to a completion per rider, and
+    /// releases the frame's staged payload according to that outcome.
+    fn complete_frame(
+        &mut self,
+        engine: &CallEngine,
+        frame: InflightFrame,
+        result: Result<Bytes, RpcError>,
+    ) {
+        if let Some(buf) = frame.staged {
+            engine.release_staged(buf, &result);
+        }
+        for (id, api) in &frame.entries {
+            self.cq.push_back(Completion { id: *id, api: *api, result: result.clone() });
+            self.completed += 1;
+        }
+    }
+}
+
+struct QpState {
+    sq: VecDeque<SqEntry>,
+    table: FrameTable,
 }
 
 /// A per-client SQ/CQ pair over a [`CallEngine`]. See the module docs.
@@ -144,11 +481,6 @@ pub struct QueuePair {
     state: Mutex<QpState>,
     next_id: AtomicU64,
     submitted: AtomicU64,
-    completed: AtomicU64,
-    flushes: AtomicU64,
-    frames_sent: AtomicU64,
-    frame_retries: AtomicU64,
-    inflight_high_water: AtomicU64,
 }
 
 impl std::fmt::Debug for QueuePair {
@@ -167,18 +499,9 @@ impl QueuePair {
         QueuePair {
             engine,
             depth: depth.max(1),
-            state: Mutex::new(QpState {
-                sq: VecDeque::new(),
-                inflight: HashMap::new(),
-                cq: VecDeque::new(),
-            }),
+            state: Mutex::new(QpState { sq: VecDeque::new(), table: FrameTable::default() }),
             next_id: AtomicU64::new(1),
             submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
-            frame_retries: AtomicU64::new(0),
-            inflight_high_water: AtomicU64::new(0),
         }
     }
 
@@ -194,20 +517,21 @@ impl QueuePair {
 
     /// Counter snapshot.
     pub fn stats(&self) -> QueueStats {
+        let st = self.state.lock().expect("queue pair poisoned");
         QueueStats {
             submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frame_retries: self.frame_retries.load(Ordering::Relaxed),
-            inflight_high_water: self.inflight_high_water.load(Ordering::Relaxed),
+            completed: st.table.completed,
+            flushes: st.table.flushes,
+            frames_sent: st.table.frames_sent,
+            frame_retries: st.table.frame_retries,
+            inflight_high_water: st.table.inflight_high_water,
         }
     }
 
     /// Commands submitted but not yet completed (in the SQ or in flight).
     pub fn outstanding(&self) -> usize {
         let st = self.state.lock().expect("queue pair poisoned");
-        st.sq.len() + st.inflight.values().map(|f| f.entries.len()).sum::<usize>()
+        st.sq.len() + st.table.inflight_commands()
     }
 
     /// Non-blocking submit: appends the command to the SQ and returns its
@@ -233,8 +557,8 @@ impl QueuePair {
         let id = CmdId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock().expect("queue pair poisoned");
-        st.cq.push_back(Completion { id, api, result });
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        st.table.cq.push_back(Completion { id, api, result });
+        st.table.completed += 1;
         id
     }
 
@@ -251,7 +575,7 @@ impl QueuePair {
     pub fn poll(&self) -> Vec<Completion> {
         let mut st = self.state.lock().expect("queue pair poisoned");
         self.pump(&mut st, false);
-        st.cq.drain(..).collect()
+        st.table.cq.drain(..).collect()
     }
 
     /// Blocks until the command behind `id` completes and returns its
@@ -268,11 +592,11 @@ impl QueuePair {
         let mut st = self.state.lock().expect("queue pair poisoned");
         self.flush_locked(&mut st);
         loop {
-            if let Some(at) = st.cq.iter().position(|c| c.id == id) {
-                return st.cq.remove(at).expect("indexed completion").result;
+            if let Some(at) = st.table.cq.iter().position(|c| c.id == id) {
+                return st.table.cq.remove(at).expect("indexed completion").result;
             }
             assert!(
-                st.inflight.values().any(|f| f.entries.iter().any(|(eid, _)| *eid == id)),
+                st.table.inflight.values().any(|f| f.entries.iter().any(|(eid, _)| *eid == id)),
                 "ticket {id:?} is neither in flight nor in the CQ — \
                  already harvested by poll()?"
             );
@@ -285,10 +609,16 @@ impl QueuePair {
     pub fn drain(&self) -> Vec<Completion> {
         let mut st = self.state.lock().expect("queue pair poisoned");
         self.flush_locked(&mut st);
-        while !st.inflight.is_empty() {
+        while !st.table.inflight.is_empty() {
             self.pump(&mut st, true);
         }
-        st.cq.drain(..).collect()
+        st.table.cq.drain(..).collect()
+    }
+
+    fn pump(&self, st: &mut QpState, block: bool) {
+        if let Mode::Linked(endpoint) = &self.engine.mode {
+            st.table.pump(&self.engine, endpoint.as_ref(), block);
+        }
     }
 
     fn flush_locked(&self, st: &mut QpState) {
@@ -304,47 +634,29 @@ impl QueuePair {
                 // flush time.
                 for e in entries {
                     let result = self.engine.call(e.api, e.payload);
-                    st.cq.push_back(Completion { id: e.id, api: e.api, result });
-                    self.completed.fetch_add(1, Ordering::Relaxed);
+                    st.table.cq.push_back(Completion { id: e.id, api: e.api, result });
+                    st.table.completed += 1;
                 }
-                self.flushes.fetch_add(1, Ordering::Relaxed);
+                st.table.flushes += 1;
             }
             Mode::Linked(endpoint) => {
-                self.flush_linked(st, endpoint.as_ref(), entries);
+                let frames = self.coalesce(entries, endpoint.max_frame_len());
+                st.table.ship(&self.engine, endpoint.as_ref(), frames);
             }
         }
     }
 
-    fn flush_linked(&self, st: &mut QpState, endpoint: &dyn Channel, entries: Vec<SqEntry>) {
-        // One supervised-restart check for the whole drain, as the sync
-        // path does once per attempt.
-        let serving_epoch = match &self.engine.lifecycle {
-            Some(l) => l.ensure_up(),
-            None => 0,
-        };
-        let max_frame_len = endpoint.max_frame_len();
-        // Coalesce: consecutive same-idempotency commands share a burst
-        // frame (retries must stay all-or-nothing safe) as long as the
-        // frame fits the link; a bulk payload closes the run and travels
-        // alone so it can be staged.
-        let mut frames: Vec<(u64, InflightFrame)> = Vec::new();
+    /// Cuts a drain into frames: consecutive same-idempotency commands
+    /// share a burst frame (retries must stay all-or-nothing safe) as long
+    /// as the frame fits the link; a bulk payload closes the run and
+    /// travels alone so it can be staged.
+    fn coalesce(&self, entries: Vec<SqEntry>, max_frame_len: usize) -> Vec<InflightFrame> {
+        // One supervised-restart check for the whole drain.
+        let serving_epoch = self.engine.ensure_up();
+        let mut frames = Vec::new();
         let mut run: Vec<SqEntry> = Vec::new();
         let mut run_idempotent = false;
         let mut run_len = BURST_HEADER_LEN;
-        let mut close_run = |st: &mut QpState, run: &mut Vec<SqEntry>, idempotent: bool| {
-            let (seq, frame) = self.frame_run(run, idempotent, serving_epoch);
-            run.clear();
-            // The link publishes its transfer limit; a frame over it is
-            // never handed to the transport.
-            if frame.wire.len() > max_frame_len {
-                self.engine.failures.fetch_add(1, Ordering::Relaxed);
-                let len = frame.wire.len();
-                let err = RpcError::FrameTooLarge { len, max: max_frame_len };
-                self.complete_frame(st, frame, Err(err));
-            } else {
-                frames.push((seq, frame));
-            }
-        };
         for entry in entries {
             let idempotent = self.engine.is_idempotent(entry.api);
             let entry_len = BURST_ENTRY_OVERHEAD + entry.payload.len();
@@ -354,70 +666,44 @@ impl QueuePair {
                 || run.len() == MAX_BURST_ENTRIES
                 || run_len + entry_len > max_frame_len;
             if !run.is_empty() && splits {
-                close_run(st, &mut run, run_idempotent);
+                frames.push(self.frame_run(&mut run, run_idempotent, serving_epoch));
                 run_len = BURST_HEADER_LEN;
             }
             run_idempotent = idempotent;
             run_len += entry_len;
             run.push(entry);
             if lone {
-                close_run(st, &mut run, idempotent);
+                frames.push(self.frame_run(&mut run, idempotent, serving_epoch));
                 run_len = BURST_HEADER_LEN;
             }
         }
         if !run.is_empty() {
-            close_run(st, &mut run, run_idempotent);
+            frames.push(self.frame_run(&mut run, run_idempotent, serving_epoch));
         }
-
-        // The whole drain ships under a single doorbell: the transport
-        // amortizes its per-send wakeup across every frame.
-        let mut wire = Vec::with_capacity(frames.len());
-        for (_, frame) in &frames {
-            // Each (re)send clones the retry buffer, as in the sync path.
-            self.engine.perf.note_copy(frame.wire.len());
-            wire.push(frame.wire.clone());
-        }
-        let sent = endpoint.send_batch(wire).is_ok();
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        for (seq, frame) in frames {
-            if sent {
-                self.frames_sent.fetch_add(1, Ordering::Relaxed);
-                self.engine.register_waiter(seq);
-                st.inflight.insert(seq, frame);
-            } else {
-                self.complete_frame(st, frame, Err(RpcError::Disconnected));
-            }
-        }
-        let inflight: u64 = st.inflight.values().map(|f| f.entries.len() as u64).sum();
-        self.inflight_high_water.fetch_max(inflight, Ordering::Relaxed);
+        frames
     }
 
-    /// Encodes one run of the drain as a wire frame: a burst for two or
-    /// more commands, a plain frame for a lone one — whose payload moves
-    /// through the staging region when it is at or above the threshold
-    /// (and the region has room; otherwise it stays inline).
+    /// Encodes (and empties) one run of the drain as a wire frame: a burst
+    /// for two or more commands, a plain frame for a lone one — whose
+    /// payload moves through the staging region when it is at or above
+    /// the threshold (and the region has room; otherwise it stays inline).
     fn frame_run(
         &self,
-        run: &[SqEntry],
+        run: &mut Vec<SqEntry>,
         idempotent: bool,
         serving_epoch: u64,
-    ) -> (u64, InflightFrame) {
-        let seq = self.engine.next_seq.fetch_add(1, Ordering::Relaxed);
-        let burst = run.len() > 1;
+    ) -> InflightFrame {
+        let engine = &self.engine;
+        let seq = engine.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut staged = None;
-        let cmd = if burst {
-            let mut e = Encoder::new();
-            e.put_u32(run.len() as u32);
-            for entry in run {
-                e.put_u32(entry.api.0);
-                e.put_bytes(&entry.payload);
-            }
-            self.engine.burst_frames.fetch_add(1, Ordering::Relaxed);
-            self.engine.coalesced_commands.fetch_add(run.len() as u64, Ordering::Relaxed);
-            Command { api: ApiId(crate::engine::BURST_API_BIT), seq, payload: e.finish() }
+        let cmd = if run.len() > 1 {
+            engine.burst_frames.fetch_add(1, Ordering::Relaxed);
+            engine.coalesced_commands.fetch_add(run.len() as u64, Ordering::Relaxed);
+            let entries = run.iter().map(|e| (e.api, &e.payload[..]));
+            Command { api: ApiId(BURST_API_BIT), seq, payload: encode_burst(entries) }
         } else {
             let entry = &run[0];
-            match self.engine.stage_payload(entry.api, seq, &entry.payload) {
+            match engine.stage_payload(entry.api, seq, &entry.payload) {
                 Some((cmd, buf)) => {
                     staged = Some(buf);
                     cmd
@@ -426,253 +712,26 @@ impl QueuePair {
             }
         };
         if staged.is_none() {
-            // Matches the sync path's per-frame accounting: one call, its
-            // encoded bytes (`stage_command` has done this for a staged
-            // one).
-            self.engine.calls.fetch_add(1, Ordering::Relaxed);
-            self.engine.bytes_sent.fetch_add(cmd.encoded_len() as u64, Ordering::Relaxed);
+            // One call, its encoded bytes (`stage_command` has done this
+            // for a staged one).
+            engine.calls.fetch_add(1, Ordering::Relaxed);
+            engine.bytes_sent.fetch_add(cmd.encoded_len() as u64, Ordering::Relaxed);
         }
-        let frame = InflightFrame {
-            wire: cmd.encode(),
-            entries: run.iter().map(|e| (e.id, e.api)).collect(),
-            burst,
-            idempotent,
-            attempts: 1,
-            sent_at: self.engine.clock.now(),
-            waited: std::time::Duration::ZERO,
-            serving_epoch,
-            staged,
-        };
-        (seq, frame)
+        let entries = run.drain(..).map(|e| (e.id, e.api)).collect();
+        InflightFrame::new(engine, &cmd, entries, idempotent, serving_epoch, staged)
     }
+}
 
-    /// Services the wire: claims responses stashed for us by sync callers,
-    /// drains everything already arrived, and (when `block`) waits one
-    /// [`ROUTE_POLL`] slice for more, charging silence toward patience.
-    fn pump(&self, st: &mut QpState, block: bool) {
-        let Mode::Linked(endpoint) = &self.engine.mode else {
-            return;
-        };
-        if st.inflight.is_empty() {
-            return;
-        }
-        let endpoint = endpoint.as_ref();
-        let mut progressed = false;
-        let seqs: Vec<u64> = st.inflight.keys().copied().collect();
-        for seq in seqs {
-            if let Some(resp) = self.engine.take_routed(seq) {
-                progressed |= self.on_response(st, endpoint, seq, resp);
-            }
-        }
-        loop {
-            match endpoint.try_recv() {
-                Err(_) => return self.fail_all(st, RpcError::Disconnected),
-                Ok(Some(raw)) => progressed |= self.on_raw(st, endpoint, &raw),
-                Ok(None) => break,
-            }
-        }
-        if progressed || !block || st.inflight.is_empty() {
-            return;
-        }
-        match endpoint.recv_timeout(ROUTE_POLL) {
-            Err(_) => self.fail_all(st, RpcError::Disconnected),
-            Ok(Some(raw)) => {
-                self.on_raw(st, endpoint, &raw);
-            }
-            Ok(None) => self.note_silence(st, endpoint, ROUTE_POLL),
-        }
+/// Encodes a [`BURST_API_BIT`](crate::BURST_API_BIT) command payload: the
+/// entry count, then each entry's api id and length-prefixed payload.
+pub(crate) fn encode_burst<'a>(entries: impl ExactSizeIterator<Item = (ApiId, &'a [u8])>) -> Bytes {
+    let mut e = Encoder::new();
+    e.put_u32(entries.len() as u32);
+    for (api, payload) in entries {
+        e.put_u32(api.0);
+        e.put_bytes(payload);
     }
-
-    /// Routes one raw frame exactly as the sync receive loop does.
-    fn on_raw(&self, st: &mut QpState, endpoint: &dyn Channel, raw: &[u8]) -> bool {
-        match Response::decode(raw) {
-            Err(_) => {
-                // A garbled frame for someone; if it was ours the patience
-                // timer will catch the loss.
-                self.engine.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Ok(resp) if self.engine.is_stale_epoch(&resp) => {
-                // A dead incarnation's answer: fence it out. If it was
-                // ours, patience (or the crash window) retries under the
-                // new epoch.
-                self.engine.stale_epochs.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Ok(resp) if st.inflight.contains_key(&resp.seq) => {
-                self.on_response(st, endpoint, resp.seq, resp)
-            }
-            Ok(resp) if resp.seq == SEQ_UNMATCHED => {
-                self.engine.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Ok(resp) => {
-                // A sync caller's response: route, don't drop.
-                self.engine.route_response(resp);
-                false
-            }
-        }
-    }
-
-    /// Handles a (non-stale) response for one of our frames. Returns true
-    /// — the frame always either completes or is retried.
-    fn on_response(
-        &self,
-        st: &mut QpState,
-        endpoint: &dyn Channel,
-        seq: u64,
-        resp: Response,
-    ) -> bool {
-        let frame = st.inflight.remove(&seq).expect("routed to an in-flight seq");
-        if resp.status == Status::Malformed {
-            // The daemon could not decode our frame — it never executed,
-            // so any API may retry without a crash check.
-            self.engine.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-            if frame.attempts < self.engine.policy.max_attempts {
-                self.engine.retry_backoff(frame.attempts);
-                self.resend(st, endpoint, seq, frame);
-                return true;
-            }
-            self.engine.deregister_waiter(seq);
-            // finish_response semantics for the nak, fanned out per entry.
-            self.engine.epoch_floor.fetch_max(resp.epoch, Ordering::Relaxed);
-            self.engine.bytes_received.fetch_add(resp.encoded_len() as u64, Ordering::Relaxed);
-            self.engine.failures.fetch_add(1, Ordering::Relaxed);
-            self.complete_frame(st, frame, Err(RpcError::Remote(Status::Malformed)));
-            return true;
-        }
-        // Did the daemon die inside this frame's window? Then the response
-        // was computed by a dead incarnation: fence it out, charge the
-        // deadline for discovering the silence, and fail over or surface
-        // the typed restart error — the sync path's exact accounting.
-        if let Some(l) = &self.engine.lifecycle {
-            if l.crashed_between(frame.sent_at, self.engine.clock.now()) {
-                self.engine.stale_epochs.fetch_add(1, Ordering::Relaxed);
-                self.engine.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.engine.clock.advance(self.engine.policy.deadline);
-                if frame.idempotent && frame.attempts < self.engine.policy.max_attempts {
-                    self.engine.failed_over.fetch_add(1, Ordering::Relaxed);
-                    self.engine.retry_backoff(frame.attempts);
-                    self.resend(st, endpoint, seq, frame);
-                    return true;
-                }
-                self.engine.failures.fetch_add(1, Ordering::Relaxed);
-                self.engine.daemon_restarts.fetch_add(1, Ordering::Relaxed);
-                let epoch = frame.serving_epoch;
-                self.engine.deregister_waiter(seq);
-                self.complete_frame(st, frame, Err(RpcError::DaemonRestarted { epoch }));
-                return true;
-            }
-        }
-        self.engine.deregister_waiter(seq);
-        self.engine.epoch_floor.fetch_max(resp.epoch, Ordering::Relaxed);
-        self.engine.bytes_received.fetch_add(resp.encoded_len() as u64, Ordering::Relaxed);
-        if frame.burst {
-            if !resp.status.is_ok() {
-                // The whole frame failed: every rider shares the fate.
-                self.engine.failures.fetch_add(1, Ordering::Relaxed);
-                self.complete_frame(st, frame, Err(RpcError::Remote(resp.status)));
-                return true;
-            }
-            match decode_burst_response(&resp.payload, frame.entries.len()) {
-                Ok(per_entry) => {
-                    for ((id, api), result) in frame.entries.iter().zip(per_entry) {
-                        let result = result.map_err(|status| {
-                            self.engine.failures.fetch_add(1, Ordering::Relaxed);
-                            RpcError::Remote(status)
-                        });
-                        st.cq.push_back(Completion { id: *id, api: *api, result });
-                        self.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(err) => self.complete_frame(st, frame, Err(err)),
-            }
-        } else if resp.status.is_ok() {
-            self.complete_frame(st, frame, Ok(resp.payload));
-        } else {
-            self.engine.failures.fetch_add(1, Ordering::Relaxed);
-            self.complete_frame(st, frame, Err(RpcError::Remote(resp.status)));
-        }
-        true
-    }
-
-    /// Re-sends a frame verbatim (same seq — the daemon dedups) after a
-    /// loss, nak, or crash window. Mirrors the top of the sync attempt
-    /// loop: supervised restart first, then the retry-buffer clone.
-    fn resend(&self, st: &mut QpState, endpoint: &dyn Channel, seq: u64, mut frame: InflightFrame) {
-        frame.attempts += 1;
-        frame.serving_epoch = match &self.engine.lifecycle {
-            Some(l) => l.ensure_up(),
-            None => 0,
-        };
-        frame.sent_at = self.engine.clock.now();
-        frame.waited = std::time::Duration::ZERO;
-        self.engine.perf.note_copy(frame.wire.len());
-        if endpoint.send(frame.wire.clone()).is_err() {
-            self.engine.deregister_waiter(seq);
-            self.complete_frame(st, frame, Err(RpcError::Disconnected));
-            return;
-        }
-        self.frame_retries.fetch_add(1, Ordering::Relaxed);
-        st.inflight.insert(seq, frame);
-    }
-
-    /// Charges one slice of real-time silence to every in-flight frame
-    /// and expires those past patience — the sync path's loss detection,
-    /// amortized over the queue.
-    fn note_silence(&self, st: &mut QpState, endpoint: &dyn Channel, slice: std::time::Duration) {
-        let Some(patience) = self.engine.policy.recv_patience else {
-            return;
-        };
-        let seqs: Vec<u64> = st.inflight.keys().copied().collect();
-        for seq in seqs {
-            let mut frame = st.inflight.remove(&seq).expect("iterating live seqs");
-            frame.waited += slice;
-            if frame.waited < patience {
-                st.inflight.insert(seq, frame);
-                continue;
-            }
-            // Real-time silence: the attempt is lost. Charge the virtual
-            // deadline, expire orphaned stashes, and retry if safe.
-            self.engine.timeouts.fetch_add(1, Ordering::Relaxed);
-            self.engine.clock.advance(self.engine.policy.deadline);
-            self.engine.sweep_pending();
-            if frame.idempotent && frame.attempts < self.engine.policy.max_attempts {
-                self.engine.retry_backoff(frame.attempts);
-                self.resend(st, endpoint, seq, frame);
-            } else {
-                self.engine.failures.fetch_add(1, Ordering::Relaxed);
-                self.engine.deregister_waiter(seq);
-                self.complete_frame(st, frame, Err(RpcError::TimedOut));
-            }
-        }
-    }
-
-    /// Completes every entry of a dead frame with the link error.
-    fn fail_all(&self, st: &mut QpState, err: RpcError) {
-        let frames: Vec<(u64, InflightFrame)> = st.inflight.drain().collect();
-        for (seq, frame) in frames {
-            self.engine.deregister_waiter(seq);
-            self.complete_frame(st, frame, Err(err.clone()));
-        }
-    }
-
-    /// Fans one per-frame outcome out to a completion per rider, and
-    /// releases the frame's staged payload according to that outcome.
-    fn complete_frame(
-        &self,
-        st: &mut QpState,
-        frame: InflightFrame,
-        result: Result<Bytes, RpcError>,
-    ) {
-        if let Some(buf) = frame.staged {
-            self.engine.release_staged(buf, &result);
-        }
-        for (id, api) in &frame.entries {
-            st.cq.push_back(Completion { id: *id, api: *api, result: result.clone() });
-            self.completed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    e.finish()
 }
 
 #[cfg(test)]
@@ -787,6 +846,12 @@ mod tests {
         let qs = qp.stats();
         assert_eq!((qs.frames_sent, qs.flushes), (1, 1));
         assert_eq!(qs.inflight_high_water, 16);
+        // A lone submission skips the burst envelope: a drain of one is a
+        // plain frame.
+        let solo = qp.submit(API_ADD, encode_pair(20, 22));
+        assert_eq!(Decoder::new(&qp.wait(solo).unwrap()).get_u64().unwrap(), 42);
+        let es = engine.stats();
+        assert_eq!((es.calls, es.burst_frames, es.coalesced_commands), (2, 1, 16));
         drop(qp);
         drop(engine);
         daemon.join().unwrap();
@@ -882,6 +947,60 @@ mod tests {
         daemon.join().unwrap();
     }
 
+    /// Regression: a response another caller routed to a queued frame is
+    /// fenced if the epoch floor rose while it sat in the pending table —
+    /// exactly as a stale answer read off the wire is.
+    #[test]
+    fn queued_caller_fences_a_stale_routed_response() {
+        let (kernel, user) = Link::pair(Mechanism::Netlink, SharedClock::new());
+        let engine = Arc::new(CallEngine::linked(kernel).with_policy(CallPolicy {
+            recv_patience: Some(std::time::Duration::from_millis(20)),
+            ..CallPolicy::default()
+        }));
+        engine.register_api(API_ADD, true);
+        let qp = QueuePair::new(engine.clone(), 1);
+        let s1 = qp.submit(API_ADD, encode_pair(1, 1));
+        let sync = std::thread::spawn({
+            let engine = engine.clone();
+            move || engine.call(API_ADD, encode_pair(2, 2))
+        });
+        // The scripted daemon: S1 answered by incarnation 0 (the sync
+        // caller receives it and routes it to the pair), then S2 by
+        // incarnation 1, which raises the floor.
+        let answer = |frame: &[u8], epoch: u64, sum: u64| {
+            let cmd = Command::decode(frame).unwrap();
+            let mut e = Encoder::new();
+            e.put_u64(sum);
+            let resp = Response { seq: cmd.seq, epoch, status: Status::Ok, payload: e.finish() };
+            user.send(resp.encode()).unwrap();
+        };
+        // S1 took its seq before the sync caller existed.
+        let seq = |f: &[u8]| Command::decode(f).unwrap().seq;
+        let mut frames = [user.recv().unwrap(), user.recv().unwrap()];
+        frames.sort_by_key(|f| seq(f));
+        answer(&frames[0], 0, 999);
+        answer(&frames[1], 1, 4);
+        assert_eq!(Decoder::new(&sync.join().unwrap().unwrap()).get_u64().unwrap(), 4);
+        assert_eq!(engine.pending_len(), 1, "S1's epoch-0 answer is parked for the pair");
+        let stale_before = engine.stats().stale_epochs;
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| qp.wait(s1));
+            // Patience expires on the fenced answer; the resend (same seq)
+            // is answered by the live incarnation.
+            let patience = std::time::Duration::from_secs(5);
+            if let Some(resend) = user.recv_timeout(patience).unwrap() {
+                assert_eq!(seq(&resend), seq(&frames[0]), "only S1 is retried");
+                answer(&resend, 1, 2);
+            }
+            let out = waiter.join().unwrap().unwrap();
+            assert_eq!(Decoder::new(&out).get_u64().unwrap(), 2, "stale routed answer delivered");
+        });
+        assert!(engine.stats().stale_epochs > stale_before);
+        assert_eq!(qp.stats().frame_retries, 1);
+        drop(qp);
+        drop(engine);
+    }
+
     #[test]
     fn lossy_link_completes_every_command_exactly_once() {
         use lake_sim::{FaultPlan, FaultSpec};
@@ -945,14 +1064,15 @@ mod tests {
         )
         .unwrap();
         let daemon = std::thread::spawn(move || {
-            let handler = echo_len();
-            let epoch = AtomicU64::new(0);
-            match &staging {
-                Some(region) => {
-                    crate::engine::serve_with_staging(&user, handler.as_ref(), &epoch, region)
-                }
-                None => serve(&user, handler.as_ref()),
-            }
+            crate::executor::serve_executor(
+                &user,
+                echo_len().as_ref(),
+                &AtomicU64::new(0),
+                staging.as_ref(),
+                &crate::perf::PerfCounters::new(),
+                1,
+                &crate::executor::ExecutorStats::new(),
+            )
         });
         (kernel, daemon)
     }
