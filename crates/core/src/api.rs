@@ -116,8 +116,9 @@ pub fn register_idempotency(engine: &lake_rpc::CallEngine) {
     }
 }
 
-/// Ordering constraint `api` places on the parallel daemon executor
-/// (`LAKE_DAEMON_WORKERS` > 1); the serial loop ignores it.
+/// Ordering constraint `api` places on the daemon executor's worker
+/// pipeline (`LAKE_DAEMON_WORKERS` > 1); at width 1 each frame runs
+/// inline on the acceptor in arrival order and nothing is classified.
 ///
 /// * CUDA and NVML calls are `Concurrent`: the daemon's device tables are
 ///   thread-safe, and a caller that needs happens-before between its own

@@ -116,7 +116,8 @@ impl LoadedModel {
                 Ok(("hl_mlp", rows as u64, m.flops_per_input()))
             }
             LoadedModel::Lstm(m) => {
-                if steps == 0 || !cols.is_multiple_of(steps) {
+                let width = m.cells()[0].input_size();
+                if steps == 0 || !cols.is_multiple_of(steps) || cols / steps != width {
                     return Err(Status::VendorError(code::ML_BAD_SHAPE));
                 }
                 let flops: f64 = m.cells().iter().map(|c| c.flops_per_step()).sum();
@@ -135,7 +136,7 @@ impl LoadedModel {
                 Ok(("hl_qmlp", rows as u64, m.flops_per_input()))
             }
             LoadedModel::QuantLstm(m) => {
-                if steps == 0 || !cols.is_multiple_of(steps) {
+                if steps == 0 || !cols.is_multiple_of(steps) || cols / steps != m.input_size() {
                     return Err(Status::VendorError(code::ML_BAD_SHAPE));
                 }
                 Ok(("hl_qlstm", (rows * steps) as u64, m.flops_per_step()))

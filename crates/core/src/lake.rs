@@ -297,10 +297,9 @@ impl LakeBuilder {
     }
 
     /// Sizes the daemon executor's worker pool. At the default of 1 the
-    /// serve loop runs the classic serial path — decode, dispatch,
-    /// respond, one frame at a time — bit-identical to builds that
-    /// predate the executor. Above 1 the linked modes
-    /// ([`LinkMode::Channel`], [`LinkMode::Ring`]) decode frames on the
+    /// acceptor executes each admitted frame inline — decode, dispatch,
+    /// respond, one frame at a time. Above 1 the linked modes
+    /// ([`LinkMode::Channel`], [`LinkMode::Ring`]) admit frames on the
     /// acceptor thread, dispatch independent commands to `workers` fixed
     /// worker threads, and return completions out of order through a
     /// completion mux (one responder per link keeps the SPSC ring
@@ -679,8 +678,9 @@ pub struct PerfReport {
     /// Daemon-executor counters: frames accepted, commands executed vs
     /// replayed, dedup evictions, out-of-order completions, ordering
     /// barriers taken, and the in-flight/deferred high-water marks. All
-    /// zero in [`LinkMode::InProcess`] deployments (no serve thread) and
-    /// on the serial path's mux-specific fields.
+    /// zero in [`LinkMode::InProcess`] deployments (no serve thread); at
+    /// width 1, where frames run inline on the acceptor, the worker- and
+    /// mux-specific fields stay zero.
     pub executor: lake_rpc::ExecutorSnapshot,
     /// MLP inferences (and their rows) answered kernel-side below the
     /// offload crossover, plus the packed copies built for them. The
@@ -856,8 +856,8 @@ impl Lake {
     }
 
     /// The executor worker-pool width this deployment serves with (1 =
-    /// the classic serial loop; [`LinkMode::InProcess`] always reports
-    /// 1 since it has no serve thread).
+    /// each frame runs inline on the acceptor; [`LinkMode::InProcess`]
+    /// always reports 1 since it has no serve thread).
     pub fn daemon_workers(&self) -> usize {
         self.daemon_workers
     }
@@ -1154,6 +1154,38 @@ mod tests {
             seq1.iter().chain(seq2.iter()).flat_map(|v| v.iter().copied()).collect();
         let remote = ml.infer_lstm(id, 2, 3, 2, &flat).unwrap();
         assert_eq!(remote, local);
+    }
+
+    /// An LSTM inference whose per-step width disagrees with the model is
+    /// a shape error, not a daemon panic: in-process the caller gets
+    /// `ML_BAD_SHAPE`, and over a link the width-1 serve thread survives
+    /// to answer the next call on the same deployment.
+    #[test]
+    fn lstm_feature_width_mismatch_is_a_shape_error() {
+        use lake_ml::{serialize, LstmClassifier};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let model = LstmClassifier::new(2, 8, 2, 3, &mut StdRng::seed_from_u64(5));
+        let seq = vec![vec![0.1, 0.9], vec![0.3, 0.7], vec![0.5, 0.5]];
+        let good: Vec<f32> = seq.iter().flatten().copied().collect();
+        let wrong = vec![0.5f32; 3 * 4];
+        let mut answers = Vec::new();
+        for link in [LinkMode::InProcess, LinkMode::Channel] {
+            let lake = Lake::builder().link_mode(link).daemon_workers(1).build();
+            let ml = lake.ml();
+            let f32_id = ml.load_model(&serialize::encode_lstm(&model)).unwrap();
+            let int8_id = ml.quantize_model(f32_id).unwrap();
+            let mut per_link = Vec::new();
+            for id in [f32_id, int8_id] {
+                let err = ml.infer_lstm(id, 1, 3, 4, &wrong).unwrap_err();
+                assert_eq!(err.vendor_code(), Some(code::ML_BAD_SHAPE), "{link:?}: {err:?}");
+                per_link.push(ml.infer_lstm(id, 1, 3, 2, &good).unwrap());
+            }
+            answers.push(per_link);
+        }
+        assert_eq!(answers[0][0], vec![model.classify(&seq) as u32]);
+        assert_eq!(answers[0], answers[1]);
     }
 
     #[test]

@@ -45,9 +45,8 @@ use lake_shm::{ShmBuffer, ShmRegion};
 use lake_sim::{Duration, FaultPlan, FrameFault, Instant, SharedClock};
 use lake_transport::{Channel, Mechanism};
 
-use crate::command::{ApiId, Command, Response, Status, SEQ_UNMATCHED};
-use crate::executor::{CommandClass, DedupTable, ExecutorStats};
-use crate::perf;
+use crate::command::{ApiId, Command, Response, Status};
+use crate::executor::{CommandClass, ExecutorStats};
 use crate::perf::PerfCounters;
 use crate::wire::{Decoder, Encoder, WireError};
 
@@ -336,7 +335,7 @@ pub struct CallEngine {
     /// Copy accounting attributed to this engine. Shared (via
     /// [`CallEngine::with_perf`]) with the daemon-side serve loop so one
     /// deployment's stub and daemon copies land in one counter set; every
-    /// bump also feeds the process-wide rollup in [`perf`].
+    /// bump also feeds the process-wide rollup in [`crate::perf`].
     pub(crate) perf: Arc<PerfCounters>,
     /// APIs flagged idempotent at registration; only they survive a retry
     /// after the daemon may have executed the command.
@@ -760,7 +759,7 @@ impl CallEngine {
             let result = dispatch(
                 handler,
                 self.staging.as_ref().map(|s| &s.region),
-                Some(&self.perf),
+                &self.perf,
                 cmd.api,
                 &cmd.payload,
             );
@@ -948,7 +947,7 @@ impl CallEngine {
 pub(crate) fn dispatch(
     handler: &dyn ApiHandler,
     staging: Option<&ShmRegion>,
-    counters: Option<&PerfCounters>,
+    counters: &PerfCounters,
     api: ApiId,
     payload: &[u8],
 ) -> Result<Bytes, Status> {
@@ -977,10 +976,7 @@ pub(crate) fn dispatch(
     }
     region
         .with_bytes(&buf, |bytes| {
-            match counters {
-                Some(c) => c.note_zero_copy(len),
-                None => perf::note_zero_copy(len),
-            }
+            counters.note_zero_copy(len);
             handler.handle(real, &bytes[..len])
         })
         .unwrap_or(Err(Status::Malformed))
@@ -995,7 +991,7 @@ pub(crate) fn dispatch(
 fn dispatch_burst(
     handler: &dyn ApiHandler,
     staging: Option<&ShmRegion>,
-    counters: Option<&PerfCounters>,
+    counters: &PerfCounters,
     payload: &[u8],
 ) -> Result<Bytes, Status> {
     let mut d = Decoder::new(payload);
@@ -1047,106 +1043,26 @@ pub(crate) fn decode_burst_response(
     Ok(out)
 }
 
-/// Responses remembered by [`serve`] for at-most-once execution.
-pub(crate) const SERVE_DEDUP_WINDOW: usize = 128;
-
 /// Runs the daemon dispatch loop over `endpoint` until the peer
 /// disconnects: receive command, decode, execute, respond. This is
-/// `lakeD`'s main loop in its default configuration — epoch 0, no staging
-/// region, copies counted in the process-wide rollup only, one frame at a
-/// time. [`crate::serve_executor`] is the fully configured entry point.
+/// `lakeD`'s main loop in its default configuration: it is
+/// [`crate::serve_executor`] at width 1, executing each frame inline on
+/// the acceptor, with epoch 0, no staging region and fresh copy counters
+/// (which also feed the process-wide rollup).
 ///
 /// Robustness:
 ///
 /// * Undecodable frames are answered `Malformed` with the sequence number
 ///   recovered from the frame header when it survived, or the reserved
-///   [`SEQ_UNMATCHED`] sentinel otherwise — never a fabricated seq a
+///   [`SEQ_UNMATCHED`](crate::SEQ_UNMATCHED) sentinel otherwise — never a fabricated seq a
 ///   pipelined caller could mis-match.
-/// * Recently executed commands are remembered by seq
-///   (a [`SERVE_DEDUP_WINDOW`]-deep window): a duplicated or retried
-///   command is answered from the cache instead of re-executed, giving
-///   retries at-most-once semantics.
+/// * Recently executed commands are remembered by seq (a 128-deep window,
+///   8 shards × 16 entries): a duplicated or retried command is answered
+///   from the cache instead of re-executed, giving retries at-most-once
+///   semantics.
 pub fn serve<C: Channel + ?Sized>(endpoint: &C, handler: &dyn ApiHandler) {
-    serve_serial(endpoint, handler, &AtomicU64::new(0), None, None, None);
-}
-
-pub(crate) fn serve_serial<C: Channel + ?Sized>(
-    endpoint: &C,
-    handler: &dyn ApiHandler,
-    epoch: &AtomicU64,
-    staging: Option<&ShmRegion>,
-    counters: Option<&PerfCounters>,
-    stats: Option<&ExecutorStats>,
-) {
-    // Dedup entries remember the epoch they were computed under: a cached
-    // answer from a previous incarnation must NOT be replayed — the new
-    // incarnation never ran that command (crash_reset wiped its state), and
-    // the caller would fence the stale stamp forever, wedging the retry.
-    // The table is the same seq-sharded window the parallel executor uses,
-    // sized to the historical SERVE_DEDUP_WINDOW.
-    let dedup = DedupTable::new();
-    while let Ok(frame) = endpoint.recv() {
-        if let Some(s) = stats {
-            s.note_frame();
-        }
-        let now_epoch = epoch.load(Ordering::Relaxed);
-        let response = match Command::decode_borrowed(&frame) {
-            Ok(cmd) => {
-                if let Some(prior) = dedup.replay(cmd.seq, now_epoch) {
-                    // Retried or duplicated command, same incarnation:
-                    // replay, don't re-run.
-                    if let Some(s) = stats {
-                        s.note_replay();
-                    }
-                    prior
-                } else {
-                    // Borrowed dispatch: the payload stays inside the
-                    // received frame (or in shm, for staged commands).
-                    match counters {
-                        Some(c) => c.note_zero_copy(cmd.payload.len()),
-                        None => perf::note_zero_copy(cmd.payload.len()),
-                    }
-                    let response = match dispatch(handler, staging, counters, cmd.api, cmd.payload)
-                    {
-                        Ok(payload) => {
-                            Response { seq: cmd.seq, epoch: now_epoch, status: Status::Ok, payload }
-                        }
-                        Err(status) => Response {
-                            seq: cmd.seq,
-                            epoch: now_epoch,
-                            status,
-                            payload: Bytes::new(),
-                        },
-                    };
-                    if dedup.record(cmd.seq, now_epoch, &response) {
-                        if let Some(s) = stats {
-                            s.note_eviction();
-                        }
-                    }
-                    if let Some(s) = stats {
-                        s.note_executed();
-                    }
-                    response
-                }
-            }
-            // Never executed, so never cached: a retry of the same seq with
-            // an intact frame must run for real.
-            Err(_) => {
-                if let Some(s) = stats {
-                    s.note_malformed();
-                }
-                Response {
-                    seq: Command::peek_seq(&frame).unwrap_or(SEQ_UNMATCHED),
-                    epoch: now_epoch,
-                    status: Status::Malformed,
-                    payload: Bytes::new(),
-                }
-            }
-        };
-        if endpoint.send(fit_response(response, endpoint.max_frame_len()).encode()).is_err() {
-            break;
-        }
-    }
+    let (counters, stats) = (PerfCounters::new(), ExecutorStats::new());
+    crate::serve_executor(endpoint, handler, &AtomicU64::new(0), None, &counters, 1, &stats);
 }
 
 /// Replaces a response the link cannot carry with a typed
@@ -1162,6 +1078,7 @@ pub(crate) fn fit_response(response: Response, max_frame_len: usize) -> Response
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::SEQ_UNMATCHED;
     use crate::wire::{Decoder, Encoder};
     use lake_transport::Link;
 

@@ -1,29 +1,33 @@
-//! The parallel daemon executor: `lakeD`'s multi-worker, out-of-order
-//! request pipeline.
+//! The daemon executor: `lakeD`'s one serve loop, from a single thread up
+//! to a multi-worker, out-of-order request pipeline.
 //!
-//! [`serve`](crate::serve) executes one frame at a time — recv, decode,
-//! handle, respond — so a single slow inference head-of-line-blocks every
-//! pipelined caller behind it. [`serve_executor`] splits that loop into a
-//! three-stage pipeline while keeping every transport and crash-recovery
-//! invariant:
+//! [`serve_executor`] writes each step once. The **acceptor** (the calling
+//! thread, sole `recv` consumer so the SPSC ring invariant holds on the
+//! command direction) admits every frame: it decodes it, answers malformed
+//! frames and dedup replays directly, and marks a fresh seq in flight.
+//! Executing an admitted command — unwrapping a staged shm payload, whose
+//! pinned pages stay locked for exactly the duration of the handler call,
+//! dispatching it and stamping the response — is one shared step too. The
+//! width decides only where an admitted command runs:
 //!
-//! * the **acceptor** (the calling thread, sole `recv` consumer so the
-//!   SPSC ring invariant holds on the command direction) decodes frames,
-//!   answers dedup replays and malformed frames directly, classifies each
-//!   command's ordering requirements, and hands independent work to
-//! * a fixed pool of **workers**, which execute handler calls — including
-//!   unwrapping staged shm payloads, whose pinned pages stay locked for
-//!   exactly the duration of the handler call — and push finished
-//!   responses onto an MPSC completion mux
-//!   ([`lake_transport::completion_queue`]), drained by
-//! * a single **responder**, the sole `send` producer, which coalesces
-//!   every completion available per wakeup into one
-//!   [`Channel::send_batch`] doorbell, marks dedup entries complete, and
-//!   re-admits deferred work whose ordering barriers have lifted.
+//! * **Width 1** runs it inline on the acceptor and answers with one
+//!   `send` before the next `recv`: the paper's receive, deserialize,
+//!   execute, respond loop. A slow inference head-of-line-blocks every
+//!   pipelined caller behind it.
+//! * **Width ≥ 2** splits the loop into a pipeline. The acceptor
+//!   classifies each command's ordering requirements and hands
+//!   independent work to a fixed pool of **workers**, which execute it
+//!   and push finished responses onto an MPSC completion mux
+//!   ([`lake_transport::completion_queue`]), drained by a single
+//!   **responder**, the sole `send` producer. It coalesces every
+//!   completion available per wakeup into one [`Channel::send_batch`]
+//!   doorbell, marks dedup entries complete, and re-admits deferred work
+//!   whose ordering barriers have lifted.
 //!
 //! # Ordering
 //!
-//! Handlers advertise per-command constraints through
+//! At width 1 commands run in arrival order, which honours every
+//! constraint. Wider, handlers advertise per-command constraints through
 //! [`ApiHandler::classify`]:
 //!
 //! * [`CommandClass::Concurrent`] commands run on any worker at any time.
@@ -45,13 +49,12 @@
 //!
 //! # Crash fencing
 //!
-//! Workers load the incarnation epoch immediately before executing and
-//! stamp it into the response, exactly like the serial loop: a crash
-//! mid-flight means in-flight responses carry the dead epoch and the
-//! stub-side fence discards them, composing with PR 3 supervision
-//! unchanged. The dedup table is sharded by seq with per-entry epoch
-//! tags, so replays are only served within the incarnation that computed
-//! them.
+//! Execution loads the incarnation epoch immediately before running a
+//! command and stamps it into the response: a crash mid-flight means
+//! in-flight responses carry the dead epoch and the stub-side fence
+//! discards them. The dedup table (8 shards × 16 entries, a 128-deep
+//! at-most-once window) tags each entry with its epoch, so replays are
+//! only served within the incarnation that computed them.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,10 +65,9 @@ use lake_shm::ShmRegion;
 use lake_sim::{ParkMeter, ParkStats, SharedClock};
 use lake_transport::{completion_queue, Channel, MuxSender};
 
-use crate::command::{ApiId, Command, Response, Status, SEQ_UNMATCHED};
+use crate::command::{ApiId, Command, CommandRef, Response, Status, SEQ_UNMATCHED};
 use crate::engine::{
-    dispatch, fit_response, serve_serial, ApiHandler, BURST_API_BIT, MAX_BURST_ENTRIES,
-    STAGED_API_BIT,
+    dispatch, fit_response, ApiHandler, BURST_API_BIT, MAX_BURST_ENTRIES, STAGED_API_BIT,
 };
 use crate::perf::PerfCounters;
 use crate::wire::Decoder;
@@ -101,16 +103,15 @@ enum JobClass {
     Exclusive,
 }
 
-/// Sharding of the dedup table. 8 shards × 16 entries keeps the serial
-/// loop's 128-deep at-most-once window while letting the acceptor and
-/// responder touch disjoint seqs without contending.
+/// Sharding of the dedup table: 8 shards × 16 entries is a 128-deep
+/// at-most-once window, and the acceptor and responder touch disjoint
+/// seqs without contending.
 const DEDUP_SHARDS: u64 = 8;
 /// Completed entries retained per shard before LRU trim.
 const DEDUP_SHARD_CAP: usize = 16;
-const _: () = assert!(DEDUP_SHARDS as usize * DEDUP_SHARD_CAP == crate::engine::SERVE_DEDUP_WINDOW);
 
 enum DedupEntry {
-    /// A worker is executing this seq; duplicates wait for its response.
+    /// This seq is executing; duplicates wait for its response.
     /// In-flight entries are pinned — never evicted by the LRU trim.
     InFlight {
         dup_waiters: u32,
@@ -127,14 +128,13 @@ struct DedupShard {
     order: VecDeque<u64>,
 }
 
-/// Seq-sharded at-most-once window shared by the serial and parallel
-/// serve paths.
-pub(crate) struct DedupTable {
+/// Seq-sharded at-most-once window, one per serve loop.
+struct DedupTable {
     shards: Vec<Mutex<DedupShard>>,
 }
 
 /// Outcome of admitting a freshly received seq.
-pub(crate) enum Admission {
+enum Admission {
     /// Not seen (this incarnation): execute it. `evicted` reports whether
     /// admitting it trimmed an older completed entry.
     Execute { evicted: bool },
@@ -145,7 +145,7 @@ pub(crate) enum Admission {
 }
 
 impl DedupTable {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         DedupTable { shards: (0..DEDUP_SHARDS).map(|_| Mutex::default()).collect() }
     }
 
@@ -153,35 +153,9 @@ impl DedupTable {
         &self.shards[(seq % DEDUP_SHARDS) as usize]
     }
 
-    /// Serial-path replay check: a cached response computed under
-    /// `now_epoch`, if any. Never marks anything in-flight.
-    pub(crate) fn replay(&self, seq: u64, now_epoch: u64) -> Option<Response> {
-        let shard = self.shard(seq).lock().expect("dedup poisoned");
-        match shard.entries.get(&seq) {
-            Some(DedupEntry::Done { epoch, response }) if *epoch == now_epoch => {
-                Some(response.clone())
-            }
-            _ => None,
-        }
-    }
-
-    /// Serial-path record of a computed response. Returns `true` when the
-    /// insert trimmed an older completed entry out of the window.
-    pub(crate) fn record(&self, seq: u64, epoch: u64, response: &Response) -> bool {
-        let mut shard = self.shard(seq).lock().expect("dedup poisoned");
-        if shard
-            .entries
-            .insert(seq, DedupEntry::Done { epoch, response: response.clone() })
-            .is_none()
-        {
-            shard.order.push_back(seq);
-        }
-        Self::trim(&mut shard)
-    }
-
-    /// Executor-path admission: replay, attach to an in-flight execution,
-    /// or mark the seq in-flight and execute it.
-    pub(crate) fn begin(&self, seq: u64, now_epoch: u64) -> Admission {
+    /// Admits a freshly received seq: replay it, attach it to an in-flight
+    /// execution, or mark it in flight to execute.
+    fn begin(&self, seq: u64, now_epoch: u64) -> Admission {
         let mut shard = self.shard(seq).lock().expect("dedup poisoned");
         match shard.entries.get_mut(&seq) {
             Some(DedupEntry::InFlight { dup_waiters }) => {
@@ -205,10 +179,10 @@ impl DedupTable {
         Admission::Execute { evicted }
     }
 
-    /// Executor-path completion: caches the response for replays and
-    /// returns how many duplicate frames arrived while it executed (each
-    /// owed its own copy of the response).
-    pub(crate) fn complete(&self, seq: u64, response: &Response) -> u32 {
+    /// Caches a finished seq's response for replays and returns how many
+    /// duplicate frames arrived while it executed (each owed its own copy
+    /// of the response).
+    fn complete(&self, seq: u64, response: &Response) -> u32 {
         let mut shard = self.shard(seq).lock().expect("dedup poisoned");
         let dup_waiters = match shard.entries.get(&seq) {
             Some(DedupEntry::InFlight { dup_waiters }) => *dup_waiters,
@@ -264,7 +238,8 @@ pub struct ExecutorStats {
 /// Point-in-time copy of [`ExecutorStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorSnapshot {
-    /// Worker threads the executor is running with (1 = serial loop).
+    /// Worker threads the executor is running with (1 = each frame runs
+    /// inline on the acceptor).
     pub workers: u64,
     /// Frames received by the acceptor.
     pub frames: u64,
@@ -329,34 +304,13 @@ impl ExecutorStats {
             workers_parked_high_water: parked_high_water,
         }
     }
-
-    pub(crate) fn note_frame(&self) {
-        self.frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_executed(&self) {
-        self.executed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_replay(&self) {
-        self.replays.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_malformed(&self) {
-        self.malformed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_eviction(&self) {
-        self.dedup_evictions.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
-/// One decoded-and-classified command waiting for (or on) a worker. The
+/// One admitted-and-classified command waiting for (or on) a worker. The
 /// raw frame rides along so the worker's dispatch borrows payload bytes
-/// from it (or from shm, for staged commands) exactly like the serial
-/// loop — no payload copy is introduced by the handoff.
+/// from it (or from shm, for staged commands) exactly as inline execution
+/// does — no payload copy is introduced by the handoff.
 struct Job {
-    seq: u64,
     class: JobClass,
     frame: Vec<u8>,
 }
@@ -555,6 +509,80 @@ fn submit_job(
     }
 }
 
+/// What [`admit`] decided for one received frame.
+enum Admitted<'f> {
+    /// Answer without executing: a dedup replay or a malformed frame.
+    Answer(Response),
+    /// A duplicate of a seq still executing; it is answered when the
+    /// original completes.
+    Duplicate,
+    /// Fresh in this incarnation: execute it.
+    Execute(CommandRef<'f>),
+}
+
+/// Counts and decodes one received frame and admits it through the dedup
+/// window. Undecodable frames are answered `Malformed` with the seq
+/// recovered from the header when it survived, or [`SEQ_UNMATCHED`] —
+/// never a fabricated seq a pipelined caller could mis-match — and are
+/// never cached, so an intact retry of the same seq runs for real.
+fn admit<'f>(
+    frame: &'f [u8],
+    dedup: &DedupTable,
+    now_epoch: u64,
+    stats: &ExecutorStats,
+) -> Admitted<'f> {
+    stats.frames.fetch_add(1, Ordering::Relaxed);
+    let Ok(cmd) = Command::decode_borrowed(frame) else {
+        stats.malformed.fetch_add(1, Ordering::Relaxed);
+        return Admitted::Answer(Response {
+            seq: Command::peek_seq(frame).unwrap_or(SEQ_UNMATCHED),
+            epoch: now_epoch,
+            status: Status::Malformed,
+            payload: Bytes::new(),
+        });
+    };
+    match dedup.begin(cmd.seq, now_epoch) {
+        Admission::Replay(prior) => {
+            stats.replays.fetch_add(1, Ordering::Relaxed);
+            Admitted::Answer(prior)
+        }
+        Admission::DuplicateInFlight => {
+            stats.dup_inflight.fetch_add(1, Ordering::Relaxed);
+            Admitted::Duplicate
+        }
+        Admission::Execute { evicted } => {
+            if evicted {
+                stats.dedup_evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            Admitted::Execute(cmd)
+        }
+    }
+}
+
+/// Executes one admitted command and builds its response.
+///
+/// The epoch is sampled at execution start: a crash struck between here
+/// and the send means the response carries the dead incarnation's stamp
+/// and the stub-side fence discards it. The payload is borrowed from the
+/// received frame (or from shm, for staged commands), never copied.
+fn execute(
+    handler: &dyn ApiHandler,
+    staging: Option<&ShmRegion>,
+    counters: &PerfCounters,
+    epoch: &AtomicU64,
+    stats: &ExecutorStats,
+    cmd: &CommandRef<'_>,
+) -> Response {
+    let now_epoch = epoch.load(Ordering::Relaxed);
+    counters.note_zero_copy(cmd.payload.len());
+    let (status, payload) = match dispatch(handler, staging, counters, cmd.api, cmd.payload) {
+        Ok(payload) => (Status::Ok, payload),
+        Err(status) => (status, Bytes::new()),
+    };
+    stats.executed.fetch_add(1, Ordering::Relaxed);
+    Response { seq: cmd.seq, epoch: now_epoch, status, payload }
+}
+
 #[allow(clippy::too_many_arguments)] // shares serve_executor's wiring, one role
 fn worker_loop(
     job_rx: crossbeam::channel::Receiver<Job>,
@@ -574,33 +602,10 @@ fn worker_loop(
                 Err(_) => return,
             }
         };
-        // The epoch is sampled at execution start, exactly like the
-        // serial loop: a crash struck between here and the send means the
-        // response carries the dead incarnation's stamp and the stub-side
-        // fence discards it.
-        let now_epoch = epoch.load(Ordering::Relaxed);
-        let response = match Command::decode_borrowed(&job.frame) {
-            Ok(cmd) => {
-                counters.note_zero_copy(cmd.payload.len());
-                match dispatch(handler, staging, Some(counters), cmd.api, cmd.payload) {
-                    Ok(payload) => {
-                        Response { seq: job.seq, epoch: now_epoch, status: Status::Ok, payload }
-                    }
-                    Err(status) => {
-                        Response { seq: job.seq, epoch: now_epoch, status, payload: Bytes::new() }
-                    }
-                }
-            }
-            // The acceptor already decoded this frame once; an error here
-            // is unreachable in practice but must still produce an answer.
-            Err(_) => Response {
-                seq: job.seq,
-                epoch: now_epoch,
-                status: Status::Malformed,
-                payload: Bytes::new(),
-            },
-        };
-        stats.note_executed();
+        // Decoding is a pure function of the bytes, and the acceptor
+        // already decoded this frame.
+        let cmd = Command::decode_borrowed(&job.frame).expect("admitted frame decodes");
+        let response = execute(handler, staging, counters, epoch, stats, &cmd);
         done_tx.push(Completion::Executed { class: job.class, response });
     }
 }
@@ -671,13 +676,15 @@ fn responder_loop<C: Channel + ?Sized>(
     }
 }
 
-/// Runs the daemon dispatch loop with a parallel worker pool.
+/// Runs the daemon dispatch loop over `endpoint` until the peer
+/// disconnects, with `workers` executing commands.
 ///
-/// `workers <= 1` runs the serial [`crate::serve`] loop (same
-/// thread, same frame-at-a-time semantics — bit-identical to a daemon
-/// without an executor) while still recording [`ExecutorStats`].
-/// `workers > 1` runs the acceptor/worker/responder pipeline described in
-/// the [module docs](self).
+/// Every frame is admitted the same way at every width (decode, answer
+/// malformed frames and dedup replays, mark the seq in flight); the width
+/// decides only where an admitted frame runs. `workers <= 1` executes it
+/// inline on the acceptor and answers it with one `send` before the next
+/// `recv`. `workers > 1` runs the acceptor/worker/responder pipeline
+/// described in the [module docs](self).
 #[allow(clippy::too_many_arguments)]
 pub fn serve_executor<C: Channel + ?Sized>(
     endpoint: &C,
@@ -689,12 +696,27 @@ pub fn serve_executor<C: Channel + ?Sized>(
     stats: &ExecutorStats,
 ) {
     stats.workers.store(workers.max(1) as u64, Ordering::Relaxed);
+    let dedup = DedupTable::new();
     if workers <= 1 {
-        serve_serial(endpoint, handler, epoch, staging, Some(counters), Some(stats));
+        while let Ok(frame) = endpoint.recv() {
+            let response = match admit(&frame, &dedup, epoch.load(Ordering::Relaxed), stats) {
+                Admitted::Answer(response) => response,
+                // Unreachable inline: nothing is in flight between two
+                // receives.
+                Admitted::Duplicate => continue,
+                Admitted::Execute(cmd) => {
+                    let response = execute(handler, staging, counters, epoch, stats, &cmd);
+                    dedup.complete(cmd.seq, &response);
+                    response
+                }
+            };
+            if endpoint.send(fit_response(response, endpoint.max_frame_len()).encode()).is_err() {
+                break;
+            }
+        }
         return;
     }
     let clock = endpoint.clock();
-    let dedup = DedupTable::new();
     let state = Mutex::new(ExecState::default());
     let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
     let (done_tx, done_rx) = completion_queue::<Completion>();
@@ -720,54 +742,18 @@ pub fn serve_executor<C: Channel + ?Sized>(
             move || responder_loop(endpoint, done_rx, dedup, state, job_tx, acceptor_done, stats)
         });
 
-        // What to do with a frame, computed while the decoded command
-        // still borrows it; the borrow ends before the frame is moved
-        // into a job.
-        enum FrameAction {
-            Direct(Response),
-            Dup,
-            Execute { seq: u64, class: JobClass },
-        }
         while let Ok(frame) = endpoint.recv() {
-            stats.note_frame();
-            let now_epoch = epoch.load(Ordering::Relaxed);
-            let action = match Command::decode_borrowed(&frame) {
-                Ok(cmd) => match dedup.begin(cmd.seq, now_epoch) {
-                    Admission::Replay(prior) => {
-                        stats.note_replay();
-                        FrameAction::Direct(prior)
-                    }
-                    Admission::DuplicateInFlight => {
-                        stats.dup_inflight.fetch_add(1, Ordering::Relaxed);
-                        FrameAction::Dup
-                    }
-                    Admission::Execute { evicted } => {
-                        if evicted {
-                            stats.note_eviction();
-                        }
-                        FrameAction::Execute {
-                            seq: cmd.seq,
-                            class: classify_frame(handler, staging, cmd.api, cmd.payload),
-                        }
-                    }
-                },
-                Err(_) => {
-                    stats.note_malformed();
-                    FrameAction::Direct(Response {
-                        seq: Command::peek_seq(&frame).unwrap_or(SEQ_UNMATCHED),
-                        epoch: now_epoch,
-                        status: Status::Malformed,
-                        payload: Bytes::new(),
-                    })
+            // The decoded command borrows the frame; the borrow ends here,
+            // before the frame moves into its job.
+            let class = match admit(&frame, &dedup, epoch.load(Ordering::Relaxed), stats) {
+                Admitted::Answer(response) => {
+                    done_tx.push(Completion::Direct(response));
+                    continue;
                 }
+                Admitted::Duplicate => continue,
+                Admitted::Execute(cmd) => classify_frame(handler, staging, cmd.api, cmd.payload),
             };
-            match action {
-                FrameAction::Direct(response) => done_tx.push(Completion::Direct(response)),
-                FrameAction::Dup => {}
-                FrameAction::Execute { seq, class } => {
-                    submit_job(Job { seq, class, frame }, &state, &job_tx, stats);
-                }
-            }
+            submit_job(Job { class, frame }, &state, &job_tx, stats);
         }
         acceptor_done.store(true, Ordering::Release);
         drop(job_tx);
@@ -990,7 +976,7 @@ mod tests {
     #[test]
     fn evicted_seq_reexecutes_and_is_counted() {
         let handler = ClassifiedHandler::new();
-        // workers=1: the serial loop, same sharded table.
+        // workers=1: each frame runs inline on the acceptor, same table.
         let fx = Fixture::start(Arc::clone(&handler), 1);
         fx.kernel.send(cmd(5, API_KEYED, 3, 700, 0)).unwrap();
         assert_eq!(fx.recv_response().status, Status::Ok);
@@ -1020,7 +1006,7 @@ mod tests {
         for i in 0..(DEDUP_SHARD_CAP as u64 + 4) {
             let resp = Response { seq: i * 8, epoch: 0, status: Status::Ok, payload: Bytes::new() };
             table.complete(i * 8, &resp);
-            assert!(table.replay(i * 8, 0).is_some());
+            assert!(matches!(table.begin(i * 8, 0), Admission::Replay(_)));
         }
     }
 
@@ -1071,7 +1057,113 @@ mod tests {
             }
         }
 
+        /// One frame of a serve script.
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// A fresh seq, answered `key * 3 + 1`.
+            Fresh { key: u64 },
+            /// A fresh seq whose empty payload the handler rejects.
+            Rejected,
+            /// Resends the `pick % sent`-th frame sent so far.
+            Repeat { pick: usize },
+            /// A fresh frame with byte `at % len` flipped in transit.
+            Corrupt { key: u64, at: usize },
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            // Repeat is listed twice: repeats carry the replay, eviction
+            // and epoch-fencing cases.
+            prop_oneof![
+                (0u64..1_000).prop_map(|key| Step::Fresh { key }),
+                Just(Step::Rejected),
+                (0usize..64).prop_map(|pick| Step::Repeat { pick }),
+                (0usize..64).prop_map(|pick| Step::Repeat { pick }),
+                (0u64..1_000, 0usize..64).prop_map(|(key, at)| Step::Corrupt { key, at }),
+            ]
+        }
+
+        type Answer = Option<(u64, u64, Status, Bytes)>;
+
+        /// Sends `script` one frame at a time (send, then receive the
+        /// answer) to a `workers`-wide executor; a step whose first element
+        /// is 0 bumps the incarnation epoch before its frame.
+        fn run_script(script: &[(u8, Step)], workers: usize) -> (Vec<Answer>, ExecutorSnapshot) {
+            let (kernel, user) = Link::pair(Mechanism::Netlink, SharedClock::new());
+            let epoch = Arc::new(AtomicU64::new(0));
+            let stats = Arc::new(ExecutorStats::new());
+            let daemon = {
+                let (epoch, stats) = (Arc::clone(&epoch), Arc::clone(&stats));
+                std::thread::spawn(move || {
+                    let handler = ClassifiedHandler::new();
+                    let counters = PerfCounters::new();
+                    serve_executor(&user, &*handler, &epoch, None, &counters, workers, &stats);
+                })
+            };
+            let mut sent: Vec<Vec<u8>> = Vec::new();
+            let mut next_seq = 0u64;
+            let mut answers = Vec::new();
+            for (bump, step) in script {
+                if *bump == 0 {
+                    epoch.fetch_add(1, Ordering::Relaxed);
+                }
+                // Every fresh seq lands in one dedup shard, so a long
+                // script overflows its 16-entry window and evicts.
+                let mut fresh = || {
+                    next_seq += 1;
+                    next_seq * DEDUP_SHARDS
+                };
+                let frame = match *step {
+                    Step::Fresh { key } => cmd(fresh(), API_KEYED, key, 0, 0),
+                    Step::Rejected => {
+                        Command { api: API_FREE, seq: fresh(), payload: Bytes::new() }.encode()
+                    }
+                    Step::Repeat { pick } if !sent.is_empty() => sent[pick % sent.len()].clone(),
+                    Step::Repeat { pick } => cmd(fresh(), API_KEYED, pick as u64, 0, 0),
+                    Step::Corrupt { key, at } => {
+                        let mut frame = cmd(fresh(), API_KEYED, key, 0, 0);
+                        let i = at % frame.len();
+                        frame[i] ^= 0x5a;
+                        frame
+                    }
+                };
+                kernel.send(frame.clone()).unwrap();
+                sent.push(frame);
+                // A frame left unanswered ends the script as `None`.
+                let Some(reply) = kernel.recv_timeout(WallDuration::from_secs(5)).unwrap() else {
+                    answers.push(None);
+                    break;
+                };
+                let r = Response::decode(&reply).expect("valid response");
+                answers.push(Some((r.seq, r.epoch, r.status, r.payload)));
+            }
+            drop(kernel);
+            daemon.join().unwrap();
+            (answers, stats.snapshot())
+        }
+
         proptest! {
+            /// Width 1 (inline on the acceptor) and width 4 (the worker
+            /// pipeline) admit and execute with the same code, so one
+            /// frame at a time they give the same answers — replays,
+            /// evictions, malformed frames and epoch fencing included —
+            /// and count the same work.
+            #[test]
+            fn width_one_and_width_four_serve_identically(
+                script in proptest::collection::vec((0u8..8, step()), 1..65)
+            ) {
+                let (inline, one) = run_script(&script, 1);
+                let (pooled, four) = run_script(&script, 4);
+                prop_assert_eq!(inline, pooled);
+                let counted = |s: &ExecutorSnapshot| {
+                    (s.frames, s.executed, s.replays, s.malformed, s.dedup_evictions)
+                };
+                prop_assert_eq!(counted(&one), counted(&four));
+                prop_assert_eq!(
+                    (one.completions, one.response_doorbells, one.inflight_high_water),
+                    (0, 0, 0)
+                );
+            }
+
             /// Satellite: whatever order the workers finish in, every
             /// submission gets exactly one completion with its own
             /// answer, nothing is lost or duplicated, and the stub-side

@@ -16,11 +16,12 @@
 //! * [`command`] — the framed `Command` / `Response` messages.
 //! * [`engine`] — [`CallEngine`], the synchronous call path charging
 //!   transport costs to the virtual clock, in-process or across a real
-//!   daemon thread; and [`serve`], the daemon-side dispatch loop.
+//!   daemon thread; and [`serve`], the daemon loop's default configuration.
 //! * [`queue`] — the linked frame machine (the one retry/fence/patience
 //!   protocol) and [`QueuePair`], its submission/completion front end.
-//! * [`executor`] — [`serve_executor`], the daemon loop with a worker
-//!   pool, staging and per-engine accounting.
+//! * [`executor`] — [`serve_executor`], the one daemon serve loop: each
+//!   frame is admitted and executed by the same code, inline on the
+//!   acceptor at width 1 or on a worker pool wider.
 //!
 //! The CUDA/NVML/TensorFlow API surface built on top lives in `lake-core`.
 

@@ -15,10 +15,10 @@
 //! every instance bump also rolls up into a process-wide set of atomics
 //! (readable via [`snapshot`]) for backward compatibility with callers
 //! that predate per-engine accounting. Copies recorded below any engine
-//! (frame codecs, standalone serve loops) go through the free functions
-//! [`note_copy`]/[`note_zero_copy`] and land in the rollup only. Tests
-//! that assert on the rollup should compare snapshot *deltas* and
-//! tolerate unrelated traffic from concurrently running tests.
+//! (the frame codecs) go through the free function [`note_copy`] and land
+//! in the rollup only. Tests that assert on the rollup should compare
+//! snapshot *deltas* and tolerate unrelated traffic from concurrently
+//! running tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,14 +33,6 @@ static BYTES_ZERO_COPIED: AtomicU64 = AtomicU64::new(0);
 pub fn note_copy(bytes: usize) {
     BYTES_COPIED.fetch_add(bytes as u64, Ordering::Relaxed);
     COPIES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one payload hand-off of `bytes` that avoided a memcpy
-/// (borrowed decode, shm handle-passing). Rollup only.
-#[inline]
-pub fn note_zero_copy(bytes: usize) {
-    ZERO_COPY_HITS.fetch_add(1, Ordering::Relaxed);
-    BYTES_ZERO_COPIED.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 /// Per-engine copy counters. Every bump also feeds the process-wide
@@ -73,13 +65,15 @@ impl PerfCounters {
         note_copy(bytes);
     }
 
-    /// Records one avoided memcpy of `bytes` against this engine (and the
+    /// Records one payload hand-off of `bytes` that avoided a memcpy
+    /// (borrowed decode, shm handle-passing) against this engine (and the
     /// rollup).
     #[inline]
     pub fn note_zero_copy(&self, bytes: usize) {
         self.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
         self.bytes_zero_copied.fetch_add(bytes as u64, Ordering::Relaxed);
-        note_zero_copy(bytes);
+        ZERO_COPY_HITS.fetch_add(1, Ordering::Relaxed);
+        BYTES_ZERO_COPIED.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Reads this engine's counters.
@@ -176,7 +170,7 @@ mod tests {
         let before = snapshot();
         note_copy(100);
         note_copy(28);
-        note_zero_copy(4096);
+        PerfCounters::new().note_zero_copy(4096);
         let d = snapshot().since(&before);
         // Other tests may run concurrently; deltas are lower bounds.
         assert!(d.bytes_copied >= 128);

@@ -5,7 +5,7 @@
 //! riding in it, and its attempt bookkeeping. The frame machine in this
 //! module — send under one doorbell, receive and route by seq, fence stale
 //! epochs, retry naks, fail over crash windows, expire silence — is the
-//! only implementation of that protocol. It runs over a [`FrameTable`] and
+//! only implementation of that protocol. It runs over a `FrameTable` and
 //! a [`CallEngine`], and two callers own tables:
 //!
 //! * **A sync call** — [`CallEngine::call`](crate::CallEngine::call) in
@@ -17,10 +17,9 @@
 //!   * [`QueuePair::submit`] is **non-blocking** — it appends the command
 //!     to the SQ and returns a [`CmdId`] ticket immediately.
 //!   * [`QueuePair::flush`] drains the whole SQ in one shot: consecutive
-//!     same-idempotency commands are coalesced into
-//!     [`BURST_API_BIT`](crate::BURST_API_BIT) frames and every frame of
-//!     the drain goes out through [`Channel::send_batch`] under a
-//!     **single doorbell**.
+//!     same-idempotency commands are coalesced into [`BURST_API_BIT`]
+//!     frames and every frame of the drain goes out through
+//!     [`Channel::send_batch`] under a **single doorbell**.
 //!   * [`QueuePair::poll`] harvests completions **out of order**.
 //!
 //! Responses are matched to in-flight frames by seq; a response that

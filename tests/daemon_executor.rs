@@ -1,7 +1,8 @@
-//! Daemon-executor integration: the parallel serve path
+//! Daemon-executor integration: the worker pipeline
 //! (`LakeBuilder::daemon_workers` > 1) must be observationally identical
-//! to the classic serial loop — same answers, same hot-swap semantics —
-//! while completing independent commands out of order.
+//! to width 1, where the acceptor executes each frame inline — same
+//! answers, same hot-swap semantics — while completing independent
+//! commands out of order.
 //!
 //! The invariants:
 //!
