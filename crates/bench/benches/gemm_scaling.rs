@@ -231,8 +231,8 @@ fn print_gemm_scaling() {
         );
     }
 
-    // Single-thread SIMD gate (PR 9): with runtime-dispatched AVX2/SSE
-    // microkernels the engine must beat the naive forward path ≥ 2x at
+    // Single-thread SIMD gate (PR 9): with the runtime-dispatched AVX2
+    // microkernel the engine must beat the naive forward path ≥ 2x at
     // batch ≥ 64 on one worker — pure kernel win, no pool in the loop.
     // A scalar-only host runs the same op sequence on both sides, so the
     // measured speedup is reported there but the 2x bar is not enforced.

@@ -1,8 +1,8 @@
 //! `simd_quant`: per-kernel f32 and int8 GEMM engine timings (PR 9).
 //!
 //! Runs the same MLP/LSTM workloads as `gemm_scaling` single-threaded
-//! through every microkernel the host supports (`scalar`, `sse4.1`,
-//! `avx2`) in both numeric formats, and records:
+//! through both microkernel tiers the host supports (`scalar` and, where
+//! detected, `avx2`) in both numeric formats, and records:
 //!
 //! * wall time and TSC cycles-per-element (one element = one MAC of the
 //!   model's GEMMs), per kernel and format,
@@ -84,7 +84,7 @@ struct Row {
 
 /// Kernels to measure: every tier the host can actually run.
 fn kernels() -> Vec<Kernel> {
-    [Kernel::Scalar, Kernel::Sse, Kernel::Avx2].into_iter().filter(|k| k.available()).collect()
+    [Kernel::Scalar, Kernel::Avx2].into_iter().filter(|k| k.available()).collect()
 }
 
 fn agreement(a: &[usize], b: &[usize]) -> f64 {

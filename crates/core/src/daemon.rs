@@ -297,7 +297,7 @@ impl LakeDaemon {
         batch_policy: BatchPolicy,
     ) -> Arc<Self> {
         let pages = ShmRegion::with_capacity(DEFAULT_MODEL_PAGE_CAPACITY);
-        Self::with_model_store(pool, shm, batch_policy, pages, None, None)
+        Self::with_model_store(pool, shm, batch_policy, pages, None)
     }
 
     /// Creates a daemon whose model weights live in `model_pages` under
@@ -305,19 +305,12 @@ impl LakeDaemon {
     /// entry point [`LakeBuilder::model_budget_bytes`] plumbs through.
     ///
     /// [`LakeBuilder::model_budget_bytes`]: crate::LakeBuilder::model_budget_bytes
-    ///
-    /// `simd` overrides the GEMM engine's microkernel family (`None` =
-    /// honour `LAKE_SIMD` / auto-detect) — the [`LakeBuilder::simd`]
-    /// plumbing.
-    ///
-    /// [`LakeBuilder::simd`]: crate::LakeBuilder::simd
     pub fn with_model_store(
         pool: Arc<DevicePool>,
         shm: ShmRegion,
         batch_policy: BatchPolicy,
         model_pages: ShmRegion,
         model_budget: Option<usize>,
-        simd: Option<Kernel>,
     ) -> Arc<Self> {
         let store =
             ModelStore::new(pool.clock().clone(), model_pages, model_budget, LoadedModel::decode);
@@ -335,10 +328,7 @@ impl LakeDaemon {
         // worker computes its own batch alongside whichever helpers are
         // idle; no split against the executor width is needed.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut engine = InferenceEngine::new(cores.min(4));
-        if let Some(kernel) = simd {
-            engine = engine.with_kernel(kernel);
-        }
+        let engine = InferenceEngine::new(cores.min(4));
         Arc::new(LakeDaemon {
             gpu: Arc::clone(pool.primary()),
             pool,

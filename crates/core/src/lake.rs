@@ -117,7 +117,6 @@ pub struct LakeBuilder {
     shards: usize,
     shard_id: usize,
     model_budget: Option<usize>,
-    simd: Option<lake_ml::Kernel>,
     daemon_workers: usize,
 }
 
@@ -145,7 +144,6 @@ impl Default for LakeBuilder {
             shards: 1,
             shard_id: 0,
             model_budget: None,
-            simd: None,
             daemon_workers: 1,
         }
     }
@@ -331,17 +329,6 @@ impl LakeBuilder {
         self
     }
 
-    /// Pins the GEMM inference engine to a microkernel family instead of
-    /// auto-detecting the best one the CPU supports. Requests above the
-    /// host's capability clamp down (asking for AVX2 on an SSE-only host
-    /// runs SSE). The `LAKE_SIMD` environment variable
-    /// (`auto|avx2|sse|scalar`) overrides this at build time;
-    /// `LAKE_SIMD=scalar` is the chaos suites' bit-identical oracle mode.
-    pub fn simd(mut self, kernel: lake_ml::Kernel) -> Self {
-        self.simd = Some(kernel);
-        self
-    }
-
     /// Deploys `n` lakeD shards when built through
     /// [`LakeBuilder::build_shards`] (or `lake-fleet`'s `DaemonFleet`).
     /// Each shard gets its own transport link, supervisor, incarnation
@@ -441,13 +428,6 @@ impl LakeBuilder {
             }
             Err(_) => self.daemon_workers,
         };
-        let simd = match std::env::var("LAKE_SIMD") {
-            Ok(s) => Some(
-                lake_ml::Kernel::from_name(s.trim())
-                    .expect("LAKE_SIMD must be auto|avx2|sse|scalar"),
-            ),
-            Err(_) => self.simd,
-        };
         // The ring *is* the mmap transport: its costs are Table 2's mmap
         // row no matter what the builder asked for.
         let mechanism = if link_mode == LinkMode::Ring { Mechanism::Mmap } else { self.mechanism };
@@ -478,7 +458,6 @@ impl LakeBuilder {
             self.batch_policy,
             model_pages,
             model_budget,
-            simd,
         );
         daemon.set_stall_schedule(self.stall_schedule);
         // A private region, not the kernel-visible lakeShm: staged frames

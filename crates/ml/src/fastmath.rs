@@ -12,10 +12,11 @@
 //! Why it stays bit-identical across kernels: every operation used here
 //! is correctly rounded (IEEE 754 requires it for `+ - * /`) or exact
 //! (`floor`, min/max on non-NaN, integer exponent construction), and the
-//! scalar and SIMD versions perform the *same operations in the same
-//! order* per element. The SIMD forms therefore produce the same bits as
-//! the scalar form — the `LAKE_SIMD=scalar` chaos oracle stays exact
-//! even though the AVX2 engine evaluates activations 8 at a time.
+//! scalar form and its 8-lane AVX2 twin (the only SIMD tier) perform the
+//! *same operations in the same order* per element. The AVX2 form
+//! therefore produces the same bits as the scalar form — the
+//! `LAKE_SIMD=scalar` chaos oracle stays exact even though the AVX2
+//! engine evaluates activations 8 at a time.
 //!
 //! Accuracy: `exp2` relative error is ~2e-7 over the clamped range, so
 //! sigmoid/tanh are within a few ULP-scale absolute error of libm —
@@ -38,7 +39,7 @@ const NEG_LOG2_E: f32 = -std::f32::consts::LOG2_E;
 const TWO_LOG2_E: f32 = 2.0 * std::f32::consts::LOG2_E;
 
 /// Scalar `2^x`, clamped to `[-126, 126]`. The op sequence below is the
-/// contract the SIMD versions replicate exactly: max, min, floor, sub,
+/// contract the AVX2 version replicates exactly: max, min, floor, sub,
 /// five Horner steps (separate mul and add), exponent splice, final mul.
 #[inline(always)]
 // Not `clamp`: max-then-min mirrors `maxps`/`minps` operand-order NaN
@@ -116,48 +117,6 @@ pub(crate) mod avx2 {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sse {
-    //! 4-wide SSE4.1 twins (`_mm_floor_ps` is SSE4.1) of the scalar
-    //! activations: same ops, same order, same bits per lane.
-    use super::{C1, C2, C3, C4, C5, HI, LO, NEG_LOG2_E, TWO_LOG2_E};
-    use std::arch::x86_64::*;
-
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn exp2_core4(x: __m128) -> __m128 {
-        let x = _mm_min_ps(_mm_max_ps(x, _mm_set1_ps(LO)), _mm_set1_ps(HI));
-        let k = _mm_floor_ps(x);
-        let r = _mm_sub_ps(x, k);
-        let mut p = _mm_set1_ps(C5);
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(C4));
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(C3));
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(C2));
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(C1));
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(1.0));
-        let ki = _mm_cvtps_epi32(k);
-        let bits = _mm_slli_epi32::<23>(_mm_add_epi32(ki, _mm_set1_epi32(127)));
-        _mm_mul_ps(p, _mm_castsi128_ps(bits))
-    }
-
-    /// 4-lane [`super::sigmoid`].
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    pub(crate) unsafe fn sigmoid4(x: __m128) -> __m128 {
-        let e = exp2_core4(_mm_mul_ps(x, _mm_set1_ps(NEG_LOG2_E)));
-        _mm_div_ps(_mm_set1_ps(1.0), _mm_add_ps(_mm_set1_ps(1.0), e))
-    }
-
-    /// 4-lane [`super::tanh`].
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    pub(crate) unsafe fn tanh4(x: __m128) -> __m128 {
-        let e = exp2_core4(_mm_mul_ps(x, _mm_set1_ps(TWO_LOG2_E)));
-        let one = _mm_set1_ps(1.0);
-        _mm_div_ps(_mm_sub_ps(e, one), _mm_add_ps(e, one))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,24 +154,11 @@ mod tests {
         use crate::gemm::Kernel;
         use std::arch::x86_64::*;
         let xs = sweep();
-        if Kernel::Sse.available() {
-            for chunk in xs.chunks_exact(4) {
-                let got: [f32; 4] = unsafe {
-                    let v = _mm_loadu_ps(chunk.as_ptr());
-                    let mut s = [0.0f32; 4];
-                    _mm_storeu_ps(s.as_mut_ptr(), sse::sigmoid4(v));
-                    let mut t = [0.0f32; 4];
-                    _mm_storeu_ps(t.as_mut_ptr(), sse::tanh4(v));
-                    [s[0], s[1], t[2], t[3]]
-                };
-                assert_eq!(got[0].to_bits(), sigmoid(chunk[0]).to_bits());
-                assert_eq!(got[1].to_bits(), sigmoid(chunk[1]).to_bits());
-                assert_eq!(got[2].to_bits(), tanh(chunk[2]).to_bits());
-                assert_eq!(got[3].to_bits(), tanh(chunk[3]).to_bits());
-            }
-        }
         if Kernel::Avx2.available() {
             for chunk in xs.chunks_exact(8) {
+                // SAFETY: AVX2 is available (checked above), and each load
+                // and store touches exactly 8 floats of an 8-float chunk or
+                // array.
                 let (s, t): ([f32; 8], [f32; 8]) = unsafe {
                     let v = _mm256_loadu_ps(chunk.as_ptr());
                     let mut s = [0.0f32; 8];

@@ -32,12 +32,13 @@
 //!   rows of a timestep stream the packed `Wx`/`Wh` once) while keeping the
 //!   per-row accumulation order of `LstmCell::step`.
 //!
-//! Single-thread speed comes from a [`Kernel`] dispatch layer: runtime-
-//! detected AVX2 / SSE4.1 microkernels (register-blocked, 4 vector
-//! accumulators resident across the whole reduction loop) plus MC/KC/NC
-//! cache tiling, selectable via `LAKE_SIMD={auto,avx2,sse,scalar}`. The
-//! SIMD kernels stay bit-identical to the scalar oracle because they only
-//! widen across *independent* output columns: each element still sees
+//! Single-thread speed comes from a [`Kernel`] dispatch layer with two
+//! tiers: a runtime-detected AVX2 microkernel (register-blocked, 4 vector
+//! accumulators resident across the whole reduction loop) and the portable
+//! scalar oracle, both under MC/KC/NC cache tiling. `LAKE_SIMD` picks one
+//! (`auto|avx2|scalar`; `sse` is an alias of `scalar`). The AVX2 kernels
+//! stay bit-identical to the scalar oracle because they only widen
+//! across *independent* output columns: each element still sees
 //! ascending-k accumulation, the `== 0.0` skip, and a separate multiply
 //! then add (FMA is deliberately not used — its single rounding would
 //! change bits).
@@ -64,7 +65,8 @@ pub const PACK_LANE: usize = 16;
 // Kernel dispatch
 // ---------------------------------------------------------------------------
 
-/// Which microkernel family executes the GEMM inner loops.
+/// Which microkernel family executes the GEMM inner loops: AVX2 where the
+/// CPU supports it, the portable scalar oracle everywhere.
 ///
 /// All f32 kernels are **bit-identical**: per output element they perform
 /// the exact op sequence of the scalar oracle (ascending-k accumulation,
@@ -75,8 +77,6 @@ pub const PACK_LANE: usize = 16;
 pub enum Kernel {
     /// Portable scalar loops — the chaos-invariant oracle.
     Scalar,
-    /// SSE4.1 128-bit lanes (4 f32 / 8 i16 per op).
-    Sse,
     /// AVX2 256-bit lanes (8 f32 / 16 i16 per op).
     Avx2,
 }
@@ -90,38 +90,23 @@ fn detect_cpu() -> Kernel {
     static CACHED: AtomicU8 = AtomicU8::new(u8::MAX);
     let cached = CACHED.load(Ordering::Relaxed);
     if cached != u8::MAX {
-        return match cached {
-            2 => Kernel::Avx2,
-            1 => Kernel::Sse,
-            _ => Kernel::Scalar,
-        };
+        return if cached == 1 { Kernel::Avx2 } else { Kernel::Scalar };
     }
     // SAFETY: CPUID exists on every x86_64 CPU; _xgetbv is gated on the
     // OSXSAVE bit which guarantees the instruction is enabled.
-    let best = unsafe {
+    let avx2 = unsafe {
         use std::arch::x86_64::{__cpuid, __cpuid_count, _xgetbv};
         let f1 = __cpuid(1);
-        let sse41 = f1.ecx & (1 << 19) != 0;
         let osxsave = f1.ecx & (1 << 27) != 0;
         let ymm_enabled = osxsave && (_xgetbv(0) & 0x6) == 0x6;
-        let avx2 = __cpuid_count(7, 0).ebx & (1 << 5) != 0;
-        if avx2 && ymm_enabled {
-            Kernel::Avx2
-        } else if sse41 {
-            Kernel::Sse
-        } else {
-            Kernel::Scalar
-        }
+        ymm_enabled && __cpuid_count(7, 0).ebx & (1 << 5) != 0
     };
-    CACHED.store(
-        match best {
-            Kernel::Avx2 => 2,
-            Kernel::Sse => 1,
-            Kernel::Scalar => 0,
-        },
-        Ordering::Relaxed,
-    );
-    best
+    CACHED.store(u8::from(avx2), Ordering::Relaxed);
+    if avx2 {
+        Kernel::Avx2
+    } else {
+        Kernel::Scalar
+    }
 }
 
 impl Kernel {
@@ -141,12 +126,7 @@ impl Kernel {
     pub fn available(self) -> bool {
         #[cfg(target_arch = "x86_64")]
         {
-            matches!(
-                (self, detect_cpu()),
-                (Kernel::Scalar, _)
-                    | (Kernel::Sse, Kernel::Sse | Kernel::Avx2)
-                    | (Kernel::Avx2, Kernel::Avx2)
-            )
+            matches!((self, detect_cpu()), (Kernel::Scalar, _) | (Kernel::Avx2, Kernel::Avx2))
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -162,27 +142,28 @@ impl Kernel {
     pub(crate) fn clamped(self) -> Kernel {
         match self {
             Kernel::Avx2 if Kernel::Avx2.available() => Kernel::Avx2,
-            Kernel::Avx2 | Kernel::Sse if Kernel::Sse.available() => Kernel::Sse,
-            Kernel::Scalar | Kernel::Sse | Kernel::Avx2 => Kernel::Scalar,
+            Kernel::Scalar | Kernel::Avx2 => Kernel::Scalar,
         }
     }
 
     /// Parses a `LAKE_SIMD` value. `auto` (or empty) detects the best
-    /// kernel; explicit requests clamp down to what the CPU supports, so
-    /// asking for `avx2` on an SSE-only host degrades instead of crashing.
+    /// kernel; `avx2` clamps down to what the CPU supports, so asking for
+    /// it on a host without AVX2 degrades to scalar instead of crashing.
+    /// `sse`/`sse4.1`/`sse41` name a tier that no longer exists and are
+    /// accepted as aliases of `scalar`.
     pub fn from_name(s: &str) -> Option<Kernel> {
         match s.to_ascii_lowercase().as_str() {
             "" | "auto" => Some(Kernel::detect()),
             "avx2" => Some(Kernel::Avx2.clamped()),
-            "sse" | "sse4.1" | "sse41" => Some(Kernel::Sse.clamped()),
-            "scalar" => Some(Kernel::Scalar),
+            "scalar" | "sse" | "sse4.1" | "sse41" => Some(Kernel::Scalar),
             _ => None,
         }
     }
 
     /// Kernel selected by the `LAKE_SIMD` environment variable
-    /// (`auto|avx2|sse|scalar`), defaulting to [`Kernel::detect`] when
-    /// unset.
+    /// (`auto|avx2|scalar`, with `sse` an alias of `scalar`), defaulting
+    /// to [`Kernel::detect`] when unset. This is the one place the variable
+    /// is read; every engine takes its kernel from here when built.
     ///
     /// # Panics
     ///
@@ -190,7 +171,7 @@ impl Kernel {
     pub fn from_env() -> Kernel {
         match std::env::var("LAKE_SIMD") {
             Ok(v) => Kernel::from_name(&v)
-                .unwrap_or_else(|| panic!("LAKE_SIMD must be auto|avx2|sse|scalar, got {v:?}")),
+                .unwrap_or_else(|| panic!("LAKE_SIMD must be auto|avx2|scalar, got {v:?}")),
             Err(_) => Kernel::detect(),
         }
     }
@@ -199,7 +180,6 @@ impl Kernel {
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Sse => "sse4.1",
             Kernel::Avx2 => "avx2",
         }
     }
@@ -360,11 +340,9 @@ pub(crate) fn accumulate(
             // `Kernel::clamped`, so a non-scalar kernel only reaches here
             // when the CPU reports the required target features.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Sse => unsafe { accumulate_sse(idx, val, pb, k0, j0, out) },
-            #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => unsafe { accumulate_avx2(idx, val, pb, k0, j0, out) },
             #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Sse | Kernel::Avx2 => accumulate_scalar(idx, val, pb, k0, j0, out),
+            Kernel::Avx2 => accumulate_scalar(idx, val, pb, k0, j0, out),
         }
     }
 }
@@ -437,57 +415,6 @@ unsafe fn accumulate_avx2(
         }
         _mm256_storeu_ps(op.add(j), acc);
         j += 8;
-    }
-    if j < jn {
-        accumulate_scalar(idx, val, pb, k0, j0 + j, &mut out[j..]);
-    }
-}
-
-/// SSE4.1: 16-column register block with 4 xmm accumulators; same op
-/// sequence as the scalar oracle, 4 columns per lane.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.1")]
-unsafe fn accumulate_sse(
-    idx: &[u32],
-    val: &[f32],
-    pb: &PackedMatrix,
-    k0: usize,
-    j0: usize,
-    out: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    let jn = out.len();
-    let op = out.as_mut_ptr();
-    let stride = pb.stride;
-    let bbase = pb.data.as_ptr().add(pb.base + k0 * stride + j0);
-    let mut j = 0;
-    while j + 16 <= jn {
-        let mut acc0 = _mm_loadu_ps(op.add(j));
-        let mut acc1 = _mm_loadu_ps(op.add(j + 4));
-        let mut acc2 = _mm_loadu_ps(op.add(j + 8));
-        let mut acc3 = _mm_loadu_ps(op.add(j + 12));
-        for (&i, &av) in idx.iter().zip(val) {
-            let bp = bbase.add(i as usize * stride + j);
-            let va = _mm_set1_ps(av);
-            acc0 = _mm_add_ps(acc0, _mm_mul_ps(va, _mm_loadu_ps(bp)));
-            acc1 = _mm_add_ps(acc1, _mm_mul_ps(va, _mm_loadu_ps(bp.add(4))));
-            acc2 = _mm_add_ps(acc2, _mm_mul_ps(va, _mm_loadu_ps(bp.add(8))));
-            acc3 = _mm_add_ps(acc3, _mm_mul_ps(va, _mm_loadu_ps(bp.add(12))));
-        }
-        _mm_storeu_ps(op.add(j), acc0);
-        _mm_storeu_ps(op.add(j + 4), acc1);
-        _mm_storeu_ps(op.add(j + 8), acc2);
-        _mm_storeu_ps(op.add(j + 12), acc3);
-        j += 16;
-    }
-    while j + 4 <= jn {
-        let mut acc = _mm_loadu_ps(op.add(j));
-        for (&i, &av) in idx.iter().zip(val) {
-            let bp = bbase.add(i as usize * stride + j);
-            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(av), _mm_loadu_ps(bp)));
-        }
-        _mm_storeu_ps(op.add(j), acc);
-        j += 4;
     }
     if j < jn {
         accumulate_scalar(idx, val, pb, k0, j0 + j, &mut out[j..]);
@@ -967,27 +894,24 @@ struct PackedCell {
 /// Gate epilogue shared by every LSTM path (f32 and int8): sigmoid /
 /// sigmoid / tanh / sigmoid over the four `hd`-wide `[i, f, g, o]` bands
 /// of `z`, then `c = f*c_prev + i*g`, `h = o*tanh(c)`. Kernel-dispatched:
-/// the SIMD paths evaluate the shared `fastmath` activations 8 (AVX2) or
-/// 4 (SSE) lanes at a time with the identical per-element op sequence, so
-/// `h` and `c` match the scalar oracle bit for bit. Elements are
-/// independent per `j`, so lane-blocking only reorders *between*
-/// elements, never within one.
+/// the AVX2 path evaluates the shared `fastmath` activations 8 lanes at a
+/// time with the identical per-element op sequence, so `h` and `c` match
+/// the scalar oracle bit for bit. Elements are independent per `j`, so
+/// lane-blocking only reorders *between* elements, never within one.
 pub(crate) fn lstm_gate_epilogue(kernel: Kernel, z: &[f32], h: &mut [f32], c: &mut [f32]) {
     match kernel {
         Kernel::Scalar => lstm_gate_epilogue_range(z, h, c, 0),
         // SAFETY: kernels are clamped at every public entry (see
         // `accumulate`), so the target features are present here.
         #[cfg(target_arch = "x86_64")]
-        Kernel::Sse => unsafe { lstm_gate_epilogue_sse(z, h, c) },
-        #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { lstm_gate_epilogue_avx2(z, h, c) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Sse | Kernel::Avx2 => lstm_gate_epilogue_range(z, h, c, 0),
+        Kernel::Avx2 => lstm_gate_epilogue_range(z, h, c, 0),
     }
 }
 
 /// Scalar gate epilogue over `from..h.len()` — the oracle sequence the
-/// SIMD versions replicate lane-for-lane, and their shared tail handler.
+/// AVX2 version replicates lane-for-lane, and its tail handler.
 fn lstm_gate_epilogue_range(z: &[f32], h: &mut [f32], c: &mut [f32], from: usize) {
     let hd = h.len();
     for j in from..hd {
@@ -1023,29 +947,6 @@ unsafe fn lstm_gate_epilogue_avx2(z: &[f32], h: &mut [f32], c: &mut [f32]) {
         _mm256_storeu_ps(c.as_mut_ptr().add(j), cn);
         _mm256_storeu_ps(h.as_mut_ptr().add(j), _mm256_mul_ps(vo, tanh8(cn)));
         j += 8;
-    }
-    lstm_gate_epilogue_range(z, h, c, j);
-}
-
-/// SSE4.1 gate epilogue: same as AVX2, 4 lanes at a time.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.1")]
-unsafe fn lstm_gate_epilogue_sse(z: &[f32], h: &mut [f32], c: &mut [f32]) {
-    use crate::fastmath::sse::{sigmoid4, tanh4};
-    use std::arch::x86_64::*;
-    let hd = h.len();
-    let zp = z.as_ptr();
-    let mut j = 0;
-    while j + 4 <= hd {
-        let vi = sigmoid4(_mm_loadu_ps(zp.add(j)));
-        let vf = sigmoid4(_mm_loadu_ps(zp.add(hd + j)));
-        let vg = tanh4(_mm_loadu_ps(zp.add(2 * hd + j)));
-        let vo = sigmoid4(_mm_loadu_ps(zp.add(3 * hd + j)));
-        let vc = _mm_loadu_ps(c.as_ptr().add(j));
-        let cn = _mm_add_ps(_mm_mul_ps(vf, vc), _mm_mul_ps(vi, vg));
-        _mm_storeu_ps(c.as_mut_ptr().add(j), cn);
-        _mm_storeu_ps(h.as_mut_ptr().add(j), _mm_mul_ps(vo, tanh4(cn)));
-        j += 4;
     }
     lstm_gate_epilogue_range(z, h, c, j);
 }
@@ -1400,7 +1301,7 @@ pub struct EngineStats {
     pub workers: usize,
     /// Pool width originally requested, before clamping to host cores.
     pub workers_requested: usize,
-    /// Name of the active microkernel (`avx2`, `sse4.1`, `scalar`).
+    /// Name of the active microkernel (`avx2` or `scalar`).
     pub simd: &'static str,
     /// Pool jobs dispatched (each splits into `workers` parts).
     pub pool_runs: u64,
@@ -1738,7 +1639,7 @@ mod tests {
             let b = rand_matrix(&mut rng, k, n, false);
             let pb = PackedMatrix::pack(&b);
             let want = a.matmul(&b);
-            for kernel in [Kernel::Scalar, Kernel::Sse, Kernel::Avx2] {
+            for kernel in [Kernel::Scalar, Kernel::Avx2] {
                 if !kernel.available() {
                     continue;
                 }
@@ -1752,18 +1653,20 @@ mod tests {
 
     #[test]
     fn kernel_requests_clamp_to_available() {
-        // `auto` resolves to the detected best; explicit requests at or
-        // below the detected level are honored exactly.
+        // `auto` resolves to the detected best; `avx2` is honored exactly
+        // where available and degrades to scalar elsewhere.
         let best = Kernel::detect();
         assert_eq!(Kernel::from_name("auto"), Some(best));
         assert_eq!(Kernel::from_name("scalar"), Some(Kernel::Scalar));
         assert_eq!(Kernel::from_name("nope"), None);
-        for req in [Kernel::Sse, Kernel::Avx2] {
-            let got = Kernel::from_name(req.name()).unwrap();
-            assert!(got.available());
-            if req.available() {
-                assert_eq!(got, req);
-            }
+        // The retired SSE4.1 tier's names alias the scalar oracle.
+        for alias in ["sse", "sse4.1", "sse41"] {
+            assert_eq!(Kernel::from_name(alias), Some(Kernel::Scalar), "{alias}");
+        }
+        let got = Kernel::from_name(Kernel::Avx2.name()).unwrap();
+        assert!(got.available());
+        if Kernel::Avx2.available() {
+            assert_eq!(got, Kernel::Avx2);
         }
     }
 
@@ -2082,7 +1985,7 @@ mod proptests {
         }
 
         /// Kernel-dispatch equivalence: every kernel the host supports
-        /// (scalar always, SSE/AVX2 when detected) produces bit-identical
+        /// (scalar always, AVX2 when detected) produces bit-identical
         /// output for arbitrary shapes and sparsity — the scalar oracle
         /// transfers its chaos-invariant guarantee to the SIMD paths.
         #[test]
@@ -2095,10 +1998,8 @@ mod proptests {
             let b = Matrix::from_vec(k, n, b_data[..k * n].to_vec());
             let pb = PackedMatrix::pack(&b);
             let want = matmul_packed_with(&a, &pb, None, Kernel::Scalar);
-            for kernel in [Kernel::Sse, Kernel::Avx2] {
-                if !kernel.available() {
-                    continue;
-                }
+            let kernel = Kernel::Avx2;
+            if kernel.available() {
                 let got = matmul_packed_with(&a, &pb, None, kernel);
                 for (x, y) in want.data().iter().zip(got.data()) {
                     prop_assert_eq!(x.to_bits(), y.to_bits());

@@ -13,8 +13,8 @@
 //! per *output column* (`s_j = max_k |w[k][j]| / 127`); activations get one
 //! dynamic scale per row, computed on the fly (`s_a = max |x| / 127`).
 //! The inner product accumulates `i8 × i8` products in `i32` — exact
-//! integer math, so the scalar, SSE4.1 and AVX2 int8 kernels agree with
-//! each other to the bit and only the shared scalar dequantization
+//! integer math, so the scalar and AVX2 int8 kernels agree with each
+//! other to the bit and only the shared scalar dequantization
 //! epilogue (`out[j] = acc[j] · s_a·s_j + b[j]`) touches floats.
 //!
 //! **Layout.** [`PackedQuantMatrix`] widens the i8 weights to i16 and
@@ -84,11 +84,9 @@ fn quantize_acts(kernel: Kernel, x: &[f32], pairs: &mut [u32]) -> f32 {
         // SAFETY: kernels are clamped to detected CPU features at every
         // public entry.
         #[cfg(target_arch = "x86_64")]
-        Kernel::Sse => unsafe { quantize_acts_sse(x, pairs) },
-        #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { quantize_acts_avx2(x, pairs) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Sse | Kernel::Avx2 => quantize_acts_scalar(x, pairs),
+        Kernel::Avx2 => quantize_acts_scalar(x, pairs),
     }
 }
 
@@ -104,7 +102,7 @@ fn quant_one(v: f32, sa: f32) -> i16 {
 }
 
 /// Packs pair words `w0..` through the scalar path — the full row for the
-/// scalar kernel, the unaligned tail for the SIMD ones.
+/// scalar kernel, the unaligned tail for the AVX2 one.
 fn quantize_pack_tail(x: &[f32], sa: f32, pairs: &mut [u32], w0: usize) {
     for (p, slot) in pairs.iter_mut().enumerate().skip(w0) {
         let lo = quant_one(x[2 * p], sa) as u16 as u32;
@@ -164,48 +162,6 @@ unsafe fn quantize_acts_avx2(x: &[f32], pairs: &mut [u32]) -> f32 {
         _mm256_storeu_si256(pairs.as_mut_ptr().add(w) as *mut __m256i, fixed);
         e += 16;
         w += 8;
-    }
-    quantize_pack_tail(x, sa, pairs, w);
-    sa
-}
-
-/// SSE4.1 activation quantization: the 4-wide twin of the AVX2 path
-/// (`packus_epi32` is SSE4.1; no cross-lane fixup needed at 128 bits).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.1")]
-unsafe fn quantize_acts_sse(x: &[f32], pairs: &mut [u32]) -> f32 {
-    use std::arch::x86_64::*;
-    let absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFF_FFFF));
-    let mut vm = _mm_setzero_ps();
-    let mut i = 0;
-    while i + 4 <= x.len() {
-        vm = _mm_max_ps(vm, _mm_and_ps(absmask, _mm_loadu_ps(x.as_ptr().add(i))));
-        i += 4;
-    }
-    let mut lanes = [0.0f32; 4];
-    _mm_storeu_ps(lanes.as_mut_ptr(), vm);
-    let mut amax = lanes.iter().fold(0.0f32, |m, v| m.max(*v));
-    while i < x.len() {
-        amax = amax.max(x[i].abs());
-        i += 1;
-    }
-    let sa = if amax == 0.0 { 1.0 } else { amax / 127.0 };
-
-    let vsa = _mm_set1_ps(sa);
-    let lo_b = _mm_set1_ps(-127.0);
-    let hi_b = _mm_set1_ps(127.0);
-    let m16 = _mm_set1_epi32(0xFFFF);
-    let quant4 = |p: *const f32| {
-        let t = _mm_div_ps(_mm_loadu_ps(p), vsa);
-        _mm_cvtps_epi32(_mm_min_ps(_mm_max_ps(t, lo_b), hi_b))
-    };
-    let (mut e, mut w) = (0usize, 0usize);
-    while e + 8 <= x.len() {
-        let qa = _mm_and_si128(quant4(x.as_ptr().add(e)), m16);
-        let qb = _mm_and_si128(quant4(x.as_ptr().add(e + 4)), m16);
-        _mm_storeu_si128(pairs.as_mut_ptr().add(w) as *mut __m128i, _mm_packus_epi32(qa, qb));
-        e += 8;
-        w += 4;
     }
     quantize_pack_tail(x, sa, pairs, w);
     sa
@@ -616,26 +572,33 @@ fn qaccumulate(kernel: Kernel, pairs: &[u32], pqm: &PackedQuantMatrix, acc: &mut
         }
         let (idx, val) = (&idx[..nz], &val[..nz]);
         match kernel {
-            Kernel::Scalar => qaccumulate_scalar(idx, val, pqm, acc),
+            Kernel::Scalar => qaccumulate_scalar(idx, val, pqm, 0, acc),
             // SAFETY: as in the f32 dispatch — kernels are clamped to
             // detected CPU features at every public entry.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Sse => unsafe { qaccumulate_sse(idx, val, pqm, acc) },
-            #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => unsafe { qaccumulate_avx2(idx, val, pqm, acc) },
             #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Sse | Kernel::Avx2 => qaccumulate_scalar(idx, val, pqm, acc),
+            Kernel::Avx2 => qaccumulate_scalar(idx, val, pqm, 0, acc),
         }
     }
 }
 
-fn qaccumulate_scalar(idx: &[u32], val: &[u32], pqm: &PackedQuantMatrix, acc: &mut [i32]) {
+/// Scalar int8 accumulation into columns `j0..j0 + acc.len()`: the whole
+/// row for the scalar kernel (`j0 = 0`), the unaligned tail for AVX2.
+fn qaccumulate_scalar(
+    idx: &[u32],
+    val: &[u32],
+    pqm: &PackedQuantMatrix,
+    j0: usize,
+    acc: &mut [i32],
+) {
     for (&p, &pw) in idx.iter().zip(val) {
         let x0 = (pw & 0xFFFF) as u16 as i16 as i32;
         let x1 = (pw >> 16) as u16 as i16 as i32;
         let row = pqm.row(p as usize);
         for (j, a) in acc.iter_mut().enumerate() {
-            *a += x0 * row[2 * j] as i32 + x1 * row[2 * j + 1] as i32;
+            let c = j0 + j;
+            *a += x0 * row[2 * c] as i32 + x1 * row[2 * c + 1] as i32;
         }
     }
 }
@@ -696,75 +659,7 @@ unsafe fn qaccumulate_avx2(idx: &[u32], val: &[u32], pqm: &PackedQuantMatrix, ac
         j += 8;
     }
     if j < n {
-        qaccumulate_tail(idx, val, pqm, j, &mut acc[j..]);
-    }
-}
-
-/// SSE4.1 int8 kernel: `pmaddwd` over 128-bit lanes, 16-column block.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.1")]
-unsafe fn qaccumulate_sse(idx: &[u32], val: &[u32], pqm: &PackedQuantMatrix, acc: &mut [i32]) {
-    use std::arch::x86_64::*;
-    let n = pqm.n;
-    let ap = acc.as_mut_ptr();
-    let stride = pqm.stride;
-    let bbase = pqm.data.as_ptr().add(pqm.base);
-    let mut j = 0;
-    while j + 16 <= n {
-        let mut acc0 = _mm_loadu_si128(ap.add(j) as *const __m128i);
-        let mut acc1 = _mm_loadu_si128(ap.add(j + 4) as *const __m128i);
-        let mut acc2 = _mm_loadu_si128(ap.add(j + 8) as *const __m128i);
-        let mut acc3 = _mm_loadu_si128(ap.add(j + 12) as *const __m128i);
-        for (&p, &pw) in idx.iter().zip(val) {
-            let bp = bbase.add(p as usize * stride + 2 * j);
-            let vx = _mm_set1_epi32(pw as i32);
-            acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(_mm_loadu_si128(bp as *const __m128i), vx));
-            acc1 = _mm_add_epi32(
-                acc1,
-                _mm_madd_epi16(_mm_loadu_si128(bp.add(8) as *const __m128i), vx),
-            );
-            acc2 = _mm_add_epi32(
-                acc2,
-                _mm_madd_epi16(_mm_loadu_si128(bp.add(16) as *const __m128i), vx),
-            );
-            acc3 = _mm_add_epi32(
-                acc3,
-                _mm_madd_epi16(_mm_loadu_si128(bp.add(24) as *const __m128i), vx),
-            );
-        }
-        _mm_storeu_si128(ap.add(j) as *mut __m128i, acc0);
-        _mm_storeu_si128(ap.add(j + 4) as *mut __m128i, acc1);
-        _mm_storeu_si128(ap.add(j + 8) as *mut __m128i, acc2);
-        _mm_storeu_si128(ap.add(j + 12) as *mut __m128i, acc3);
-        j += 16;
-    }
-    while j + 4 <= n {
-        let mut acc0 = _mm_loadu_si128(ap.add(j) as *const __m128i);
-        for (&p, &pw) in idx.iter().zip(val) {
-            let bp = bbase.add(p as usize * stride + 2 * j);
-            acc0 = _mm_add_epi32(
-                acc0,
-                _mm_madd_epi16(_mm_loadu_si128(bp as *const __m128i), _mm_set1_epi32(pw as i32)),
-            );
-        }
-        _mm_storeu_si128(ap.add(j) as *mut __m128i, acc0);
-        j += 4;
-    }
-    if j < n {
-        qaccumulate_tail(idx, val, pqm, j, &mut acc[j..]);
-    }
-}
-
-/// Scalar tail over columns `j0..` shared by the SIMD kernels.
-fn qaccumulate_tail(idx: &[u32], val: &[u32], pqm: &PackedQuantMatrix, j0: usize, acc: &mut [i32]) {
-    for (&p, &pw) in idx.iter().zip(val) {
-        let x0 = (pw & 0xFFFF) as u16 as i16 as i32;
-        let x1 = (pw >> 16) as u16 as i16 as i32;
-        let row = pqm.row(p as usize);
-        for (j, a) in acc.iter_mut().enumerate() {
-            let c = j0 + j;
-            *a += x0 * row[2 * c] as i32 + x1 * row[2 * c + 1] as i32;
-        }
+        qaccumulate_scalar(idx, val, pqm, j, &mut acc[j..]);
     }
 }
 
@@ -1107,10 +1002,8 @@ mod tests {
         let packed = PackedQuantMlp::pack(&q);
         let x = rand_matrix(&mut rng, 19, 37);
         let want = packed.forward_with(x.data(), 19, 37, None, Kernel::Scalar);
-        for kernel in [Kernel::Sse, Kernel::Avx2] {
-            if !kernel.available() {
-                continue;
-            }
+        let kernel = Kernel::Avx2;
+        if kernel.available() {
             let got = packed.forward_with(x.data(), 19, 37, None, kernel);
             for (a, b) in want.data().iter().zip(got.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{}", kernel.name());
@@ -1127,10 +1020,8 @@ mod tests {
             let x: Vec<f32> = (0..len).map(|_| rng.gen_range(-3.0..3.0f32)).collect();
             let mut want = vec![0u32; len.div_ceil(2)];
             let sa = quantize_acts(Kernel::Scalar, &x, &mut want);
-            for kernel in [Kernel::Sse, Kernel::Avx2] {
-                if !kernel.available() {
-                    continue;
-                }
+            let kernel = Kernel::Avx2;
+            if kernel.available() {
                 let mut got = vec![0u32; len.div_ceil(2)];
                 let sg = quantize_acts(kernel, &x, &mut got);
                 assert_eq!(sa.to_bits(), sg.to_bits(), "{} scale, len {len}", kernel.name());
@@ -1148,10 +1039,8 @@ mod tests {
         let (rows, steps, feat) = (9, 4, 6);
         let x = rand_matrix(&mut rng, rows, steps * feat);
         let want = packed.classify_with(x.data(), rows, steps * feat, steps, None, Kernel::Scalar);
-        for kernel in [Kernel::Sse, Kernel::Avx2] {
-            if !kernel.available() {
-                continue;
-            }
+        let kernel = Kernel::Avx2;
+        if kernel.available() {
             assert_eq!(
                 want,
                 packed.classify_with(x.data(), rows, steps * feat, steps, None, kernel),
@@ -1222,10 +1111,8 @@ mod proptests {
             let packed = PackedQuantMlp::pack(&q);
             let data = &x_data[..rows * k];
             let want = packed.forward_with(data, rows, k, None, Kernel::Scalar);
-            for kernel in [Kernel::Sse, Kernel::Avx2] {
-                if !kernel.available() {
-                    continue;
-                }
+            let kernel = Kernel::Avx2;
+            if kernel.available() {
                 let got = packed.forward_with(data, rows, k, None, kernel);
                 for (a, b) in want.data().iter().zip(got.data()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());

@@ -97,7 +97,7 @@ pub struct SchedMetrics {
     /// stack owner from the daemon's `InferenceEngine` stats.
     pub gemm_pool_utilization: f64,
     /// Name of the GEMM microkernel family the daemon's inference engine
-    /// dispatches to (`"scalar"`, `"sse4.1"`, `"avx2"`). Populated by the
+    /// dispatches to (`"scalar"` or `"avx2"`). Populated by the
     /// stack owner; empty when collected below that layer.
     pub simd_kernel: &'static str,
 }

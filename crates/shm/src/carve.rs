@@ -9,8 +9,8 @@
 //! themselves are a dedicated stable slab handed out as a raw pointer for
 //! lock-free access.
 
-use std::cell::UnsafeCell;
 use std::fmt;
+use std::ptr::NonNull;
 
 use crate::region::{ShmBuffer, ShmError, ShmRegion};
 
@@ -25,29 +25,35 @@ use crate::region::{ShmBuffer, ShmError, ShmRegion};
 pub struct ShmCarve {
     region: ShmRegion,
     handle: ShmBuffer,
-    len: usize,
-    slab: UnsafeCell<Box<[u8]>>,
+    /// The carved bytes: a `Box<[u8]>` leaked in [`ShmCarve::new`] and
+    /// reclaimed in `Drop`. Kept as a raw pointer so [`ShmCarve::as_ptr`]
+    /// never creates a reference to the slab — both sides of a ring write
+    /// through it from different threads at once, and a `&mut [u8]` per
+    /// call would be two overlapping unique borrows.
+    slab: NonNull<[u8]>,
 }
 
-// SAFETY: the slab is only reachable through raw pointers from `as_ptr`;
-// callers (the SPSC ring) serialize producer/consumer access with their own
-// acquire/release atomics. The region handle is itself thread-safe.
+// SAFETY: `region` and `handle` are thread-safe values. `slab` is owned
+// (freed exactly once, in `Drop`) and only ever reached through raw
+// pointers from `as_ptr`, so moving the carve to another thread moves
+// plain ownership of the allocation.
 unsafe impl Send for ShmCarve {}
+// SAFETY: `&ShmCarve` exposes the slab only as a raw pointer; no method
+// reads or writes the bytes or creates a reference to them. Callers that
+// dereference the pointer from several threads (the SPSC ring) order
+// their accesses with their own acquire/release atomics, as the
+// `as_ptr` contract requires.
 unsafe impl Sync for ShmCarve {}
 
 impl ShmCarve {
     pub(crate) fn new(region: ShmRegion, handle: ShmBuffer, size: usize) -> Self {
-        ShmCarve {
-            region,
-            handle,
-            len: size,
-            slab: UnsafeCell::new(vec![0u8; size].into_boxed_slice()),
-        }
+        let slab = NonNull::from(Box::leak(vec![0u8; size].into_boxed_slice()));
+        ShmCarve { region, handle, slab }
     }
 
     /// Size of the carved span in bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len()
     }
 
     /// True if the carve is zero-sized (never produced by `carve`).
@@ -68,7 +74,7 @@ impl ShmCarve {
     /// unsynchronized overlapping access is a data race exactly as it
     /// would be on real shared pages.
     pub fn as_ptr(&self) -> *mut u8 {
-        unsafe { (*self.slab.get()).as_mut_ptr() }
+        self.slab.cast::<u8>().as_ptr()
     }
 }
 
@@ -86,6 +92,10 @@ impl Drop for ShmCarve {
         // Stale/foreign handles can only mean the region itself was torn
         // down first; nothing to return then.
         let _ = self.region.free(self.handle.clone());
+        // SAFETY: `slab` came from `Box::leak` in `new` and is reclaimed
+        // only here, once. Pointers from `as_ptr` are valid only for the
+        // carve's lifetime, so none is dereferenced after this.
+        drop(unsafe { Box::from_raw(self.slab.as_ptr()) });
     }
 }
 
@@ -128,6 +138,8 @@ mod tests {
         shm.reclaim_orphans();
         shm.reclaim_before(3);
         // Still writable through the raw pointer after the sweeps.
+        // SAFETY: the carve is alive and 4096 bytes long, and this thread
+        // is its only user.
         unsafe {
             carve.as_ptr().write(0xAB);
             assert_eq!(carve.as_ptr().read(), 0xAB);
@@ -145,12 +157,16 @@ mod tests {
         let ready = Arc::new(AtomicBool::new(false));
         let (c2, r2) = (carve.clone(), ready.clone());
         let writer = std::thread::spawn(move || {
+            // SAFETY: `c2` keeps the 64-byte carve alive; the main thread
+            // reads byte 0 only after the release store below.
             unsafe { c2.as_ptr().write(7) };
             r2.store(true, Ordering::Release);
         });
         while !ready.load(Ordering::Acquire) {
             std::hint::spin_loop();
         }
+        // SAFETY: the acquire load above saw the writer's release store,
+        // so its write to byte 0 happens-before this read.
         assert_eq!(unsafe { carve.as_ptr().read() }, 7);
         writer.join().unwrap();
     }

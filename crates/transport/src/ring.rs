@@ -264,6 +264,15 @@ impl RingCore {
                 std::thread::yield_now();
                 continue;
             }
+            // SAFETY: `base` spans `capacity` bytes (`RingCore::new` sizes
+            // the ring from the carve). This thread is the sole producer,
+            // and the check above leaves `needed` bytes from `off` free:
+            // the consumer reads only `[head, tail)` and has released
+            // everything before `head`. Every write stays in bounds: the
+            // marker's 4 bytes fit because `to_end` is a positive multiple
+            // of 4, and a record starts either at `off` with `rec <=
+            // to_end` or at 0 with `rec <= capacity / 2` (`max_payload`).
+            // The release store of `tail` publishes the bytes.
             unsafe {
                 let mut start = tail;
                 if to_end < rec {
@@ -313,14 +322,28 @@ impl RingCore {
                 return None;
             }
             let off = (head & self.mask) as usize;
+            // SAFETY: `head != tail` and the acquire load of `tail` pairs
+            // with the producer's release store, so a complete record (or
+            // wrap marker) sits at `off`. `off` is 4-aligned and below
+            // `capacity`, the byte length of `base`, so the 4-byte `len`
+            // word is in bounds, and the producer does not touch
+            // `[head, tail)` until this consumer moves `head` past it.
             let len = u32::from_le(unsafe { base.add(off).cast::<u32>().read_unaligned() });
             if len == WRAP_MARKER {
                 self.head.0.store(head + (self.capacity - off as u64), Ordering::Release);
                 continue;
             }
+            // SAFETY: not a wrap marker, so a whole record starts at `off`,
+            // and records never wrap: its 12-byte header lies inside the
+            // ring and was published by the same release store.
             let arrive = u64::from_le(unsafe { base.add(off + 4).cast::<u64>().read_unaligned() });
             let len = len as usize;
             let mut payload = vec![0u8; len];
+            // SAFETY: `len` is read from the ring and trusted, not checked:
+            // this program's own producer wrote it, for a payload it placed
+            // contiguously after the header (records never wrap), so
+            // `off + HEADER_BYTES + len <= capacity`. `payload` is a fresh
+            // buffer of `len` bytes, disjoint from the ring.
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     base.add(off + HEADER_BYTES),

@@ -19,7 +19,7 @@
 
 use lake::core::{BatchThresholdPolicy, Lake, LakeError, LakeMl, PoolPolicy};
 use lake::gpu::GpuFaultConfig;
-use lake::ml::{serialize, Activation, Mlp};
+use lake::ml::{serialize, Activation, Kernel, Mlp};
 use lake::rpc::{CallPolicy, RpcError};
 use lake::sim::{BurstSchedule, CrashSchedule, Duration, FaultSpec};
 use rand::rngs::StdRng;
@@ -334,4 +334,15 @@ fn linnos_workload_survives_daemon_crashes_mid_batch() {
     // The clean run saw none of it.
     assert_eq!(clean.supervisor().stats().restarts, 0);
     assert_eq!(clean.call_stats().stale_epochs, 0);
+}
+
+/// `LAKE_SIMD` has one parse, `Kernel::from_env`, and the deployed daemon's
+/// engine runs the kernel it returns. CI runs this suite under
+/// `LAKE_SIMD=auto` and `LAKE_SIMD=scalar`, so the scalar leg proves the
+/// chaos invariants above were checked against the scalar oracle.
+#[test]
+fn deployed_daemon_runs_the_lake_simd_kernel() {
+    let lake = Lake::builder().build();
+    assert_eq!(lake.daemon().simd_kernel(), Kernel::from_env());
+    assert_eq!(lake.sched_metrics().simd_kernel, Kernel::from_env().name());
 }
