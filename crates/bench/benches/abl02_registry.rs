@@ -7,11 +7,18 @@ use std::sync::Arc;
 
 use criterion::Criterion;
 use lake_bench::{banner, quick_criterion};
-use lake_registry::{Arch, FeatureRegistryService, Schema};
+use lake_core::policy::AlwaysCpu;
+use lake_core::Lake;
+use lake_ml::{serialize, Activation, Mlp};
+use lake_registry::{FeatureRegistryService, Schema};
 use lake_shm::ShmRegion;
 use lake_sim::Instant;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-fn service() -> FeatureRegistryService {
+/// A registry whose classifier is a `[6, 16, 2]` MLP on a handle that
+/// keeps every batch in the caller's thread.
+fn service(lake: &Lake) -> FeatureRegistryService {
     let s = FeatureRegistryService::new();
     let schema = Schema::builder()
         .feature("pend_ios", 8, 1)
@@ -19,20 +26,18 @@ fn service() -> FeatureRegistryService {
         .feature("queue_depth", 8, 1)
         .build();
     s.create_registry("nvme0", "bio", schema, 256).expect("create");
-    s.register_classifier(
-        "nvme0",
-        "bio",
-        Arch::Cpu,
-        Arc::new(|fvs| fvs.iter().map(|fv| fv.get_i64("pend_ios").unwrap_or(0) as f32).collect()),
-    )
-    .expect("classifier");
+    let ml = lake.ml().with_policy(AlwaysCpu);
+    let mlp = Mlp::new(&[6, 16, 2], Activation::Relu, &mut StdRng::seed_from_u64(1));
+    let model = ml.load_model(&serialize::encode_mlp(&mlp)).expect("load model");
+    s.register_classifier("nvme0", "bio", &ml, model).expect("classifier");
     s
 }
 
 fn bench(c: &mut Criterion) {
     banner("Ablation C", "feature-registry hot-path costs (real wall clock)");
 
-    let s = service();
+    let lake = Lake::builder().build();
+    let s = service(&lake);
     s.begin_fv_capture("nvme0", "bio", Instant::EPOCH).expect("begin");
     c.bench_function("registry_capture_feature", |b| {
         b.iter(|| s.capture_feature("nvme0", "bio", "io_latency", &1234i64.to_le_bytes()))
@@ -67,7 +72,7 @@ fn bench(c: &mut Criterion) {
     });
     let fvs = s.get_features("nvme0", "bio", None).expect("get");
     c.bench_function("registry_score_256_cpu", |b| {
-        b.iter(|| s.score_features("nvme0", "bio", &fvs).expect("score").1.len())
+        b.iter(|| s.score_features("nvme0", "bio", &fvs).expect("score").len())
     });
 
     // lakeShm allocator churn.

@@ -1432,10 +1432,6 @@ mod crash_tests {
         let lake = crash_lake(&[500]);
         let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
-        // A kernel subsystem that registered a feature-registry schema
-        // shadows it with the supervisor so each new incarnation hears
-        // the announcement again (see FeatureRegistryService::catalog).
-        lake.supervisor().record_schema("bio_latency", "block");
         let x = vec![0.5f32; 8];
         let y = vec![0u32, 1];
 
@@ -1458,7 +1454,6 @@ mod crash_tests {
         let sup = lake.supervisor().stats();
         assert_eq!(sup.epoch, 1);
         assert_eq!(sup.models_replayed, 1);
-        assert_eq!(sup.schemas_replayed, 1);
         assert_eq!(lake.call_stats().daemon_restarts, 1);
     }
 

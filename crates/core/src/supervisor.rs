@@ -29,8 +29,9 @@
 //!    [`crate::Lake::reclaim_shm_orphans`] collects stragglers),
 //! 4. replays the kernel-side shadow registration table: model blobs
 //!    recorded at `load_model` time are restored **under their original
-//!    ids** (so retried requests stay valid) and registered
-//!    `lake-registry` schemas are re-announced.
+//!    ids** (so retried requests stay valid). That covers a feature
+//!    registry's classifier too, which is a `LakeMl` model; the registry
+//!    itself lives kernel-side and holds no daemon state.
 //!
 //! The shadow table is also the kernel's own copy of every acknowledged
 //! model version, so below the offload crossover an MLP is classified
@@ -96,8 +97,6 @@ pub struct SupervisorStats {
     pub restarts: u64,
     /// Shadow models replayed into new incarnations.
     pub models_replayed: u64,
-    /// Registry schemas re-announced to new incarnations.
-    pub schemas_replayed: u64,
     /// Times the restart-storm breaker latched forced CPU fallback.
     pub breaker_trips: u64,
     /// Orphaned shm allocations freed by automatic sweeps (restart
@@ -196,8 +195,6 @@ struct SupState {
     /// are shared with in-progress local reads, which finish on the
     /// version they started on.
     shadow_models: BTreeMap<u64, Arc<ShadowModel>>,
-    /// Kernel-side shadow of registered `lake-registry` schemas.
-    shadow_schemas: Vec<(String, String)>,
     orphan_bytes_reclaimed: usize,
 }
 
@@ -226,7 +223,6 @@ pub struct DaemonSupervisor {
     crashes_detected: AtomicU64,
     restarts: AtomicU64,
     models_replayed: AtomicU64,
-    schemas_replayed: AtomicU64,
     breaker_trips: AtomicU64,
     orphans_reclaimed: AtomicU64,
     idle_sweeps: AtomicU64,
@@ -270,13 +266,11 @@ impl DaemonSupervisor {
                 recent: Vec::new(),
                 breaker_until: None,
                 shadow_models: BTreeMap::new(),
-                shadow_schemas: Vec::new(),
                 orphan_bytes_reclaimed: 0,
             }),
             crashes_detected: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             models_replayed: AtomicU64::new(0),
-            schemas_replayed: AtomicU64::new(0),
             breaker_trips: AtomicU64::new(0),
             orphans_reclaimed: AtomicU64::new(0),
             idle_sweeps: AtomicU64::new(0),
@@ -379,16 +373,6 @@ impl DaemonSupervisor {
         }
     }
 
-    /// Records a `lake-registry` schema `(name, subsystem)` for replay
-    /// (see `FeatureRegistryService::catalog`).
-    pub fn record_schema(&self, name: &str, subsystem: &str) {
-        let mut st = self.state.lock();
-        let key = (name.to_owned(), subsystem.to_owned());
-        if !st.shadow_schemas.contains(&key) {
-            st.shadow_schemas.push(key);
-        }
-    }
-
     /// Models currently shadowed for replay.
     pub fn shadowed_models(&self) -> usize {
         self.state.lock().shadow_models.len()
@@ -414,7 +398,6 @@ impl DaemonSupervisor {
             crashes_detected: self.crashes_detected.load(Ordering::Relaxed),
             restarts: self.restarts.load(Ordering::Relaxed),
             models_replayed: self.models_replayed.load(Ordering::Relaxed),
-            schemas_replayed: self.schemas_replayed.load(Ordering::Relaxed),
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
             orphans_reclaimed: self.orphans_reclaimed.load(Ordering::Relaxed),
             orphan_bytes_reclaimed: self.state.lock().orphan_bytes_reclaimed,
@@ -488,14 +471,12 @@ impl DaemonSupervisor {
         self.daemon.crash_reset(new_epoch);
 
         // Replay the shadow registration table: models under their
-        // original ids and versions, then the registry schema
-        // announcements.
+        // original ids and versions.
         for (&id, model) in &st.shadow_models {
             if self.daemon.restore_model(id, model.version, &model.blob).is_ok() {
                 self.models_replayed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.schemas_replayed.fetch_add(st.shadow_schemas.len() as u64, Ordering::Relaxed);
 
         // Transport teardown/re-creation rides the same restart: a shm
         // ring the dead incarnation was mid-write into must be drained

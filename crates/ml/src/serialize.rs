@@ -8,7 +8,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 use crate::knn::Knn;
@@ -501,7 +501,9 @@ pub fn decode_quant_lstm(blob: &[u8]) -> Result<QuantizedLstm, ModelCodecError> 
 
 // -- file helpers ----------------------------------------------------------
 
-/// Persists a model blob to a path (the registry's `update_model`).
+/// Persists a model blob to a path (the registry's `update_model`). The
+/// blob goes to a sibling temp file that is synced and then renamed over
+/// `path`, so a crash mid-write leaves the previous copy whole.
 ///
 /// # Errors
 ///
@@ -510,20 +512,39 @@ pub fn save_blob(path: &Path, blob: &[u8]) -> Result<(), ModelCodecError> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    fs::write(path, blob)?;
+    let mut tmp_name = path.file_name().unwrap_or_default().to_owned();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(blob)?;
+    file.sync_all()?;
+    fs::rename(&tmp, path)?;
     Ok(())
 }
 
-/// Loads a model blob from a path (the registry's `load_model`).
+/// Loads a model blob from a path (the registry's `load_model`) and
+/// decodes it in full, so a torn file is rejected rather than loaded.
 ///
 /// # Errors
 ///
 /// Returns [`ModelCodecError::Io`] on filesystem failure,
-/// [`ModelCodecError::BadMagic`] if the file is not a model blob.
+/// [`ModelCodecError::BadMagic`] if the file is not a model blob and
+/// [`ModelCodecError::Corrupt`] if its body does not decode.
 pub fn load_blob(path: &Path) -> Result<Vec<u8>, ModelCodecError> {
     let blob = fs::read(path)?;
-    ModelKind::detect(&blob)?;
+    validate(&blob)?;
     Ok(blob)
+}
+
+/// Runs the decoder for the blob's kind, discarding the model.
+fn validate(blob: &[u8]) -> Result<(), ModelCodecError> {
+    match ModelKind::detect(blob)? {
+        ModelKind::Mlp => decode_mlp(blob).map(drop),
+        ModelKind::Lstm => decode_lstm(blob).map(drop),
+        ModelKind::Knn => decode_knn(blob).map(drop),
+        ModelKind::QuantMlp => decode_quant_mlp(blob).map(drop),
+        ModelKind::QuantLstm => decode_quant_lstm(blob).map(drop),
+    }
 }
 
 #[cfg(test)]
@@ -655,6 +676,12 @@ mod tests {
         save_blob(&path, &blob).unwrap();
         let back = load_blob(&path).unwrap();
         assert_eq!(back, blob);
+        // A smaller blob replaces the file whole, and no temp file stays.
+        let small = encode_mlp(&Mlp::new(&[3, 2], Activation::Relu, &mut rng));
+        save_blob(&path, &small).unwrap();
+        assert_eq!(load_blob(&path).unwrap(), small);
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["model.lakeml"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

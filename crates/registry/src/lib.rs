@@ -20,6 +20,10 @@
 //!   atomic store or fetch-add);
 //! * models are committed to the file system but kept in memory for
 //!   inference (§5.1);
+//! * a registry's classifier is a model loaded through `LakeMl`, so
+//!   `score_features` is one `infer_mlp` call and the handle's policy
+//!   (§4.2) decides whether a batch runs in the caller's thread or is
+//!   offloaded;
 //! * batch retrieval (`get_features`) + acknowledgment
 //!   (`truncate_features`) expose batch size to the developer, the key
 //!   lever for accelerator profitability (§5.4); truncation always
@@ -62,5 +66,5 @@ pub mod vector;
 
 pub use registry::Registry;
 pub use schema::{FeatureSpec, Schema, SchemaBuilder};
-pub use service::{Arch, ClassifierFn, FeatureRegistryService, PolicyFn, RegistryError};
+pub use service::{FeatureRegistryService, RegistryError};
 pub use vector::FeatureVector;

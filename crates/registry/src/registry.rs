@@ -36,10 +36,11 @@ pub struct Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ring = self.ring.lock();
         f.debug_struct("Registry")
             .field("features", &self.schema.len())
-            .field("window", &self.ring.lock().capacity)
-            .field("committed", &self.ring.lock().vectors.len())
+            .field("window", &ring.capacity)
+            .field("committed", &ring.vectors.len())
             .finish()
     }
 }
@@ -220,6 +221,16 @@ mod tests {
         r.capture("pend", &pend.to_le_bytes());
         r.capture("lat", &lat.to_le_bytes());
         assert!(r.commit(Instant::from_nanos(t + 10)));
+    }
+
+    #[test]
+    fn debug_format_does_not_deadlock() {
+        let r = reg();
+        commit_with(&r, 100, 3, 250);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(format!("{r:?}")).ok());
+        let out = rx.recv_timeout(std::time::Duration::from_secs(5)).expect("Debug hung");
+        assert_eq!(out, "Registry { features: 2, window: 4, committed: 1 }");
     }
 
     #[test]

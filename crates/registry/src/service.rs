@@ -1,5 +1,5 @@
-//! The Table 1 facade: named registries, model management, classifiers,
-//! and policies.
+//! The Table 1 facade: named registries, model management, and
+//! classifiers bound to `LakeMl` models.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -8,32 +8,13 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use lake_core::{LakeError, LakeMl, ModelId};
 use lake_ml::serialize;
 use lake_sim::Instant;
 
 use crate::registry::Registry;
 use crate::schema::Schema;
 use crate::vector::FeatureVector;
-
-/// Which processor a registered classifier targets (`arch` in Table 1:
-/// "CPU / GPU / XPU").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Arch {
-    /// Host processor fallback.
-    Cpu,
-    /// The LAKE-remoted accelerator.
-    Gpu,
-    /// Any other accelerator.
-    Xpu,
-}
-
-/// A classifier callback: scores a batch of feature vectors, one score
-/// per vector (`register_classifier`, `score_features`).
-pub type ClassifierFn = Arc<dyn Fn(&[FeatureVector]) -> Vec<f32> + Send + Sync>;
-
-/// A policy callback deciding which registered arch runs a batch
-/// (`register_policy`; realized with eBPF in the paper, a closure here).
-pub type PolicyFn = Arc<dyn Fn(usize) -> Arch + Send + Sync>;
 
 /// Errors from the feature-registry service.
 #[derive(Debug)]
@@ -46,13 +27,14 @@ pub enum RegistryError {
     UnknownFeature(String),
     /// `commit_fv_capture` without an open capture.
     NoCaptureOpen,
-    /// `score_features` with no classifier registered for the arch the
-    /// policy picked.
-    NoClassifier(Arch),
+    /// `score_features` on a registry with no classifier bound.
+    NoClassifier,
     /// No model under `(name, subsystem)`.
     UnknownModel(String, String),
     /// Model file/codec failure.
     Model(serialize::ModelCodecError),
+    /// The classifier's inference failed.
+    Lake(LakeError),
 }
 
 impl fmt::Display for RegistryError {
@@ -64,11 +46,10 @@ impl fmt::Display for RegistryError {
             }
             RegistryError::UnknownFeature(k) => write!(f, "feature {k:?} not in schema"),
             RegistryError::NoCaptureOpen => f.write_str("no feature-vector capture is open"),
-            RegistryError::NoClassifier(arch) => {
-                write!(f, "no classifier registered for {arch:?}")
-            }
+            RegistryError::NoClassifier => f.write_str("no classifier registered"),
             RegistryError::UnknownModel(n, s) => write!(f, "no model {n:?}/{s:?}"),
             RegistryError::Model(e) => write!(f, "model failure: {e}"),
+            RegistryError::Lake(e) => write!(f, "classifier inference failed: {e}"),
         }
     }
 }
@@ -81,10 +62,15 @@ impl From<serialize::ModelCodecError> for RegistryError {
     }
 }
 
+impl From<LakeError> for RegistryError {
+    fn from(e: LakeError) -> Self {
+        RegistryError::Lake(e)
+    }
+}
+
 struct Entry {
     registry: Arc<Registry>,
-    classifiers: HashMap<Arch, ClassifierFn>,
-    policy: Option<PolicyFn>,
+    classifier: Option<(LakeMl, ModelId)>,
 }
 
 struct ModelEntry {
@@ -153,11 +139,7 @@ impl FeatureRegistryService {
         }
         entries.insert(
             key(name, sys),
-            Entry {
-                registry: Arc::new(Registry::new(schema, window)),
-                classifiers: HashMap::new(),
-                policy: None,
-            },
+            Entry { registry: Arc::new(Registry::new(schema, window)), classifier: None },
         );
         Ok(())
     }
@@ -173,15 +155,6 @@ impl FeatureRegistryService {
             .remove(&key(name, sys))
             .map(|_| ())
             .ok_or_else(|| RegistryError::UnknownRegistry(name.to_owned(), sys.to_owned()))
-    }
-
-    /// Every registered `(name, subsystem)` pair, sorted — the schema
-    /// catalog a daemon supervisor shadows and re-announces to each new
-    /// `lakeD` incarnation after a crash.
-    pub fn catalog(&self) -> Vec<(String, String)> {
-        let mut keys: Vec<_> = self.entries.read().keys().cloned().collect();
-        keys.sort();
-        keys
     }
 
     /// Direct handle to a registry (for hot paths that want to skip the
@@ -249,19 +222,27 @@ impl FeatureRegistryService {
         Ok(())
     }
 
-    /// `delete_model(name, sys, path)`: removes the model from memory and
-    /// the file system.
+    /// `delete_model(name, sys, path)`: removes the model from the file
+    /// system, then from memory. A file that is already gone counts as
+    /// removed.
     ///
     /// # Errors
     ///
-    /// Returns [`RegistryError::UnknownModel`] if absent.
+    /// Returns [`RegistryError::UnknownModel`] if absent, and
+    /// [`RegistryError::Model`] if the file could not be removed; the
+    /// model then stays loaded.
     pub fn delete_model(&self, name: &str, sys: &str) -> Result<(), RegistryError> {
-        let entry = self
-            .models
-            .write()
-            .remove(&key(name, sys))
+        let mut models = self.models.write();
+        let entry = models
+            .get(&key(name, sys))
             .ok_or_else(|| RegistryError::UnknownModel(name.to_owned(), sys.to_owned()))?;
-        let _ = std::fs::remove_file(&entry.path);
+        match std::fs::remove_file(&entry.path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(serialize::ModelCodecError::Io(e).into())
+            }
+            _ => {}
+        }
+        models.remove(&key(name, sys));
         Ok(())
     }
 
@@ -279,9 +260,13 @@ impl FeatureRegistryService {
             .ok_or_else(|| RegistryError::UnknownModel(name.to_owned(), sys.to_owned()))
     }
 
-    // -- classifiers and policies ---------------------------------------------
+    // -- classifiers ------------------------------------------------------------
 
-    /// `register_classifier(name, sys, fn, arch)`.
+    /// `register_classifier(name, sys, fn, arch)` (Table 1): binds the
+    /// registry to `model`, an MLP loaded through `ml`. The handle is
+    /// cloned, and its installed policy decides per batch where
+    /// [`FeatureRegistryService::score_features`] runs, so there is no
+    /// `arch` argument here. Rebinding replaces the previous model.
     ///
     /// # Errors
     ///
@@ -290,57 +275,45 @@ impl FeatureRegistryService {
         &self,
         name: &str,
         sys: &str,
-        arch: Arch,
-        classifier: ClassifierFn,
+        ml: &LakeMl,
+        model: ModelId,
     ) -> Result<(), RegistryError> {
         let mut entries = self.entries.write();
         let entry = entries
             .get_mut(&key(name, sys))
             .ok_or_else(|| RegistryError::UnknownRegistry(name.to_owned(), sys.to_owned()))?;
-        entry.classifiers.insert(arch, classifier);
+        entry.classifier = Some((ml.clone(), model));
         Ok(())
     }
 
-    /// `register_policy(name, sys, fn)` — the contention/batching policy
-    /// (§4.3) choosing the arch per batch.
+    /// `score_features(name, sys, fvs)` (Table 1): flattens the batch with
+    /// the registry's schema and classifies it with one
+    /// [`LakeMl::infer_mlp`]; returns one class per vector. The bound
+    /// handle's policy (§4.2) runs the batch in the caller's thread below
+    /// its crossover and offloads it at or above it, with identical
+    /// answers either way. The registry lock is released before the
+    /// inference, so captures never wait on one. An empty batch makes no
+    /// call.
     ///
     /// # Errors
     ///
-    /// Returns [`RegistryError::UnknownRegistry`] if absent.
-    pub fn register_policy(
-        &self,
-        name: &str,
-        sys: &str,
-        policy: PolicyFn,
-    ) -> Result<(), RegistryError> {
-        let mut entries = self.entries.write();
-        let entry = entries
-            .get_mut(&key(name, sys))
-            .ok_or_else(|| RegistryError::UnknownRegistry(name.to_owned(), sys.to_owned()))?;
-        entry.policy = Some(policy);
-        Ok(())
-    }
-
-    /// `score_features(name, sys, fvs)`: runs the registered classifier
-    /// over a batch; the registered policy (default: CPU) picks the arch.
-    /// Returns `(arch, scores)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::NoClassifier`] if no classifier matches
-    /// the chosen arch.
+    /// Returns [`RegistryError::NoClassifier`] if no model is bound, and
+    /// [`RegistryError::Lake`] if the inference fails.
     pub fn score_features(
         &self,
         name: &str,
         sys: &str,
         fvs: &[FeatureVector],
-    ) -> Result<(Arch, Vec<f32>), RegistryError> {
-        let (arch, classifier) = self.with_entry(name, sys, |e| {
-            let arch = e.policy.as_ref().map_or(Arch::Cpu, |p| p(fvs.len()));
-            (arch, e.classifiers.get(&arch).cloned())
-        })?;
-        let classifier = classifier.ok_or(RegistryError::NoClassifier(arch))?;
-        Ok((arch, classifier(fvs)))
+    ) -> Result<Vec<u32>, RegistryError> {
+        let (registry, classifier) =
+            self.with_entry(name, sys, |e| (Arc::clone(&e.registry), e.classifier.clone()))?;
+        let (ml, model) = classifier.ok_or(RegistryError::NoClassifier)?;
+        if fvs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let schema = registry.schema();
+        let features: Vec<f32> = fvs.iter().flat_map(|fv| fv.to_f32_features(schema)).collect();
+        Ok(ml.infer_mlp(model, fvs.len(), schema.flat_width(), &features)?)
     }
 
     // -- capture and batch APIs -------------------------------------------------
@@ -462,6 +435,12 @@ mod tests {
         s
     }
 
+    fn small_mlp() -> lake_ml::Mlp {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        lake_ml::Mlp::new(&[3, 4, 2], lake_ml::Activation::Relu, &mut rng)
+    }
+
     #[test]
     fn lifecycle() {
         let s = service_with_registry();
@@ -517,40 +496,55 @@ mod tests {
     }
 
     #[test]
-    fn classifier_and_policy_dispatch() {
-        let s = service_with_registry();
-        // CPU classifier scores 0.0, GPU scores 1.0 — so the test can see
-        // which one the policy picked.
-        s.register_classifier("sda1", "bio", Arch::Cpu, Arc::new(|fvs| vec![0.0; fvs.len()]))
-            .unwrap();
-        s.register_classifier("sda1", "bio", Arch::Gpu, Arc::new(|fvs| vec![1.0; fvs.len()]))
-            .unwrap();
-        // Policy: GPU for batches >= 2.
-        s.register_policy(
-            "sda1",
-            "bio",
-            Arc::new(|batch| if batch >= 2 { Arch::Gpu } else { Arch::Cpu }),
-        )
-        .unwrap();
+    fn classifier_scores_through_lake_ml_on_both_sides_of_the_crossover() {
+        use lake_core::{BatchThresholdPolicy, Lake};
+        use lake_ml::{Activation, Mlp};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
 
-        for i in 0..3u64 {
+        let s = service_with_registry();
+        for i in 0..12u64 {
             s.begin_fv_capture("sda1", "bio", Instant::from_nanos(i * 10)).unwrap();
-            s.capture_feature_incr("sda1", "bio", "pend_ios", 1).unwrap();
+            s.capture_feature_incr("sda1", "bio", "pend_ios", i as i64 % 5).unwrap();
+            s.capture_feature("sda1", "bio", "lat", &(i as i64 * 37 - 200).to_le_bytes()).unwrap();
             s.commit_fv_capture("sda1", "bio", Instant::from_nanos(i * 10 + 5)).unwrap();
         }
         let fvs = s.get_features("sda1", "bio", None).unwrap();
-        let (arch, scores) = s.score_features("sda1", "bio", &fvs).unwrap();
-        assert_eq!(arch, Arch::Gpu);
-        assert_eq!(scores, vec![1.0; 3]);
-        let (arch, _) = s.score_features("sda1", "bio", &fvs[..1]).unwrap();
-        assert_eq!(arch, Arch::Cpu);
+        assert_eq!(fvs.len(), 12);
+        let schema = s.registry("sda1", "bio").unwrap().schema().clone();
+        let flat: Vec<f32> = fvs.iter().flat_map(|fv| fv.to_f32_features(&schema)).collect();
+        let cols = schema.flat_width();
+
+        let lake = Lake::builder().build();
+        let ml = lake.ml();
+        let oracle = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
+        let mlp = Mlp::new(&[cols, 8, 2], Activation::Relu, &mut StdRng::seed_from_u64(9));
+        let f32_model = ml.load_model(&serialize::encode_mlp(&mlp)).unwrap();
+        let int8_model = ml.quantize_model(f32_model).unwrap();
+
+        for model in [f32_model, int8_model] {
+            s.register_classifier("sda1", "bio", &ml, model).unwrap();
+            for n in [1, 7, 8, 12] {
+                let local = lake.supervisor().local_stats().inferences;
+                let calls = lake.call_stats().calls;
+                let scores = s.score_features("sda1", "bio", &fvs[..n]).unwrap();
+                let offloaded = u64::from(n >= 8);
+                assert_eq!(lake.supervisor().local_stats().inferences, local + 1 - offloaded);
+                assert_eq!(lake.call_stats().calls, calls + offloaded, "{n} rows");
+                let expected = oracle.infer_mlp(model, n, cols, &flat[..n * cols]).unwrap();
+                assert_eq!(scores, expected, "{model} at {n} rows");
+            }
+            let calls = lake.call_stats().calls;
+            assert_eq!(s.score_features("sda1", "bio", &[]).unwrap(), Vec::<u32>::new());
+            assert_eq!(lake.call_stats().calls, calls);
+        }
     }
 
     #[test]
     fn score_without_classifier_errors() {
         let s = service_with_registry();
         let err = s.score_features("sda1", "bio", &[]).unwrap_err();
-        assert!(matches!(err, RegistryError::NoClassifier(Arch::Cpu)));
+        assert!(matches!(err, RegistryError::NoClassifier));
     }
 
     #[test]
@@ -583,6 +577,40 @@ mod tests {
         s.delete_model("sda1", "bio").unwrap();
         assert!(matches!(s.model_blob("sda1", "bio"), Err(RegistryError::UnknownModel(..))));
         assert!(!path.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn delete_model_keeps_the_model_when_its_file_survives() {
+        let dir = std::env::temp_dir().join("lake-registry-delete-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("bio.lakeml");
+        let s = service_with_registry();
+        s.create_model("sda1", "bio", &path, &serialize::encode_mlp(&small_mlp())).unwrap();
+        // A non-empty directory where the file was: `remove_file` fails.
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir_all(path.join("child")).unwrap();
+        assert!(matches!(s.delete_model("sda1", "bio"), Err(RegistryError::Model(_))));
+        assert!(s.model_blob("sda1", "bio").is_ok());
+        // Once the path is gone, deleting succeeds.
+        std::fs::remove_dir_all(&path).unwrap();
+        s.delete_model("sda1", "bio").unwrap();
+        assert!(matches!(s.model_blob("sda1", "bio"), Err(RegistryError::UnknownModel(..))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_model_file_is_rejected_at_load() {
+        let dir = std::env::temp_dir().join("lake-registry-torn-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("bio.lakeml");
+        let s = service_with_registry();
+        let blob = serialize::encode_mlp(&small_mlp());
+        s.create_model("sda1", "bio", &path, &blob).unwrap();
+        std::fs::write(&path, &blob[..blob.len() - 8]).unwrap();
+        let fresh = FeatureRegistryService::new();
+        let err = fresh.load_model("sda1", "bio", &path).unwrap_err();
+        assert!(matches!(err, RegistryError::Model(serialize::ModelCodecError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

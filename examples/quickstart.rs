@@ -3,11 +3,12 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::sync::Arc;
-
 use lake::core::{KernelArg, Lake, LakeError};
-use lake::registry::{Arch, FeatureRegistryService, Schema};
+use lake::ml::{serialize, Activation, Mlp};
+use lake::registry::{FeatureRegistryService, Schema};
 use lake::sim::Instant;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Deploy LAKE: lakeShm + Netlink channel + lakeD + simulated A100.
@@ -47,16 +48,15 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
         lake.call_stats().calls
     );
 
-    // 4. The in-kernel feature registry (paper Table 1).
+    // 4. The in-kernel feature registry (paper Table 1), its classifier
+    //    an MLP loaded through the high-level ML API.
     let registry = FeatureRegistryService::new();
     let schema = Schema::builder().feature("pend_ios", 8, 1).feature("io_latency", 8, 4).build();
     registry.create_registry("nvme0", "bio_latency", schema, 32)?;
-    registry.register_classifier(
-        "nvme0",
-        "bio_latency",
-        Arch::Cpu,
-        Arc::new(|fvs| fvs.iter().map(|fv| fv.get_i64("pend_ios").unwrap_or(0) as f32).collect()),
-    )?;
+    let ml = lake.ml();
+    let mlp = Mlp::new(&[5, 8, 2], Activation::Relu, &mut StdRng::seed_from_u64(1));
+    let model = ml.load_model(&serialize::encode_mlp(&mlp))?;
+    registry.register_classifier("nvme0", "bio_latency", &ml, model)?;
 
     for i in 0..4u64 {
         let t = Instant::from_nanos(i * 1_000);
@@ -75,8 +75,10 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
     let batch = registry.get_features("nvme0", "bio_latency", None)?;
-    let (arch, scores) = registry.score_features("nvme0", "bio_latency", &batch)?;
-    println!("scored {} feature vectors on {arch:?}: {scores:?}", batch.len());
+    // Four rows sit below the 8-row crossover: the handle's policy
+    // classifies them in this thread, without a remoted call.
+    let classes = registry.score_features("nvme0", "bio_latency", &batch)?;
+    println!("scored {} feature vectors with {model}: classes {classes:?}", batch.len());
 
     Ok(())
 }

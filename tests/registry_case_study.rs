@@ -1,13 +1,12 @@
 //! Integration: the §5.5 feature-registry case study — instrumenting I/O
 //! issue and completion paths (Listings 4/5), then scoring batches with a
-//! classifier that runs through LAKE under a batching policy.
-
-use std::sync::Arc;
+//! classifier bound to a `LakeMl` model, whose policy decides where each
+//! batch runs.
 
 use lake::block::{IoKind, NvmeDevice, NvmeSpec, TraceSpec};
-use lake::core::{BatchThresholdPolicy, Lake};
+use lake::core::{Lake, LakeMl, ModelId};
 use lake::ml::{serialize, Activation, Mlp};
-use lake::registry::{Arch, FeatureRegistryService, Schema};
+use lake::registry::{FeatureRegistryService, FeatureVector, Schema};
 use lake::sim::{CrashSchedule, Duration, Instant, SimRng};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,50 +31,16 @@ fn listing4_listing5_capture_and_batch_inference() {
     let model = Mlp::new(&[5, 16, 2], Activation::Relu, &mut rng);
     service.create_model(DEV, SYS, &path, &serialize::encode_mlp(&model)).expect("create_model");
 
-    // Classifier registered for the GPU arch: realized through LAKE's
-    // high-level API, exactly the §4.4 design.
+    // The classifier is the model loaded through LAKE's high-level API
+    // (§4.4); the handle's default policy offloads batches at or above
+    // the 8-row crossover (§4.2).
     let lake = Lake::builder().build();
     let ml = lake.ml();
     let model_id = ml
         .load_model(&service.model_blob(DEV, SYS).expect("model in memory"))
         .expect("daemon loads model");
-    let schema_for_classifier = service.registry(DEV, SYS).expect("registry").schema().clone();
-    let ml_for_classifier = ml.clone();
-    service
-        .register_classifier(
-            DEV,
-            SYS,
-            Arch::Gpu,
-            Arc::new(move |fvs| {
-                let rows: Vec<f32> =
-                    fvs.iter().flat_map(|fv| fv.to_f32_features(&schema_for_classifier)).collect();
-                let cols = schema_for_classifier.flat_width();
-                ml_for_classifier
-                    .infer_mlp(model_id, fvs.len(), cols, &rows)
-                    .expect("remoted inference")
-                    .into_iter()
-                    .map(|c| c as f32)
-                    .collect()
-            }),
-        )
-        .expect("register_classifier");
-    // CPU fallback classifier: trivial threshold on pending I/Os.
-    service
-        .register_classifier(
-            DEV,
-            SYS,
-            Arch::Cpu,
-            Arc::new(|fvs| {
-                fvs.iter()
-                    .map(|fv| f32::from(u8::from(fv.get_i64("pend_ios").unwrap_or(0) > 4)))
-                    .collect()
-            }),
-        )
-        .expect("register cpu classifier");
-    // Policy: GPU when the batch is big enough (§4.2).
-    service
-        .register_policy(DEV, SYS, Arc::new(|batch| if batch >= 8 { Arch::Gpu } else { Arch::Cpu }))
-        .expect("register_policy");
+    service.register_classifier(DEV, SYS, &ml, model_id).expect("register_classifier");
+    let schema = service.registry(DEV, SYS).expect("registry").schema().clone();
 
     // Replay a short trace against a device, placing the Listing 4/5
     // calls on issue and completion.
@@ -94,9 +59,10 @@ fn listing4_listing5_capture_and_batch_inference() {
 
         let fvs = service.get_features(DEV, SYS, None).expect("get_features");
         if fvs.len() >= 16 {
-            let (arch, scores) = service.score_features(DEV, SYS, &fvs).expect("score");
-            assert_eq!(arch, Arch::Gpu, "batch of {} must hit the GPU", fvs.len());
-            assert_eq!(scores.len(), fvs.len());
+            let calls = lake.call_stats().calls;
+            let scores = service.score_features(DEV, SYS, &fvs).expect("score");
+            assert_eq!(lake.call_stats().calls, calls + 1, "one offloaded call per batch");
+            assert_eq!(scores, direct_scores(&ml, model_id, &schema, &fvs));
             batches_scored += 1;
             last_batch_len = fvs.len();
             service.truncate_features(DEV, SYS, None).expect("truncate");
@@ -116,49 +82,56 @@ fn listing4_listing5_capture_and_batch_inference() {
 
     assert!(batches_scored >= 3, "scored {batches_scored} batches");
     assert!(last_batch_len >= 16);
-    assert!(lake.call_stats().calls > 0, "classification must remote through LAKE");
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn registry_catalog_is_replayed_into_new_daemon_incarnations() {
-    // Two kernel subsystems announce feature-registry schemas. The
-    // supervisor shadows the service catalog so every new lakeD
-    // incarnation hears the announcements again after a crash.
+fn bound_classifier_fails_over_across_a_daemon_crash() {
     let service = FeatureRegistryService::new();
-    let io_schema = Schema::builder().feature("pend_ios", 8, 1).feature("io_latency", 8, 4).build();
-    service.create_registry(DEV, SYS, io_schema, 128).expect("create io registry");
-    let cpu_schema = Schema::builder().feature("run_delay", 8, 1).build();
-    service.create_registry("cpu0", "sched_idle_prediction", cpu_schema, 64).expect("create cpu");
-
-    let crash_at = Instant::EPOCH + Duration::from_micros(400);
-    let lake = Lake::builder().crash_schedule(CrashSchedule::at(vec![crash_at])).build();
-    for (name, subsystem) in service.catalog() {
-        lake.supervisor().record_schema(&name, &subsystem);
+    let schema = Schema::builder().feature("pend_ios", 8, 1).feature("io_latency", 8, 4).build();
+    service.create_registry(DEV, SYS, schema, 64).expect("create_registry");
+    for i in 0..16i64 {
+        let t = Instant::from_nanos(i as u64 * 100);
+        service.begin_fv_capture(DEV, SYS, t).expect("begin");
+        service.capture_feature_incr(DEV, SYS, "pend_ios", i % 6).expect("pend_ios");
+        service.capture_feature(DEV, SYS, "io_latency", &(40 * i).to_le_bytes()).expect("lat");
+        service.commit_fv_capture(DEV, SYS, t + Duration::from_nanos(50)).expect("commit");
     }
+    let fvs = service.get_features(DEV, SYS, None).expect("get_features");
+    assert_eq!(fvs.len(), 16);
 
-    // The failover call below must reach the daemon, so this handle
-    // offloads even its one-row batch.
-    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
+    let crash_us = 2_000;
+    let crash_at = Instant::EPOCH + Duration::from_micros(crash_us);
+    let lake = Lake::builder().crash_schedule(CrashSchedule::at(vec![crash_at])).build();
+    let ml = lake.ml();
     let mut rng = StdRng::seed_from_u64(5);
-    let model = Mlp::new(&[4, 8, 2], Activation::Relu, &mut rng);
+    let model = Mlp::new(&[5, 8, 2], Activation::Relu, &mut rng);
     let id = ml.load_model(&serialize::encode_mlp(&model)).expect("load model");
+    service.register_classifier(DEV, SYS, &ml, id).expect("register_classifier");
 
-    // Park the clock just short of the crash so the next request's
-    // in-flight window spans it; inference is idempotent, so the call
-    // fails over to the supervised replacement daemon.
-    lake.clock().advance_to(Instant::from_nanos(400 * 1_000 - 100));
-    ml.infer_mlp(id, 1, 4, &[0.5; 4]).expect("inference fails over across the crash");
+    let before = service.score_features(DEV, SYS, &fvs).expect("score before the crash");
+    assert!(lake.clock().now() < crash_at, "the first batch must finish before the crash");
+
+    // Park the clock just short of the crash so the next batch's
+    // in-flight window spans it; inference is idempotent, so the 16-row
+    // call fails over to the supervised replacement daemon, which the
+    // shadow table has given the model back under its original id.
+    lake.clock().advance_to(Instant::from_nanos(crash_us * 1_000 - 100));
+    let after = service.score_features(DEV, SYS, &fvs).expect("score fails over");
+    assert_eq!(after, before);
 
     let sup = lake.supervisor().stats();
     assert_eq!(sup.restarts, 1, "one supervised restart");
-    assert_eq!(
-        sup.schemas_replayed,
-        service.catalog().len() as u64,
-        "the whole catalog is re-announced to the new incarnation"
-    );
     assert_eq!(sup.models_replayed, 1);
+    assert!(lake.call_stats().failed_over >= 1, "{:?}", lake.call_stats());
+}
+
+/// The oracle for `score_features`: the batch flattened with the schema
+/// and classified by one direct `infer_mlp`.
+fn direct_scores(ml: &LakeMl, id: ModelId, schema: &Schema, fvs: &[FeatureVector]) -> Vec<u32> {
+    let rows: Vec<f32> = fvs.iter().flat_map(|fv| fv.to_f32_features(schema)).collect();
+    ml.infer_mlp(id, fvs.len(), schema.flat_width(), &rows).expect("direct inference")
 }
 
 /// Small extension trait so the test reads naturally.
