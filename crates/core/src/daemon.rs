@@ -258,7 +258,9 @@ pub struct LakeDaemon {
     sched: Mutex<SchedState>,
     cpu: CpuCostModel,
     /// Packed parallel GEMM engine backing every host-side MLP/LSTM
-    /// forward pass (device kernels and CPU fallback alike).
+    /// forward pass (device kernels and CPU fallback alike). Its packed
+    /// copy of a version is dropped by the store's release hook when that
+    /// version's page is freed.
     engine: Arc<InferenceEngine>,
     /// Injectable stall schedule: while a window is active, every request
     /// parks until it closes (a wedged daemon — GC pause, page-in storm).
@@ -328,7 +330,12 @@ impl LakeDaemon {
         // worker computes its own batch alongside whichever helpers are
         // idle; no split against the executor width is needed.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let engine = InferenceEngine::new(cores.min(4));
+        let engine = Arc::new(InferenceEngine::new(cores.min(4)));
+        // A packed copy leaves with its page: eviction, retirement and
+        // unload all free a page through this hook (store lock, then the
+        // cache lock; the engine never takes the store lock).
+        let packs = Arc::clone(&engine);
+        store.set_release_hook(move |id, version| packs.release(id, version));
         Arc::new(LakeDaemon {
             gpu: Arc::clone(pool.primary()),
             pool,
@@ -338,7 +345,7 @@ impl LakeDaemon {
             next_model_id: AtomicU64::new(1),
             sched,
             cpu: CpuCostModel::default(),
-            engine: Arc::new(engine),
+            engine,
             stall: Mutex::new(None),
             stall_events: AtomicU64::new(0),
             tickets_lost: AtomicU64::new(0),
@@ -431,6 +438,12 @@ impl LakeDaemon {
     /// inside storm windows the effective budget tightens.
     pub fn set_store_pressure(&self, plan: Option<PressurePlan>) {
         self.store.set_pressure(plan);
+    }
+
+    /// The blob the store holds for exactly `version` of `id`, shared
+    /// rather than copied; `None` once a newer version is installed.
+    pub(crate) fn model_blob(&self, id: u64, version: u64) -> Option<Arc<Vec<u8>>> {
+        self.store.blob_at(id, version)
     }
 
     /// Cold-miss fault latencies observed by the store, microseconds.
@@ -669,7 +682,7 @@ impl LakeDaemon {
 
         let id = self.next_model_id.fetch_add(1, Ordering::Relaxed);
         // A fresh load is version 1; trains and hot-swaps move it forward.
-        self.store.install_decoded(id, 1, blob, model).map_err(store_status)?;
+        self.store.install_decoded(id, 1, Arc::new(blob.to_vec()), model).map_err(store_status)?;
         let primary_weights =
             self.place_on_devices(id, weight_bytes, kernel_base, flops_per_item)?;
 
@@ -729,11 +742,9 @@ impl LakeDaemon {
             return Err(Status::VendorError(code::ML_UNKNOWN_MODEL));
         }
         // A pinned resident is retired (page freed on the last unpin);
-        // an unpinned one is freed immediately.
+        // an unpinned one is freed immediately. Either way the release
+        // hook drops its packed copy with the page.
         self.store.remove(id);
-        // Drop the packed weight cache with the model; a future model
-        // reusing the id must repack.
-        self.engine.invalidate(id);
         let on_device = self.on_device.lock().remove(&id);
         if let Some(model) = on_device {
             self.evict_from_devices(id, model);
@@ -1172,16 +1183,18 @@ impl LakeDaemon {
     /// crash-interrupted hot-swap replays exactly the version the shadow
     /// table last recorded — never half of each.
     ///
+    /// The store keeps `blob` itself, so the caller's copy (the kernel
+    /// shadow's) and the daemon's are one allocation.
+    ///
     /// # Errors
     ///
     /// Returns the same statuses as `ml_load_model` for undecodable
     /// blobs, version regressions, or device upload failures.
-    pub fn restore_model(&self, id: u64, version: u64, blob: &[u8]) -> Result<(), Status> {
-        let model = self.decode_model(blob)?;
+    pub fn restore_model(&self, id: u64, version: u64, blob: Arc<Vec<u8>>) -> Result<(), Status> {
+        let model = self.decode_model(&blob)?;
         let (weight_bytes, kernel_base, flops_per_item) = model.device_footprint(blob.len());
         self.store.install_decoded(id, version, blob, model).map_err(store_status)?;
         self.next_model_id.fetch_max(id + 1, Ordering::Relaxed);
-        self.engine.invalidate(id);
         self.place_on_devices(id, weight_bytes, kernel_base, flops_per_item)?;
         Ok(())
     }
@@ -1211,10 +1224,10 @@ impl LakeDaemon {
             self.execute_batch(&mut sched, batch)?;
         }
         let version = current + 1;
+        let blob = Arc::new(blob.to_vec());
         self.store.install_decoded(id, version, blob, model).map_err(store_status)?;
         drop(sched);
 
-        self.engine.invalidate(id);
         self.place_on_devices(id, weight_bytes, kernel_base, flops_per_item)?;
 
         let mut e = Encoder::new();
@@ -1311,11 +1324,12 @@ impl LakeDaemon {
         // place, so any still-pinned old-version page finishes its
         // in-flight work before being freed.
         let new_version = old_version + 1;
-        let new_blob = serialize::encode_mlp(&model);
-        self.store.install(id, new_version, &new_blob).map_err(store_status)?;
-        // The weights changed under the id: drop the stale packed cache
-        // and refresh the inference kernel so its FLOPs stay accurate.
-        self.engine.invalidate(id);
+        let new_blob = Arc::new(serialize::encode_mlp(&model));
+        let decoded = self.decode_model(&new_blob)?;
+        self.store
+            .install_decoded(id, new_version, Arc::clone(&new_blob), decoded)
+            .map_err(store_status)?;
+        // Refresh the inference kernel so its FLOPs stay accurate.
         self.register_model_kernel(id, "hl_mlp", flops);
 
         // Loss first (older decoders stop there), then the version and
@@ -1366,7 +1380,8 @@ impl LakeDaemon {
         let (weight_bytes, kernel_base, flops_per_item) = model.device_footprint(qblob.len());
 
         let new_id = self.next_model_id.fetch_add(1, Ordering::Relaxed);
-        self.store.install_decoded(new_id, 1, &qblob, model).map_err(store_status)?;
+        let qblob = Arc::new(qblob);
+        self.store.install_decoded(new_id, 1, Arc::clone(&qblob), model).map_err(store_status)?;
         self.place_on_devices(new_id, weight_bytes, kernel_base, flops_per_item)?;
 
         let mut e = Encoder::new();
@@ -1413,5 +1428,68 @@ impl ApiHandler for LakeDaemon {
 
     fn classify(&self, api: ApiId, payload: &[u8]) -> lake_rpc::CommandClass {
         api::command_class(api, payload)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lake_gpu::GpuSpec;
+    use lake_ml::{Activation, PackedMlp};
+    use lake_sim::SharedClock;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn call(daemon: &LakeDaemon, api: ApiId, payload: Bytes) -> Vec<u8> {
+        daemon.handle(api, &payload).expect("daemon call").to_vec()
+    }
+
+    /// A read pinned to v1 that packs after the swap to v2 must not leave
+    /// its pack behind: the last unpin frees v1's page, and the store's
+    /// release hook drops `(id, 1)` with it.
+    #[test]
+    fn a_retired_versions_pack_leaves_with_its_last_pin() {
+        let gpu = GpuDevice::new(GpuSpec::a100(), SharedClock::new());
+        let daemon = LakeDaemon::new(gpu, ShmRegion::with_capacity(1 << 20));
+        let v1 = Mlp::new(&[6, 32, 3], Activation::Relu, &mut StdRng::seed_from_u64(1));
+        let v2 = Mlp::new(&[6, 32, 3], Activation::Relu, &mut StdRng::seed_from_u64(2));
+        let x = Matrix::from_vec(8, 6, (0..48).map(|i| (i % 7) as f32 / 7.0 - 0.4).collect());
+        let classify = |pin: &ModelPin<LoadedModel>| -> Vec<f32> {
+            pin.classify_host(&daemon.engine, pin.id(), pin.version(), 8, 6, 0, x.data()).unwrap()
+        };
+        let want = |m: &Mlp| -> Vec<f32> { m.classify(&x).into_iter().map(|c| c as f32).collect() };
+
+        let mut e = Encoder::new();
+        e.put_bytes(&serialize::encode_mlp(&v1));
+        let id = Decoder::new(&call(&daemon, api::ML_LOAD_MODEL, e.finish())).get_u64().unwrap();
+
+        // The read starts: pinned to v1, not yet packed.
+        let read = daemon.model(id).unwrap();
+        assert_eq!(read.version(), 1);
+
+        let mut e = Encoder::new();
+        e.put_u64(id).put_bytes(&serialize::encode_mlp(&v2));
+        let swapped = Decoder::new(&call(&daemon, api::ML_SWAP_MODEL, e.finish())).get_u64();
+        assert_eq!(swapped.unwrap(), 2);
+        let on_v2 = daemon.model(id).unwrap();
+        assert_eq!(classify(&on_v2), want(&v2));
+        drop(on_v2);
+
+        // The read finishes on v1 and packs it after the swap.
+        assert_eq!(classify(&read), want(&v1));
+        let both = PackedMlp::pack(&v1).bytes() + PackedMlp::pack(&v2).bytes();
+        assert_eq!(daemon.gemm_stats().packed_bytes, both, "v1 packed while pinned");
+        drop(read);
+        assert_eq!(
+            daemon.gemm_stats().packed_bytes,
+            PackedMlp::pack(&v2).bytes(),
+            "the last unpin of v1 dropped its pack"
+        );
+
+        // Unloading drops the current version's pack too.
+        let mut e = Encoder::new();
+        e.put_u64(id);
+        call(&daemon, api::ML_UNLOAD_MODEL, e.finish());
+        assert_eq!(daemon.gemm_stats().packed_bytes, 0);
     }
 }

@@ -33,10 +33,12 @@
 //!    registry's classifier too, which is a `LakeMl` model; the registry
 //!    itself lives kernel-side and holds no daemon state.
 //!
-//! The shadow table is also the kernel's own copy of every acknowledged
-//! model version, so below the offload crossover an MLP is classified
-//! here, in the caller's thread ([`DaemonSupervisor::classify_local`]),
-//! from a packed copy built lazily out of the shadowed blob.
+//! The shadow table names every acknowledged model version and holds its
+//! blob: the same allocation the daemon's model store keeps, not a copy,
+//! and a replay hands that allocation back to the store. Below the
+//! offload crossover an MLP is classified here, in the caller's thread
+//! ([`DaemonSupervisor::classify_local`]), from a packed copy built lazily
+//! out of the shadowed blob.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,9 +177,13 @@ impl LocalMlp {
 /// One model version in the shadow table: the blob replayed into every
 /// new incarnation, and the packed copy local reads use, built on first
 /// use and dropped with the entry.
+///
+/// The blob is shared with the daemon's model store, which keeps it for
+/// refaults and exports; the shadow owns no bytes of its own unless the
+/// store had already moved past this version when it was recorded.
 struct ShadowModel {
     version: u64,
-    blob: Vec<u8>,
+    blob: Arc<Vec<u8>>,
     local: OnceLock<Option<LocalMlp>>,
 }
 
@@ -307,8 +313,20 @@ impl DaemonSupervisor {
     /// train/swap responses carry the new version and weights) whenever
     /// daemon-side state moves forward. Replacing an entry drops its
     /// packed copy, so local reads see the new version from here on.
+    ///
+    /// While the daemon's store still holds exactly `(id, version)`, the
+    /// entry takes the store's blob by reference and `blob` is not
+    /// copied; once the store has moved on (a later swap, a crash), the
+    /// entry keeps a copy of `blob`, as the only one left.
     pub fn record_model(&self, id: u64, version: u64, blob: &[u8]) {
-        let entry = ShadowModel { version, blob: blob.to_vec(), local: OnceLock::new() };
+        let blob = match self.daemon.model_blob(id, version) {
+            Some(shared) => {
+                debug_assert!(shared[..] == *blob, "store and shadow disagree on v{version}");
+                shared
+            }
+            None => Arc::new(blob.to_vec()),
+        };
+        let entry = ShadowModel { version, blob, local: OnceLock::new() };
         self.state.lock().shadow_models.insert(id, Arc::new(entry));
     }
 
@@ -346,7 +364,7 @@ impl DaemonSupervisor {
         let model = entry
             .local
             .get_or_init(|| {
-                let packed = LocalMlp::pack(&entry.blob);
+                let packed = LocalMlp::pack(&entry.blob[..]);
                 if packed.is_some() {
                     self.local_packs.fetch_add(1, Ordering::Relaxed);
                 }
@@ -471,9 +489,10 @@ impl DaemonSupervisor {
         self.daemon.crash_reset(new_epoch);
 
         // Replay the shadow registration table: models under their
-        // original ids and versions.
+        // original ids and versions, each blob handed back to the store
+        // rather than copied.
         for (&id, model) in &st.shadow_models {
-            if self.daemon.restore_model(id, model.version, &model.blob).is_ok() {
+            if self.daemon.restore_model(id, model.version, Arc::clone(&model.blob)).is_ok() {
                 self.models_replayed.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -531,5 +550,48 @@ impl DaemonLifecycle for DaemonSupervisor {
         // in-flight request.
         let after = if st.handled > start { st.handled } else { start };
         self.schedule.first_crash_in(after, end).is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Lake;
+    use lake_ml::{Activation, Mlp};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Whether the shadow entry for `id` and the daemon store's current
+    /// blob are one allocation.
+    fn one_blob(lake: &Lake, id: u64) -> bool {
+        let shadow = Arc::clone(&lake.supervisor().state.lock().shadow_models[&id].blob);
+        let daemon = lake.daemon();
+        let version = daemon.model_version(id).expect("installed");
+        let stored = daemon.model_blob(id, version).expect("current blob");
+        Arc::ptr_eq(&shadow, &stored)
+    }
+
+    #[test]
+    fn store_and_shadow_share_one_blob_through_load_swap_and_replay() {
+        let crash = Instant::EPOCH + Duration::from_millis(5);
+        let lake = Lake::builder().crash_schedule(CrashSchedule::at(vec![crash])).build();
+        let ml = lake.ml();
+        let net = |seed| Mlp::new(&[4, 8, 2], Activation::Relu, &mut StdRng::seed_from_u64(seed));
+        let id = ml.load_model(&serialize::encode_mlp(&net(1))).unwrap();
+        assert!(one_blob(&lake, id.0), "after load_model");
+
+        assert_eq!(ml.swap_model(id, &serialize::encode_mlp(&net(2))).unwrap(), 2);
+        assert!(one_blob(&lake, id.0), "after swap_model");
+
+        lake.clock().advance_to(crash + Duration::from_micros(1));
+        lake.supervisor().ensure_up();
+        let sup = lake.supervisor().stats();
+        assert_eq!((sup.restarts, sup.models_replayed), (1, 1));
+        assert_eq!(lake.daemon().model_version(id.0), Some(2));
+        assert!(one_blob(&lake, id.0), "after the restart's replay");
+
+        // A version the store has moved past is copied, not shared.
+        lake.supervisor().record_model(id.0, 1, &serialize::encode_mlp(&net(1)));
+        assert!(!one_blob(&lake, id.0));
     }
 }

@@ -40,6 +40,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use lake_core::{
     FaultReport, Lake, LakeBuilder, LakeError, LakeMl, ModelId, PerfReport, Policy, Ticket,
@@ -672,10 +673,12 @@ impl FleetMl<'_> {
         let version = primary_version
             .or_else(|| backup.daemon().model_version(route.backup_id.0).map(|v| v + 1))
             .unwrap_or(1);
+        let blob = Arc::new(blob);
         backup
             .daemon()
-            .restore_model(route.backup_id.0, version, &blob)
+            .restore_model(route.backup_id.0, version, Arc::clone(&blob))
             .map_err(|status| LakeError::Rpc(RpcError::Remote(status)))?;
+        // Finds the blob the backup's store just took and shares it.
         backup.supervisor().record_model(route.backup_id.0, version, &blob);
         Ok(())
     }

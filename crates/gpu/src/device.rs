@@ -198,9 +198,19 @@ struct Kernel {
     body: Arc<KernelBody>,
 }
 
+/// One device allocation. Its bytes exist only from the first write on,
+/// and only up to the furthest byte written: an upload that is charged but
+/// never copied (model weights, see [`GpuDevice::charge_htod`]) costs the
+/// host nothing. Bytes never written read as zeros, as fresh device memory
+/// does here.
+struct Buffer {
+    size: usize,
+    bytes: Vec<u8>,
+}
+
 #[derive(Default)]
 struct Memory {
-    buffers: HashMap<u64, Vec<u8>>,
+    buffers: HashMap<u64, Buffer>,
     next_ptr: u64,
     used: usize,
 }
@@ -208,26 +218,33 @@ struct Memory {
 impl Memory {
     fn read(&self, ptr: DevicePtr, offset: usize, len: usize) -> Result<Vec<u8>, GpuError> {
         let buf = self.buffers.get(&ptr.0).ok_or(GpuError::InvalidPtr(ptr))?;
-        let len = len.min(buf.len().saturating_sub(offset));
+        let len = len.min(buf.size.saturating_sub(offset));
         let end = offset + len;
-        if end > buf.len() {
-            return Err(GpuError::OutOfBounds { ptr, end, size: buf.len() });
+        if end > buf.size {
+            return Err(GpuError::OutOfBounds { ptr, end, size: buf.size });
         }
-        Ok(buf[offset..end].to_vec())
+        let mut out = vec![0u8; len];
+        if let Some(written) = buf.bytes.get(offset..end.min(buf.bytes.len())) {
+            out[..written.len()].copy_from_slice(written);
+        }
+        Ok(out)
     }
 
     fn write(&mut self, ptr: DevicePtr, offset: usize, data: &[u8]) -> Result<(), GpuError> {
         let buf = self.buffers.get_mut(&ptr.0).ok_or(GpuError::InvalidPtr(ptr))?;
         let end = offset + data.len();
-        if end > buf.len() {
-            return Err(GpuError::OutOfBounds { ptr, end, size: buf.len() });
+        if end > buf.size {
+            return Err(GpuError::OutOfBounds { ptr, end, size: buf.size });
         }
-        buf[offset..end].copy_from_slice(data);
+        if buf.bytes.len() < end {
+            buf.bytes.resize(end, 0);
+        }
+        buf.bytes[offset..end].copy_from_slice(data);
         Ok(())
     }
 
     fn size_of(&self, ptr: DevicePtr) -> Result<usize, GpuError> {
-        self.buffers.get(&ptr.0).map(Vec::len).ok_or(GpuError::InvalidPtr(ptr))
+        self.buffers.get(&ptr.0).map(|b| b.size).ok_or(GpuError::InvalidPtr(ptr))
     }
 }
 
@@ -411,7 +428,9 @@ impl GpuDevice {
         self.state.lock().kernels.remove(name).is_some()
     }
 
-    /// `cuMemAlloc`: allocates `bytes` of device memory.
+    /// `cuMemAlloc`: allocates `bytes` of device memory. The full size
+    /// counts against the device's capacity at once; the host bytes that
+    /// back it appear only as the allocation is written.
     ///
     /// # Errors
     ///
@@ -432,7 +451,7 @@ impl GpuDevice {
         }
         st.mem.next_ptr += 1;
         let ptr = st.mem.next_ptr << 20; // sparse addresses, debug-friendly
-        st.mem.buffers.insert(ptr, vec![0u8; bytes]);
+        st.mem.buffers.insert(ptr, Buffer { size: bytes, bytes: Vec::new() });
         st.mem.used += bytes;
         Ok(DevicePtr(ptr))
     }
@@ -445,7 +464,7 @@ impl GpuDevice {
     pub fn mem_free(&self, ptr: DevicePtr) -> Result<(), GpuError> {
         let mut st = self.state.lock();
         let buf = st.mem.buffers.remove(&ptr.0).ok_or(GpuError::InvalidPtr(ptr))?;
-        st.mem.used -= buf.len();
+        st.mem.used -= buf.size;
         Ok(())
     }
 
@@ -768,6 +787,70 @@ mod tests {
         assert_eq!(copied.engine_free_at(), charged.engine_free_at());
         assert!(matches!(charged.charge_htod(b, 4097), Err(GpuError::OutOfBounds { .. })));
         assert!(matches!(charged.charge_htod(DevicePtr(1), 1), Err(GpuError::InvalidPtr(_))));
+    }
+
+    #[test]
+    fn unwritten_allocation_reads_back_as_zeros() {
+        let gpu = device();
+        let ptr = gpu.mem_alloc(64).unwrap();
+        assert_eq!(gpu.memcpy_dtoh(ptr, 64).unwrap(), vec![0u8; 64]);
+        assert_eq!(gpu.memcpy_dtoh(ptr, 0).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn partial_write_reads_back_exactly_with_zeros_after_it() {
+        let gpu = device();
+        let ptr = gpu.mem_alloc(32).unwrap();
+        gpu.memcpy_htod(ptr, &[7u8; 10]).unwrap();
+        let mut want = vec![7u8; 10];
+        want.resize(32, 0);
+        assert_eq!(gpu.memcpy_dtoh(ptr, 32).unwrap(), want);
+        assert_eq!(gpu.memcpy_dtoh(ptr, 5).unwrap(), vec![7u8; 5]);
+        // A kernel sees the same bytes, and its whole-buffer read is the
+        // allocation's full size.
+        gpu.register_kernel("probe", 1.0, |ctx, args| {
+            let ptr = args[0].as_ptr().expect("ptr arg");
+            let mut want = vec![7u8; 10];
+            want.resize(32, 0);
+            assert_eq!(ctx.read_bytes(ptr)?, want);
+            assert_eq!(ctx.size_of(ptr)?, 32);
+            Ok(())
+        });
+        gpu.launch_kernel("probe", 1, &[KernelArg::Ptr(ptr)]).unwrap();
+    }
+
+    #[test]
+    fn lazy_allocations_still_fail_typed() {
+        let gpu = device();
+        let ptr = gpu.mem_alloc(8).unwrap();
+        let oob = gpu.memcpy_htod(ptr, &[1u8; 9]).unwrap_err();
+        assert_eq!(oob, GpuError::OutOfBounds { ptr, end: 9, size: 8 });
+        assert!(matches!(gpu.memcpy_dtoh(ptr, 9), Err(GpuError::OutOfBounds { .. })));
+        assert!(matches!(gpu.charge_htod(ptr, 9), Err(GpuError::OutOfBounds { .. })));
+        // The failed write left nothing behind.
+        assert_eq!(gpu.memcpy_dtoh(ptr, 8).unwrap(), vec![0u8; 8]);
+        gpu.mem_free(ptr).unwrap();
+        assert_eq!(gpu.memcpy_htod(ptr, &[1u8]), Err(GpuError::InvalidPtr(ptr)));
+        assert_eq!(gpu.memcpy_dtoh(ptr, 1), Err(GpuError::InvalidPtr(ptr)));
+        assert_eq!(gpu.charge_htod(ptr, 1), Err(GpuError::InvalidPtr(ptr)));
+        assert_eq!(gpu.mem_free(ptr), Err(GpuError::InvalidPtr(ptr)));
+    }
+
+    #[test]
+    fn mem_free_returns_the_full_size_written_or_not() {
+        let gpu = GpuDevice::new(GpuSpec::tiny(), SharedClock::new());
+        let capacity = gpu.spec().memory_bytes;
+        let unwritten = gpu.mem_alloc(capacity / 2).unwrap();
+        let written = gpu.mem_alloc(capacity / 2).unwrap();
+        gpu.memcpy_htod(written, &[3u8; 100]).unwrap();
+        assert_eq!(gpu.memory_used(), capacity);
+        assert!(matches!(gpu.mem_alloc(1), Err(GpuError::OutOfMemory { free: 0, .. })));
+        gpu.mem_free(unwritten).unwrap();
+        assert_eq!(gpu.memory_used(), capacity - capacity / 2);
+        gpu.mem_free(written).unwrap();
+        assert_eq!(gpu.memory_used(), 0);
+        let whole = gpu.mem_alloc(capacity).unwrap();
+        assert_eq!(gpu.memcpy_dtoh(whole, 4).unwrap(), vec![0u8; 4]);
     }
 
     #[test]

@@ -43,9 +43,10 @@
 //! then add (FMA is deliberately not used — its single rounding would
 //! change bits).
 //!
-//! [`PackedModelCache`] memoizes the packed form per model id so packing is
-//! paid once per load, and [`InferenceEngine`] bundles pool + cache with the
-//! utilization counters surfaced through `SchedMetrics`.
+//! [`PackedModelCache`] memoizes the packed form per model version so
+//! packing is paid once per residency, and [`InferenceEngine`] bundles
+//! pool + cache with the utilization counters surfaced through
+//! `SchedMetrics`.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -768,6 +769,11 @@ impl PackedMlp {
         PackedMlp { layers, hidden_activation: m.hidden_activation() }
     }
 
+    /// Bytes held by the packed weights and biases.
+    pub fn bytes(&self) -> usize {
+        self.layers.iter().map(|l| l.w.packed_bytes() + std::mem::size_of_val(&l.b[..])).sum()
+    }
+
     /// Input width expected by the first layer.
     pub fn input_size(&self) -> usize {
         self.layers[0].w.k
@@ -994,6 +1000,16 @@ impl PackedLstm {
             .collect();
         let (head_w, head_b) = m.head();
         PackedLstm { cells, head_w: PackedMatrix::pack(head_w), head_b: head_b.to_vec() }
+    }
+
+    /// Bytes held by the packed gate weights, biases and head.
+    pub fn bytes(&self) -> usize {
+        let cells: usize = self
+            .cells
+            .iter()
+            .map(|c| c.wx.packed_bytes() + c.wh.packed_bytes() + std::mem::size_of_val(&c.b[..]))
+            .sum();
+        cells + self.head_w.packed_bytes() + std::mem::size_of_val(&self.head_b[..])
     }
 
     /// Feature width expected per timestep.
@@ -1228,6 +1244,18 @@ pub enum PackedModel {
     QuantLstm(crate::quant::PackedQuantLstm),
 }
 
+impl PackedModel {
+    /// Bytes held by the packed buffers.
+    pub fn bytes(&self) -> usize {
+        match self {
+            PackedModel::Mlp(m) => m.bytes(),
+            PackedModel::Lstm(m) => m.bytes(),
+            PackedModel::QuantMlp(m) => m.bytes(),
+            PackedModel::QuantLstm(m) => m.bytes(),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Cache + engine
 // ---------------------------------------------------------------------------
@@ -1235,11 +1263,15 @@ pub enum PackedModel {
 /// Per-model cache of packed weights, keyed by (model id, version,
 /// [`ModelFormat`]).
 ///
-/// Packing is paid once per installed version; versioned keys mean an
+/// Packing is paid once per resident version; versioned keys mean an
 /// in-flight call pinned to version `v` and new calls on `v+1` each hit
 /// their own packed form during a hot-swap window, and the format key
-/// keeps an f32 oracle and an int8 sibling distinct. The daemon drops all
-/// of an id's versions when the model is unloaded.
+/// keeps an f32 oracle and an int8 sibling distinct. An entry lives as
+/// long as its version's page in the model store: the daemon wires the
+/// store's release hook to [`PackedModelCache::release`], so eviction,
+/// retirement and unload drop the pack with the page, and the packed
+/// bytes stay bounded by the store's budget plus its pinned pages. A
+/// refault of an evicted model repacks.
 #[derive(Debug, Default)]
 pub struct PackedModelCache {
     entries: Mutex<HashMap<(u64, u64, ModelFormat), Arc<PackedModel>>>,
@@ -1277,10 +1309,13 @@ impl PackedModelCache {
         packed
     }
 
-    /// Drops every version's packed entry for `id` (model unloaded or its
-    /// weights were replaced outside the versioned install path).
-    pub fn invalidate(&self, id: u64) {
-        self.entries.lock().expect("packed cache poisoned").retain(|&(k, _, _), _| k != id);
+    /// Drops the packed entries of `(id, version)`, every format. A call
+    /// still running on one keeps its `Arc` until it returns.
+    pub fn release(&self, id: u64, version: u64) {
+        let mut entries = self.entries.lock().expect("packed cache poisoned");
+        for format in [ModelFormat::F32, ModelFormat::Int8] {
+            entries.remove(&(id, version, format));
+        }
     }
 
     /// Drops every entry (daemon crash wipes model state).
@@ -1291,6 +1326,11 @@ impl PackedModelCache {
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+    }
+
+    /// Bytes held by the cached packed models.
+    pub fn packed_bytes(&self) -> usize {
+        self.entries.lock().expect("packed cache poisoned").values().map(|p| p.bytes()).sum()
     }
 }
 
@@ -1317,6 +1357,8 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Packed-weight cache misses (a packing pass was paid).
     pub cache_misses: u64,
+    /// Bytes held by the cached packed models right now.
+    pub packed_bytes: usize,
 }
 
 impl EngineStats {
@@ -1538,9 +1580,10 @@ impl InferenceEngine {
         packed.classify_with(data, rows, cols, steps, pool, self.kernel)
     }
 
-    /// Drops the packed entry for `id`.
-    pub fn invalidate(&self, id: u64) {
-        self.cache.invalidate(id);
+    /// Drops the packed entries of `(id, version)`
+    /// ([`PackedModelCache::release`]).
+    pub fn release(&self, id: u64, version: u64) {
+        self.cache.release(id, version);
     }
 
     /// Drops every packed entry.
@@ -1561,6 +1604,7 @@ impl InferenceEngine {
             pool_bypassed: self.bypassed.load(Ordering::Relaxed),
             cache_hits,
             cache_misses,
+            packed_bytes: self.cache.packed_bytes(),
         }
     }
 }
@@ -1807,9 +1851,16 @@ mod tests {
         assert_eq!(stats.pool_bypassed, 0);
         assert!(stats.pool_utilization() > 0.9, "{stats:?}");
 
-        engine.invalidate(7);
+        let one = PackedMlp::pack(&m).bytes();
+        assert_eq!(engine.stats().packed_bytes, one);
+        engine.release(7, 2);
+        assert_eq!(engine.stats().packed_bytes, one, "another version's release keeps v1");
+        engine.release(7, 1);
+        assert_eq!(engine.stats().packed_bytes, 0);
         engine.classify_mlp(7, 1, &m, x.data(), 8, 4);
         assert_eq!(engine.stats().cache_misses, 2);
+        engine.clear_cache();
+        assert_eq!(engine.stats().packed_bytes, 0);
     }
 
     #[test]

@@ -523,6 +523,11 @@ impl PackedQuantMatrix {
         self.n
     }
 
+    /// Bytes held by the packed buffer (pad + alignment included).
+    pub fn packed_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.data[..])
+    }
+
     /// Whether the packed base and stride are 64-byte aligned (see
     /// `PackedMatrix::base_aligned`).
     pub fn base_aligned(&self) -> bool {
@@ -693,6 +698,18 @@ impl PackedQuantMlp {
         PackedQuantMlp { layers, hidden_activation: m.hidden_activation }
     }
 
+    /// Bytes held by the packed weights, scales and biases.
+    pub fn bytes(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|l| {
+                l.w.packed_bytes()
+                    + std::mem::size_of_val(&l.scale[..])
+                    + std::mem::size_of_val(&l.b[..])
+            })
+            .sum()
+    }
+
     /// Input width expected by the first layer.
     pub fn input_size(&self) -> usize {
         self.layers[0].w.k
@@ -839,6 +856,22 @@ impl PackedQuantLstm {
             })
             .collect();
         PackedQuantLstm { cells, head_w: PackedMatrix::pack(&m.head_w), head_b: m.head_b.clone() }
+    }
+
+    /// Bytes held by the packed gate weights, scales, biases and head.
+    pub fn bytes(&self) -> usize {
+        let cells: usize = self
+            .cells
+            .iter()
+            .map(|c| {
+                c.wx.packed_bytes()
+                    + c.wh.packed_bytes()
+                    + std::mem::size_of_val(&c.wx_scale[..])
+                    + std::mem::size_of_val(&c.wh_scale[..])
+                    + std::mem::size_of_val(&c.b[..])
+            })
+            .sum();
+        cells + self.head_w.packed_bytes() + std::mem::size_of_val(&self.head_b[..])
     }
 
     /// Feature width expected per timestep.

@@ -22,7 +22,11 @@
 //! * **crash-safe reset** — [`ModelStore::crash_reset`] bumps the page
 //!   region's incarnation epoch and sweeps every dead-version page with
 //!   `reclaim_before`, converging the region back to a coalesced free
-//!   list; stale pin guards from the dead incarnation become no-ops.
+//!   list; stale pin guards from the dead incarnation become no-ops;
+//! * **one release hook** — [`ModelStore::set_release_hook`] hears every
+//!   `(id, version)` whose page is freed (eviction, retire, last unpin of
+//!   a retired version, removal), so state derived from a resident, such
+//!   as a packed copy of its weights, leaves with its page.
 //!
 //! The byte budget is a hard ceiling: `resident_bytes <= budget` is
 //! asserted after every mutation, not sampled. An eviction storm
@@ -33,7 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use lake_block::{NvmeDevice, NvmeSpec};
 use lake_shm::{ShmBuffer, ShmRegion};
@@ -154,7 +158,6 @@ impl StoreStats {
 
 struct Resident<T> {
     page: ShmBuffer,
-    bytes: usize,
     model: Arc<T>,
     pins: u32,
     referenced: bool,
@@ -172,7 +175,6 @@ struct Retired<T> {
     id: u64,
     version: u64,
     page: ShmBuffer,
-    bytes: usize,
     pins: u32,
     _model: Arc<T>,
 }
@@ -191,12 +193,16 @@ struct State<T> {
 }
 
 type DecodeFn<T> = dyn Fn(&[u8]) -> Option<T> + Send + Sync;
+type ReleaseFn = dyn Fn(u64, u64) + Send + Sync;
 
 struct Shared<T> {
     clock: SharedClock,
     pages: ShmRegion,
     budget: Option<usize>,
     decode: Box<DecodeFn<T>>,
+    /// Told `(id, version)` each time a resident's page is freed, with
+    /// the store lock held.
+    release: OnceLock<Box<ReleaseFn>>,
     state: Mutex<State<T>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -255,6 +261,18 @@ impl<T> fmt::Debug for ModelPin<T> {
     }
 }
 
+impl<T> Shared<T> {
+    /// Frees a resident's page, takes its bytes off `resident_bytes`, and
+    /// tells the release hook.
+    fn free_page(&self, resident_bytes: &mut usize, id: u64, version: u64, page: ShmBuffer) {
+        *resident_bytes -= page.len();
+        let _ = self.pages.free(page);
+        if let Some(hook) = self.release.get() {
+            hook(id, version);
+        }
+    }
+}
+
 impl<T> Drop for ModelPin<T> {
     fn drop(&mut self) {
         let mut st = self.shared.state.lock().expect("store poisoned");
@@ -278,8 +296,7 @@ impl<T> Drop for ModelPin<T> {
             st.retired[idx].pins = st.retired[idx].pins.saturating_sub(1);
             if st.retired[idx].pins == 0 {
                 let dead = st.retired.swap_remove(idx);
-                st.resident_bytes -= dead.bytes;
-                let _ = self.shared.pages.free(dead.page);
+                self.shared.free_page(&mut st.resident_bytes, dead.id, dead.version, dead.page);
             }
         }
     }
@@ -326,6 +343,7 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
                 pages,
                 budget: budget_bytes,
                 decode: Box::new(decode),
+                release: OnceLock::new(),
                 state: Mutex::new(State {
                     device,
                     slots: HashMap::new(),
@@ -349,6 +367,27 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
                 fault_lat_us: Mutex::new(VecDeque::new()),
             }),
         }
+    }
+
+    /// Installs the hook told `(id, version)` whenever that version's
+    /// resident page is freed: on clock eviction, on an install that
+    /// replaces an unpinned resident, on the last unpin of a retired
+    /// version, and on [`ModelStore::remove`] of an unpinned one. A
+    /// version's page is gone for good once the hook has heard it, so
+    /// anything derived from the resident can go too. [`crash_reset`]
+    /// drops every page at once and does not call it.
+    ///
+    /// The hook runs with the store's lock held: it must not call back
+    /// into the store, and a lock it takes must never be held by a
+    /// thread that then waits for the store.
+    ///
+    /// [`crash_reset`]: ModelStore::crash_reset
+    ///
+    /// # Panics
+    ///
+    /// Panics if a hook is already installed.
+    pub fn set_release_hook(&self, hook: impl Fn(u64, u64) + Send + Sync + 'static) {
+        assert!(self.shared.release.set(Box::new(hook)).is_ok(), "release hook already installed");
     }
 
     /// The hard byte budget, if bounded.
@@ -432,8 +471,8 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
                         }
                         Some(_) => {
                             let res = slot.resident.take().expect("checked resident");
-                            st.resident_bytes -= res.bytes;
-                            let _ = self.shared.pages.free(res.page);
+                            let version = slot.version;
+                            self.shared.free_page(&mut st.resident_bytes, cand, version, res.page);
                             self.shared.evictions.fetch_add(1, Ordering::Relaxed);
                             evicted = true;
                             true
@@ -515,13 +554,11 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
                 });
             }
         };
-        let bytes = page.len();
         self.shared.pages.write(&page, 0, blob).expect("fresh page fits blob");
         let slot = st.slots.get_mut(&id).expect("slot exists during install");
         debug_assert!(slot.resident.is_none(), "installing over a resident slot");
-        slot.resident =
-            Some(Resident { page, bytes, model: Arc::new(model), pins: 0, referenced: true });
-        st.resident_bytes += bytes;
+        st.resident_bytes += page.len();
+        slot.resident = Some(Resident { page, model: Arc::new(model), pins: 0, referenced: true });
         if !st.ring.contains(&id) {
             st.ring.push(id);
         }
@@ -546,12 +583,14 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
     pub fn install(&self, id: u64, version: u64, blob: &[u8]) -> Result<(), StoreError> {
         // Validate before mutating anything.
         let model = self.decode(blob).ok_or(StoreError::Decode { id })?;
-        self.install_decoded(id, version, blob, model)
+        self.install_decoded(id, version, Arc::new(blob.to_vec()), model)
     }
 
     /// [`ModelStore::install`] for a caller that already holds `model`,
     /// the decoded form of `blob` (from [`ModelStore::decode`]): the
-    /// store neither re-validates nor re-decodes.
+    /// store neither re-validates nor re-decodes. The store keeps `blob`
+    /// itself, not a copy, so a caller that shares it (the kernel-side
+    /// shadow replaying a restart) holds the same bytes.
     ///
     /// # Errors
     ///
@@ -561,7 +600,7 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
         &self,
         id: u64,
         version: u64,
-        blob: &[u8],
+        blob: Arc<Vec<u8>>,
         model: T,
     ) -> Result<(), StoreError> {
         let mut st = self.state();
@@ -581,18 +620,15 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
                         id,
                         version: slot.version,
                         page: res.page,
-                        bytes: res.bytes,
                         pins: res.pins,
                         _model: res.model,
                     });
                 } else {
-                    st.resident_bytes -= res.bytes;
-                    let _ = self.shared.pages.free(res.page);
+                    self.shared.free_page(&mut st.resident_bytes, id, slot.version, res.page);
                 }
                 self.shared.swaps_retired.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let blob = Arc::new(blob.to_vec());
         st.slots.insert(id, Slot { version, blob: Arc::clone(&blob), resident: None });
         self.shared.installs.fetch_add(1, Ordering::Relaxed);
         // Eager residency when the budget allows; otherwise lazy fault-in.
@@ -663,6 +699,13 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
         self.state().slots.get(&id).map(|s| Arc::clone(&s.blob))
     }
 
+    /// The blob of exactly `version` of `id`: `None` once a newer version
+    /// has been installed (or the model was removed).
+    pub fn blob_at(&self, id: u64, version: u64) -> Option<Arc<Vec<u8>>> {
+        let st = self.state();
+        st.slots.get(&id).filter(|s| s.version == version).map(|s| Arc::clone(&s.blob))
+    }
+
     /// Installed model ids, sorted.
     pub fn ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.state().slots.keys().copied().collect();
@@ -682,13 +725,11 @@ impl<T: Send + Sync + 'static> ModelStore<T> {
                         id,
                         version: slot.version,
                         page: res.page,
-                        bytes: res.bytes,
                         pins: res.pins,
                         _model: res.model,
                     });
                 } else {
-                    st.resident_bytes -= res.bytes;
-                    let _ = self.shared.pages.free(res.page);
+                    self.shared.free_page(&mut st.resident_bytes, id, slot.version, res.page);
                 }
             }
         }
@@ -754,9 +795,9 @@ fn pinned_bytes<T>(st: &State<T>) -> usize {
         .values()
         .filter_map(|s| s.resident.as_ref())
         .filter(|r| r.pins > 0)
-        .map(|r| r.bytes)
+        .map(|r| r.page.len())
         .sum();
-    let retired: usize = st.retired.iter().map(|r| r.bytes).sum();
+    let retired: usize = st.retired.iter().map(|r| r.page.len()).sum();
     live + retired
 }
 
@@ -843,7 +884,9 @@ mod tests {
         st.install(1, 1, &blob(1, 100)).unwrap();
         assert_eq!(st.stats().decodes, 1, "validate and make resident from one decode");
         let model = st.decode(&blob(2, 100)).unwrap();
-        st.install_decoded(2, 1, &blob(2, 100), model).unwrap();
+        let shared = Arc::new(blob(2, 100));
+        st.install_decoded(2, 1, Arc::clone(&shared), model).unwrap();
+        assert!(Arc::ptr_eq(&st.blob_of(2).unwrap(), &shared), "the store keeps the caller's blob");
         assert_eq!(st.stats().decodes, 2, "a pre-decoded install adds no decode of its own");
         assert_eq!(st.acquire(2).unwrap()[0], 2);
         assert_eq!(st.stats().decodes, 2, "resident hit");
@@ -916,6 +959,61 @@ mod tests {
             "last unpin frees the retired page"
         );
         drop(new);
+    }
+
+    #[test]
+    fn release_hook_hears_every_freed_page_once() {
+        let (_clock, st) = store(Some(2 * 4096));
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&heard);
+        st.set_release_hook(move |id, version| log.lock().unwrap().push((id, version)));
+        let take = || std::mem::take(&mut *heard.lock().unwrap());
+
+        st.install(1, 1, &blob(1, 100)).unwrap();
+        st.install(2, 1, &blob(2, 100)).unwrap();
+        assert_eq!(take(), []);
+        // Clock eviction: a third model needs a page.
+        st.install(3, 1, &blob(3, 100)).unwrap();
+        assert_eq!(take(), [(1, 1)]);
+        // An install over an unpinned resident frees its page at once.
+        st.install(2, 2, &blob(0x22, 100)).unwrap();
+        assert_eq!(take(), [(2, 1)]);
+        // A pinned version is retired; its last unpin frees the page.
+        let pin = st.acquire(3).unwrap();
+        st.install(3, 2, &blob(0x33, 100)).unwrap();
+        assert_eq!(take(), [(2, 2)], "v2 of 3 evicted model 2 to make room");
+        assert_eq!(pin.version(), 1);
+        drop(pin);
+        assert_eq!(take(), [(3, 1)]);
+        // Removal of an unpinned resident.
+        st.remove(3);
+        assert_eq!(take(), [(3, 2)]);
+        // A removed pinned resident is heard on its last unpin.
+        let pin = st.acquire(2).unwrap();
+        assert_eq!(take(), [], "a fault frees nothing while the budget has room");
+        st.remove(2);
+        assert_eq!(take(), []);
+        drop(pin);
+        assert_eq!(take(), [(2, 2)]);
+        // A crash reset drops every page without calling the hook.
+        st.install(4, 1, &blob(4, 100)).unwrap();
+        st.crash_reset();
+        assert_eq!(take(), []);
+        assert_eq!(st.stats().resident_bytes, 0);
+    }
+
+    #[test]
+    fn blob_at_names_one_exact_version() {
+        let (_clock, st) = store(None);
+        st.install(5, 1, &blob(5, 10)).unwrap();
+        let v1 = st.blob_at(5, 1).unwrap();
+        assert!(Arc::ptr_eq(&v1, &st.blob_of(5).unwrap()));
+        assert!(st.blob_at(5, 2).is_none());
+        st.install(5, 2, &blob(6, 10)).unwrap();
+        assert!(st.blob_at(5, 1).is_none(), "v1 has moved on");
+        assert_eq!(st.blob_at(5, 2).unwrap()[0], 6);
+        st.remove(5);
+        assert!(st.blob_at(5, 2).is_none());
     }
 
     #[test]

@@ -142,7 +142,8 @@ pub struct RingStats {
     pub park_aborts: u64,
     /// Ring re-creations (teardown + drain across daemon restarts).
     pub recreations: u64,
-    /// Bytes discarded by restart-time drains.
+    /// Bytes discarded by restart-time drains and by records whose
+    /// header failed its bounds check (torn or hostile ring bytes).
     pub bytes_drained: u64,
 }
 
@@ -311,6 +312,14 @@ impl RingCore {
 
     /// Services a pending restart drain, then pops one record if present.
     ///
+    /// The ring's bytes are shared memory, so the header is checked, not
+    /// trusted: a wrap marker must leave a record after it, and a record
+    /// must fit both before the ring top and inside the published
+    /// `[head, tail)`. A header that fails is torn (or hostile); the
+    /// published span is discarded as a restart drain discards it, and
+    /// the call returns `None`. Records published after that span still
+    /// arrive.
+    ///
     /// Caller must be the sole consumer (the endpoint's recv lock).
     fn try_pop(&self) -> Option<(Vec<u8>, u64)> {
         self.service_drain();
@@ -321,29 +330,41 @@ impl RingCore {
             if head == tail {
                 return None;
             }
+            let published = tail.wrapping_sub(head);
             let off = (head & self.mask) as usize;
+            let to_end = self.capacity - off as u64;
             // SAFETY: `head != tail` and the acquire load of `tail` pairs
-            // with the producer's release store, so a complete record (or
-            // wrap marker) sits at `off`. `off` is 4-aligned and below
-            // `capacity`, the byte length of `base`, so the 4-byte `len`
-            // word is in bounds, and the producer does not touch
-            // `[head, tail)` until this consumer moves `head` past it.
+            // with the producer's release store, so the bytes at `off`
+            // were published. `off` is 4-aligned and below `capacity`, the
+            // byte length of `base`, so the 4-byte `len` word is in bounds,
+            // and the producer does not touch `[head, tail)` until this
+            // consumer moves `head` past it.
             let len = u32::from_le(unsafe { base.add(off).cast::<u32>().read_unaligned() });
             if len == WRAP_MARKER {
-                self.head.0.store(head + (self.capacity - off as u64), Ordering::Release);
+                // A marker is always followed by a record.
+                if to_end >= published {
+                    self.discard(head, tail);
+                    return None;
+                }
+                self.head.0.store(head + to_end, Ordering::Release);
                 continue;
             }
-            // SAFETY: not a wrap marker, so a whole record starts at `off`,
-            // and records never wrap: its 12-byte header lies inside the
-            // ring and was published by the same release store.
-            let arrive = u64::from_le(unsafe { base.add(off + 4).cast::<u64>().read_unaligned() });
             let len = len as usize;
+            let room = (to_end as usize).checked_sub(HEADER_BYTES);
+            if room.is_none_or(|room| len > room) || Self::record_len(len) > published {
+                self.discard(head, tail);
+                return None;
+            }
+            // SAFETY: checked above: the 12-byte header starts at `off`
+            // with `off + HEADER_BYTES <= capacity`, inside the published
+            // span.
+            let arrive = u64::from_le(unsafe { base.add(off + 4).cast::<u64>().read_unaligned() });
             let mut payload = vec![0u8; len];
-            // SAFETY: `len` is read from the ring and trusted, not checked:
-            // this program's own producer wrote it, for a payload it placed
-            // contiguously after the header (records never wrap), so
-            // `off + HEADER_BYTES + len <= capacity`. `payload` is a fresh
-            // buffer of `len` bytes, disjoint from the ring.
+            // SAFETY: checked above: `off + HEADER_BYTES + len <=
+            // capacity`, so the source span lies inside the slab, and the
+            // whole record lies inside the published `[head, tail)`.
+            // `payload` is a fresh buffer of `len` bytes, disjoint from the
+            // ring.
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     base.add(off + HEADER_BYTES),
@@ -371,9 +392,15 @@ impl RingCore {
         let tail = self.tail.0.load(Ordering::Acquire);
         let head = self.head.0.load(Ordering::Relaxed);
         if tail != head {
-            self.bytes_drained.fetch_add(tail.wrapping_sub(head), Ordering::Relaxed);
-            self.head.0.store(tail, Ordering::Release);
+            self.discard(head, tail);
         }
+    }
+
+    /// Consumer side: drops `[head, tail)` unread, counted in
+    /// `bytes_drained`.
+    fn discard(&self, head: u64, tail: u64) {
+        self.bytes_drained.fetch_add(tail.wrapping_sub(head), Ordering::Relaxed);
+        self.head.0.store(tail, Ordering::Release);
     }
 
     /// Producer-side drain request: asks the peer consumer to discard all
@@ -886,6 +913,80 @@ mod tests {
 
     fn pair(strategy: WaitStrategy) -> (RingEndpoint, RingEndpoint) {
         RingLink::pair(Mechanism::Mmap, SharedClock::new(), strategy)
+    }
+
+    /// Overwrites the 4-byte header word at ring offset `off`.
+    fn forge_len(core: &RingCore, off: usize, len: u32) {
+        assert!(off + 4 <= core.capacity as usize);
+        // SAFETY: in bounds (asserted), and the test is the only thread
+        // touching this ring.
+        unsafe { core.carve.as_ptr().add(off).cast::<u32>().write_unaligned(len.to_le()) };
+    }
+
+    /// Hostile or torn header words are bounded before any read: the pop
+    /// returns `None`, the published span is counted as drained, and the
+    /// next well-formed record still arrives.
+    #[test]
+    fn hostile_record_lengths_are_discarded_without_reading_past_the_slab() {
+        let region = ShmRegion::with_capacity(4096);
+        let core = RingCore::new(Arc::new(region.carve(1024).unwrap()));
+        let drained = || core.bytes_drained.load(Ordering::Relaxed);
+
+        // A length past the slab's end.
+        core.push(b"hello", 1).unwrap();
+        forge_len(&core, 0, u32::MAX - 1);
+        assert_eq!(core.try_pop(), None);
+        assert_eq!(drained(), RingCore::record_len(5));
+        core.push(b"next", 2).unwrap();
+        assert_eq!(core.try_pop(), Some((b"next".to_vec(), 2)));
+
+        // A length inside the slab but past the published tail.
+        let before = drained();
+        let off = (core.head.0.load(Ordering::Relaxed) & core.mask) as usize;
+        core.push(b"abc", 3).unwrap();
+        forge_len(&core, off, 100);
+        assert_eq!(core.try_pop(), None);
+        assert_eq!(drained() - before, RingCore::record_len(3));
+        core.push(b"again", 4).unwrap();
+        assert_eq!(core.try_pop(), Some((b"again".to_vec(), 4)));
+
+        // A header word 4 bytes below the ring top, where only a wrap
+        // marker fits: walk the cursors there, let the producer write the
+        // marker, then forge it into a length.
+        let head = core.head.0.load(Ordering::Relaxed);
+        let gap = core.capacity - (head & core.mask) - 4;
+        let filler = RingCore::record_len(0);
+        let mut left = gap;
+        while left > 0 {
+            // Records of at most half the ring, never leaving a remainder
+            // smaller than a bare header.
+            let rec = match left {
+                ..=512 => left,
+                _ if left - 512 >= filler => 512,
+                _ => 256,
+            };
+            assert!(rec >= filler, "a {left}-byte gap cannot be filled with records");
+            core.push(&vec![0; (rec - filler) as usize], 0).unwrap();
+            core.try_pop().unwrap();
+            left -= rec;
+        }
+        assert_eq!(core.head.0.load(Ordering::Relaxed) & core.mask, core.capacity - 4);
+        core.push(b"x", 5).unwrap();
+        forge_len(&core, core.capacity as usize - 4, 1);
+        let before = drained();
+        assert_eq!(core.try_pop(), None);
+        assert_eq!(drained() - before, 4 + RingCore::record_len(1));
+        core.push(b"y", 6).unwrap();
+        assert_eq!(core.try_pop(), Some((b"y".to_vec(), 6)));
+
+        // A wrap marker with nothing published after it.
+        let off = (core.head.0.load(Ordering::Relaxed) & core.mask) as usize;
+        core.push(b"z", 7).unwrap();
+        forge_len(&core, off, WRAP_MARKER);
+        assert_eq!(core.try_pop(), None);
+        core.push(b"last", 8).unwrap();
+        assert_eq!(core.try_pop(), Some((b"last".to_vec(), 8)));
+        assert_eq!(core.try_pop(), None);
     }
 
     #[test]

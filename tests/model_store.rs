@@ -14,10 +14,13 @@
 //! * **epoch semantics on hot-swap** — in-flight work finishes on the
 //!   version it started on while new requests see the next version;
 //! * **crash-safe swaps** — a daemon crash inside the swap window
-//!   replays exactly one winning version through the shadow table.
+//!   replays exactly one winning version through the shadow table;
+//! * **packed copies follow their page** — the engine keeps a packed
+//!   model only while its version is resident, so packed bytes stay
+//!   under the budget.
 
 use lake::core::{BatchPolicy, BatchThresholdPolicy, CrashSchedule, Lake, LakeError, LakeMl};
-use lake::ml::{serialize, Activation, LstmClassifier, Mlp};
+use lake::ml::{serialize, Activation, LstmClassifier, Matrix, Mlp, PackedMlp};
 use lake::rpc::RpcError;
 use lake::sim::{BurstSchedule, Duration, Instant, PressurePlan};
 use proptest::prelude::*;
@@ -93,6 +96,57 @@ fn oversubscribed_budget_evicts_faults_and_stays_bit_identical() {
     // The unbounded twin never faulted or evicted.
     let u = unbounded.model_store_stats();
     assert_eq!((u.misses, u.evictions), (0, 0), "{u:?}");
+}
+
+/// 16 LinnOS+1 MLPs (`[31, 256, 256, 2]`, the shape the end-to-end
+/// `zipf_tenants` workload serves) under a budget of 25 % of their bytes,
+/// each read twice through the daemon: only resident versions keep a
+/// packed copy, so the engine's packed bytes stay under the budget.
+#[test]
+fn packed_copies_stay_under_the_weight_budget() {
+    const MODELS: usize = 16;
+    const ROWS: usize = 8; // the offload crossover: every read crosses
+    const WIDTH: usize = 31;
+    let nets: Vec<Mlp> = (0..MODELS)
+        .map(|i| {
+            Mlp::new(&[WIDTH, 256, 256, 2], Activation::Relu, &mut StdRng::seed_from_u64(i as u64))
+        })
+        .collect();
+    let blobs: Vec<Vec<u8>> = nets.iter().map(serialize::encode_mlp).collect();
+    let budget = blobs.iter().map(Vec::len).sum::<usize>() / 4;
+    let page = blobs[0].len().div_ceil(4096) * 4096;
+    let pack = PackedMlp::pack(&nets[0]).bytes();
+
+    let lake = Lake::builder().model_budget_bytes(budget).build();
+    let ml = lake.ml();
+    let ids: Vec<_> = blobs.iter().map(|b| ml.load_model(b).unwrap()).collect();
+    let x: Vec<f32> = (0..ROWS * WIDTH).map(|i| (i % 13) as f32 / 13.0 - 0.5).collect();
+    let calls = lake.call_stats().calls;
+    for round in 0..2 {
+        for (m, net) in nets.iter().enumerate() {
+            let want: Vec<u32> = net
+                .classify(&Matrix::from_vec(ROWS, WIDTH, x.clone()))
+                .into_iter()
+                .map(|c| c as u32)
+                .collect();
+            assert_eq!(ml.infer_mlp(ids[m], ROWS, WIDTH, &x).unwrap(), want, "round {round}");
+        }
+    }
+    assert_eq!(lake.call_stats().calls - calls, 2 * MODELS as u64, "every read offloaded");
+
+    let report = lake.perf_report();
+    let (gemm, store) = (report.gemm, report.store);
+    assert!(store.evictions > 0, "the budget forces eviction: {store:?}");
+    assert!(gemm.cache_misses >= 2 * MODELS as u64 - 4, "refaults repack: {gemm:?}");
+    let resident_models = store.resident_bytes / page;
+    assert_eq!(gemm.packed_bytes, resident_models * pack, "one pack per resident: {store:?}");
+    assert!(
+        gemm.packed_bytes <= store.budget_bytes + store.pinned_bytes,
+        "packed {} over budget {} + pinned {}",
+        gemm.packed_bytes,
+        store.budget_bytes,
+        store.pinned_bytes
+    );
 }
 
 /// A memory-pressure storm halves the effective budget mid-run: the
