@@ -1,24 +1,25 @@
 //! Fig 16 (extension): virtual makespan of high-level inference through
-//! the `lake-sched` scheduler — singleton synchronous launches vs the
-//! cross-subsystem batcher on 1, 2, and 4 devices.
+//! the `lake-sched` device pool — singleton synchronous launches vs
+//! caller-batched launches on 1, 2, and 4 devices.
 //!
 //! The paper evaluates LAKE on a single GPU; this harness extends the
-//! Fig 8 batching story to a device pool: batched dispatch amortizes the
-//! launch/occupancy overhead, and the pool overlaps batched launches
-//! across devices, so the makespan drops until the (serial) command
-//! channel becomes the floor.
+//! Fig 8 batching story to a device pool. Each subsystem batches its own
+//! rows, so a leg issues `rows / 16` queued `submit_mlp` calls of 16 rows
+//! and drains them. Placement judges every call against the devices'
+//! recent utilization: back-to-back batches push a lone device past the
+//! contention threshold and Fig 13's CPU fallback takes some of them,
+//! while a larger pool spreads the calls and keeps them all on the GPU.
 
-use criterion::Criterion;
-use lake_bench::{banner, fmt_us, quick_criterion};
-use lake_core::{BatchPolicy, BatchThresholdPolicy, Lake};
-use lake_ml::{serialize, Activation, Mlp};
-use lake_sched::{BatchPolicy as Policy, Batcher};
-use lake_sim::{Duration, Instant};
+use lake_bench::{banner, fmt_us};
+use lake_core::{BatchThresholdPolicy, Lake};
+use lake_ml::{serialize, Activation, Matrix, Mlp};
+use lake_sim::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const COLS: usize = 256;
-const MAX_BATCH: usize = 16;
+/// Rows per caller batch (one `submit_mlp` call).
+const BATCH: usize = 16;
 const ROWS: &[usize] = &[32, 64, 128];
 const DEVICES: &[usize] = &[1, 2, 4];
 
@@ -44,25 +45,32 @@ fn singleton_makespan(rows: usize) -> f64 {
     (lake.clock().now() - t0).as_micros_f64()
 }
 
-/// Virtual time (µs) for `rows` rows submitted through the batcher on an
-/// `n`-device pool, flushed, and polled to completion.
-fn batched_makespan(devices: usize, rows: usize) -> f64 {
-    let lake = Lake::builder()
-        .num_devices(devices)
-        .batch_policy(BatchPolicy { max_batch: MAX_BATCH, max_wait: Duration::from_millis(50) })
-        .build();
+/// Virtual time (µs) for `rows` rows issued as `BATCH`-row `submit_mlp`
+/// calls on an `n`-device pool and drained, plus how many of those calls
+/// fell back to the CPU. Every answer must equal `Mlp::classify`.
+fn batched_makespan(devices: usize, rows: usize) -> (f64, u64) {
+    let lake = Lake::builder().num_devices(devices).build();
     let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 });
-    let id = ml.load_model(&serialize::encode_mlp(&model())).expect("load");
+    let mlp = model();
+    let id = ml.load_model(&serialize::encode_mlp(&mlp)).expect("load");
     lake.clock().advance(Duration::from_millis(6));
     let t0 = lake.clock().now();
-    let tickets: Vec<_> = (0..rows)
-        .map(|i| ml.infer_submit(id, (i % 4) as u64, COLS, 0, &feature_row(i)).expect("submit"))
+    let calls: Vec<_> = (0..rows / BATCH)
+        .map(|c| {
+            let x = Matrix::from_rows(
+                &(c * BATCH..(c + 1) * BATCH).map(feature_row).collect::<Vec<_>>(),
+            );
+            (ml.submit_mlp(id, BATCH, COLS, x.data()).expect("submit"), x)
+        })
         .collect();
-    ml.infer_flush().expect("flush");
-    for t in tickets {
-        ml.infer_poll(t).expect("poll").expect("flushed");
+    let done = ml.drain_completions();
+    let span = (lake.clock().now() - t0).as_micros_f64();
+    for (cmd, x) in &calls {
+        let (_, got) = done.iter().find(|(c, _)| c == cmd).expect("call completed");
+        let want: Vec<u32> = mlp.classify(x).into_iter().map(|c| c as u32).collect();
+        assert_eq!(got.as_ref().expect("answered"), &want, "answers match Mlp::classify");
     }
-    (lake.clock().now() - t0).as_micros_f64()
+    (span, lake.sched_metrics().cpu_fallback_batches)
 }
 
 fn print_fig16() {
@@ -71,45 +79,30 @@ fn print_fig16() {
     for &n in DEVICES {
         print!("{:>12}", format!("{n}-GPU"));
     }
-    println!("{:>10}", "speedup");
+    println!("{:>10} {:>14}", "speedup", "1-GPU on CPU");
     for &rows in ROWS {
         let single = singleton_makespan(rows);
         print!("{rows:>7} {:>12}", fmt_us(single));
         let mut spans = Vec::new();
+        let mut one_gpu_fallbacks = 0;
         for &n in DEVICES {
-            let span = batched_makespan(n, rows);
+            let (span, fallbacks) = batched_makespan(n, rows);
+            if n == 1 {
+                one_gpu_fallbacks = fallbacks;
+            }
             spans.push(span);
             print!("{:>12}", fmt_us(span));
         }
         let best = spans.iter().cloned().fold(f64::INFINITY, f64::min);
-        println!("{:>9.1}x", single / best);
+        let calls = rows / BATCH;
+        println!("{:>9.1}x {:>14}", single / best, format!("{one_gpu_fallbacks} of {calls}"));
     }
-    println!("(batch size {MAX_BATCH}; speedup = singleton vs best pool configuration)");
-}
-
-fn bench(c: &mut Criterion) {
-    // Real (host) throughput of the batcher's submit/flush hot path.
-    let mut group = c.benchmark_group("sched_batcher");
-    group.bench_function("submit_flush_1k", |b| {
-        b.iter(|| {
-            let mut batcher =
-                Batcher::new(Policy { max_batch: MAX_BATCH, max_wait: Duration::from_micros(100) });
-            let mut dispatched = 0usize;
-            for i in 0..1024u64 {
-                let (_, full) = batcher.submit(i % 4, i % 3, 4, 0, &[0.5; 4], Instant::EPOCH);
-                dispatched += full.map(|b| b.rows()).unwrap_or(0);
-            }
-            dispatched += batcher.flush_all().iter().map(|b| b.rows()).sum::<usize>();
-            assert_eq!(dispatched, 1024);
-            dispatched
-        })
-    });
-    group.finish();
+    println!(
+        "({BATCH}-row caller batches; speedup = singleton vs best pool configuration; \
+         the last column counts 1-GPU calls placed on the CPU)"
+    );
 }
 
 fn main() {
     print_fig16();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -62,20 +62,13 @@ pub const ML_TRAIN_MLP: ApiId = ApiId(0x306);
 /// `tfExportModel(model id) -> serialized blob` — retrieve (possibly
 /// retrained) weights, e.g. for the registry's `update_model`.
 pub const ML_EXPORT_MODEL: ApiId = ApiId(0x307);
-/// `tfInferSubmit(model id, client, cols, steps, shm offset) -> ticket` —
-/// enqueue a single-row inference with the cross-subsystem batcher
-/// instead of launching immediately.
-pub const ML_INFER_SUBMIT: ApiId = ApiId(0x308);
-/// `tfInferPoll(ticket) -> (ready, class)` — retrieve a batched result;
-/// dispatches any queue whose max-wait deadline has passed.
-pub const ML_INFER_POLL: ApiId = ApiId(0x309);
-/// `tfInferFlush() -> batches dispatched` — force-dispatch every pending
-/// batch.
-pub const ML_INFER_FLUSH: ApiId = ApiId(0x30A);
+// 0x308–0x30A are retired (a daemon-side ticket batcher); the daemon
+// answers them `UnknownApi`, and they are not reissued.
+
 /// `tfSwapModel(model id, blob) -> version` — versioned hot-swap: the
-/// daemon installs the blob as the model's next version, drains pending
-/// batches onto the old weights first, and answers with the version it
-/// assigned. In-flight pins finish on the old version's page.
+/// daemon installs the blob as the model's next version and answers with
+/// the version it assigned. In-flight pins finish on the old version's
+/// page.
 pub const ML_SWAP_MODEL: ApiId = ApiId(0x30B);
 /// `tfQuantizeModel(model id) -> (new model id, version, blob)` — the
 /// daemon quantizes a resident f32 MLP/LSTM to int8 (per-column symmetric
@@ -89,9 +82,9 @@ pub const ML_QUANTIZE_MODEL: ApiId = ApiId(0x30C);
 /// Whether `api` is safe to re-execute after a lost response: re-running
 /// it observably changes nothing (pure reads, level-triggered writes of
 /// the same payload, waits). Non-idempotent APIs — allocation, free,
-/// stream lifecycle, launches that queue work, training, batcher submits,
-/// and polls (which consume the ticket's result on pickup) — must never be
-/// silently retried once the daemon may have executed them.
+/// stream lifecycle, launches that queue work, training, swaps and
+/// quantization (each mints a version or an id) — must never be silently
+/// retried once the daemon may have executed them.
 pub fn is_idempotent(api: ApiId) -> bool {
     matches!(
         api,
@@ -131,8 +124,7 @@ pub fn register_idempotency(engine: &lake_rpc::CallEngine) {
 ///   back later work until done, preserving the hot-swap versioning
 ///   contract ("in-flight rows finish on v, post-ack requests see v+1").
 /// * Load (which allocates a fresh id, so there is no key to order on)
-///   and the batcher pipeline (submit/poll/flush are one ordered stream;
-///   poll's leading u64 is a *ticket*, not a model id) stay `Exclusive`.
+///   and unknown ids stay `Exclusive`.
 ///
 /// `payload` may be truncated to its first 8 bytes (the executor peeks
 /// only the leading model id for staged commands).
@@ -168,7 +160,7 @@ pub fn command_class(api: ApiId, payload: &[u8]) -> lake_rpc::CommandClass {
 }
 
 /// Every API identifier this module defines.
-pub const ALL_APIS: [ApiId; 26] = [
+pub const ALL_APIS: [ApiId; 23] = [
     CU_MEM_ALLOC,
     CU_MEM_FREE,
     CU_MEMCPY_HTOD,
@@ -190,9 +182,6 @@ pub const ALL_APIS: [ApiId; 26] = [
     ML_INFER_KNN,
     ML_TRAIN_MLP,
     ML_EXPORT_MODEL,
-    ML_INFER_SUBMIT,
-    ML_INFER_POLL,
-    ML_INFER_FLUSH,
     ML_SWAP_MODEL,
     ML_QUANTIZE_MODEL,
 ];
@@ -221,9 +210,6 @@ pub fn api_name(api: ApiId) -> &'static str {
         ML_INFER_KNN => "knnClassify",
         ML_TRAIN_MLP => "tfTrain",
         ML_EXPORT_MODEL => "tfExportModel",
-        ML_INFER_SUBMIT => "tfInferSubmit",
-        ML_INFER_POLL => "tfInferPoll",
-        ML_INFER_FLUSH => "tfInferFlush",
         ML_SWAP_MODEL => "tfSwapModel",
         ML_QUANTIZE_MODEL => "tfQuantizeModel",
         _ => "unknown",
@@ -236,36 +222,8 @@ mod tests {
 
     #[test]
     fn ids_are_unique() {
-        let ids = [
-            CU_MEM_ALLOC,
-            CU_MEM_FREE,
-            CU_MEMCPY_HTOD,
-            CU_MEMCPY_HTOD_SHM,
-            CU_MEMCPY_DTOH,
-            CU_MEMCPY_DTOH_SHM,
-            CU_LAUNCH_KERNEL,
-            CU_STREAM_CREATE,
-            CU_STREAM_DESTROY,
-            CU_MEMCPY_HTOD_ASYNC_SHM,
-            CU_LAUNCH_KERNEL_ASYNC,
-            CU_MEMCPY_DTOH_ASYNC_SHM,
-            CU_STREAM_SYNCHRONIZE,
-            NVML_GET_UTILIZATION,
-            ML_LOAD_MODEL,
-            ML_UNLOAD_MODEL,
-            ML_INFER_MLP,
-            ML_INFER_LSTM,
-            ML_INFER_KNN,
-            ML_TRAIN_MLP,
-            ML_EXPORT_MODEL,
-            ML_INFER_SUBMIT,
-            ML_INFER_POLL,
-            ML_INFER_FLUSH,
-            ML_SWAP_MODEL,
-            ML_QUANTIZE_MODEL,
-        ];
-        for (i, a) in ids.iter().enumerate() {
-            for b in &ids[i + 1..] {
+        for (i, a) in ALL_APIS.iter().enumerate() {
+            for b in &ALL_APIS[i + 1..] {
                 assert_ne!(a, b);
             }
         }
@@ -282,21 +240,17 @@ mod tests {
         assert!(!is_idempotent(CU_MEM_FREE));
         assert!(!is_idempotent(CU_LAUNCH_KERNEL));
         assert!(!is_idempotent(ML_TRAIN_MLP));
-        assert!(!is_idempotent(ML_INFER_SUBMIT));
         // A swap assigns the next version server-side: retrying one that
         // already landed would install yet another version.
         assert!(!is_idempotent(ML_SWAP_MODEL));
         assert!(!is_idempotent(ML_QUANTIZE_MODEL));
-        // Poll consumes the ticket's result on pickup: a retry after a
-        // delivered-but-lost response would see SCHED_BAD_TICKET.
-        assert!(!is_idempotent(ML_INFER_POLL));
         // Unknown APIs default to non-idempotent.
         assert!(!is_idempotent(ApiId(0xdead)));
     }
 
     #[test]
     fn all_apis_is_exhaustive_and_named() {
-        assert_eq!(ALL_APIS.len(), 26);
+        assert_eq!(ALL_APIS.len(), 23);
         for api in ALL_APIS {
             assert_ne!(api_name(api), "unknown", "{api} missing from api_name");
         }

@@ -8,7 +8,7 @@
 //! the device and whose forward passes run inside device kernels, so both
 //! correctness and timing flow through the accelerator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ use lake_ml::{
     Mlp, ModelKind, ModelPin, ModelStore, QuantizedLstm, QuantizedMlp, StoreError, StoreStats,
 };
 use lake_rpc::{ApiHandler, ApiId, Decoder, Encoder, Status};
-use lake_sched::{Batch, BatchPolicy, Batcher, DevicePool, Placement, PoolPolicy, SchedMetrics};
+use lake_sched::{DevicePool, Placement, PoolPolicy, SchedMetrics};
 use lake_shm::{ShmBuffer, ShmRegion};
 use lake_sim::{BurstSchedule, PressurePlan};
 
@@ -207,30 +207,6 @@ impl LoadedModel {
     }
 }
 
-/// One completed batched-inference row awaiting pickup.
-struct ReadyEntry {
-    class: u64,
-    /// The (device, stream) the batch ran on; polling synchronizes the
-    /// stream so the caller's clock reflects the batch's completion.
-    /// `None` for CPU-fallback batches (cost already charged).
-    sync: Option<(usize, u32)>,
-}
-
-/// The daemon side of the cross-subsystem batching scheduler.
-struct SchedState {
-    batcher: Batcher,
-    ready: HashMap<u64, ReadyEntry>,
-    consumed: HashSet<u64>,
-    issued: u64,
-    /// Tickets whose queued rows (or unpicked results) died with a
-    /// daemon incarnation; polling them fails typed instead of hanging.
-    lost: HashSet<u64>,
-    /// Store pins held per queued ticket from submit until its batch is
-    /// filed ready: a queued row's weights can never be evicted out from
-    /// under it, no matter how oversubscribed the store is.
-    pins: HashMap<u64, ModelPin<LoadedModel>>,
-}
-
 /// What one installed model holds on the pool devices.
 struct DeviceModel {
     /// The current version's weight allocation on each pool device, in
@@ -255,7 +231,6 @@ pub struct LakeDaemon {
     /// version is replaced, the model unloaded, or the incarnation dies.
     on_device: Mutex<HashMap<u64, DeviceModel>>,
     next_model_id: AtomicU64,
-    sched: Mutex<SchedState>,
     cpu: CpuCostModel,
     /// Packed parallel GEMM engine backing every host-side MLP/LSTM
     /// forward pass (device kernels and CPU fallback alike). Its packed
@@ -266,10 +241,6 @@ pub struct LakeDaemon {
     /// parks until it closes (a wedged daemon — GC pause, page-in storm).
     stall: Mutex<Option<BurstSchedule>>,
     stall_events: AtomicU64,
-    /// Batched-inference tickets whose rows died with a daemon incarnation
-    /// and were then polled — each one a `SCHED_TICKET_LOST` surfaced to a
-    /// caller. Per-daemon so a multi-shard node can attribute losses.
-    tickets_lost: AtomicU64,
 }
 
 /// Why a device-side inference attempt failed. `Device` failures are
@@ -282,48 +253,30 @@ enum InferFailure {
 }
 
 impl LakeDaemon {
-    /// Creates a daemon bound to a single device and the shared region.
+    /// Creates a daemon bound to a single device and the shared region,
+    /// with an unbounded model store (every model stays resident, the
+    /// paper's behaviour) over a default-sized page region.
     pub fn new(gpu: Arc<GpuDevice>, shm: ShmRegion) -> Arc<Self> {
         let clock = gpu.clock().clone();
         let pool = DevicePool::from_devices(vec![gpu], clock, PoolPolicy::default());
-        Self::with_pool(pool, shm, BatchPolicy::default())
-    }
-
-    /// Creates a daemon that schedules high-level inference across a
-    /// device pool, batching requests under `batch_policy`. The model
-    /// store is unbounded (every model stays resident, the paper's
-    /// behaviour) over a default-sized page region.
-    pub fn with_pool(
-        pool: Arc<DevicePool>,
-        shm: ShmRegion,
-        batch_policy: BatchPolicy,
-    ) -> Arc<Self> {
         let pages = ShmRegion::with_capacity(DEFAULT_MODEL_PAGE_CAPACITY);
-        Self::with_model_store(pool, shm, batch_policy, pages, None)
+        Self::with_model_store(pool, shm, pages, None)
     }
 
-    /// Creates a daemon whose model weights live in `model_pages` under
-    /// `model_budget` bytes (`None` = unbounded): the paged-model-store
-    /// entry point [`LakeBuilder::model_budget_bytes`] plumbs through.
+    /// Creates a daemon that places high-level inference across a device
+    /// pool, with model weights in `model_pages` under `model_budget`
+    /// bytes (`None` = unbounded): the paged-model-store entry point
+    /// [`LakeBuilder::model_budget_bytes`] plumbs through.
     ///
     /// [`LakeBuilder::model_budget_bytes`]: crate::LakeBuilder::model_budget_bytes
     pub fn with_model_store(
         pool: Arc<DevicePool>,
         shm: ShmRegion,
-        batch_policy: BatchPolicy,
         model_pages: ShmRegion,
         model_budget: Option<usize>,
     ) -> Arc<Self> {
         let store =
             ModelStore::new(pool.clock().clone(), model_pages, model_budget, LoadedModel::decode);
-        let sched = Mutex::new(SchedState {
-            batcher: Batcher::new(batch_policy),
-            ready: HashMap::new(),
-            consumed: HashSet::new(),
-            issued: 0,
-            lost: HashSet::new(),
-            pins: HashMap::new(),
-        });
         // Size the GEMM pool to the host, capped: inference batches are
         // latency-sensitive and small enough that more workers only add
         // hand-off overhead. The pool counts its caller, so an executor
@@ -343,12 +296,10 @@ impl LakeDaemon {
             store,
             on_device: Mutex::new(HashMap::new()),
             next_model_id: AtomicU64::new(1),
-            sched,
             cpu: CpuCostModel::default(),
             engine,
             stall: Mutex::new(None),
             stall_events: AtomicU64::new(0),
-            tickets_lost: AtomicU64::new(0),
         })
     }
 
@@ -361,12 +312,6 @@ impl LakeDaemon {
     /// How many requests arrived during a stall window and had to wait.
     pub fn stall_events(&self) -> u64 {
         self.stall_events.load(Ordering::Relaxed)
-    }
-
-    /// How many polls surfaced `SCHED_TICKET_LOST` — batched rows that
-    /// died with a crashed incarnation of *this* daemon.
-    pub fn tickets_lost(&self) -> u64 {
-        self.tickets_lost.load(Ordering::Relaxed)
     }
 
     /// Parks the current request until any active stall window closes.
@@ -389,11 +334,10 @@ impl LakeDaemon {
         &self.pool
     }
 
-    /// A snapshot of the scheduler's counters: queue depth, batch sizes,
-    /// per-device utilization and dispatch counts, CPU fallbacks.
+    /// A snapshot of the scheduler's counters: per-device utilization and
+    /// dispatch counts, CPU fallbacks, device health.
     pub fn sched_metrics(&self) -> SchedMetrics {
-        let sched = self.sched.lock();
-        let mut m = SchedMetrics::collect(&self.pool, &sched.batcher);
+        let mut m = SchedMetrics::collect(&self.pool);
         m.gemm_pool_utilization = self.engine.stats().pool_utilization();
         m.simd_kernel = self.engine.kernel().name();
         m
@@ -933,229 +877,14 @@ impl LakeDaemon {
         Ok(classes.into_iter().map(|c| c as u64).collect())
     }
 
-    // -- cross-subsystem batched inference (the lake-sched path) ----------
-
-    /// Executes one dispatched batch: places it on the least-loaded
-    /// device (riding that device's dedicated stream, so batches on
-    /// different devices overlap in virtual time) or runs it host-side
-    /// under backpressure, then files one result per ticket.
-    fn execute_batch(&self, sched: &mut SchedState, batch: Batch) -> Result<(), Status> {
-        let rows = batch.rows();
-        let model = self.model(batch.model)?;
-        let version = model.version();
-        let (kernel_base, items, flops_per_item) =
-            model.launch_shape(rows, batch.cols, batch.steps)?;
-        let feats = batch.features();
-
-        let (classes, sync) = match self.pool.place(rows) {
-            Placement::Device(device_idx) => {
-                match self.batch_on_device(device_idx, &batch, kernel_base, items, feats) {
-                    Ok(classes) => (classes, Some((device_idx, self.pool.stream(device_idx)))),
-                    Err(_) => {
-                        // Device-failure recovery: the batch's features are
-                        // already host-side, so re-run there — every ticket
-                        // still gets its result.
-                        self.pool.note_device_fault(device_idx);
-                        let classes = model
-                            .classify_host(
-                                &self.engine,
-                                batch.model,
-                                version,
-                                rows,
-                                batch.cols,
-                                batch.steps,
-                                feats,
-                            )
-                            .map_err(gpu_status)?;
-                        self.pool
-                            .clock()
-                            .advance(self.cpu.time_for_flops(flops_per_item * items as f64));
-                        self.pool.note_recovered(rows);
-                        (classes.into_iter().map(|c| c as u64).collect(), None)
-                    }
-                }
-            }
-            Placement::CpuFallback => {
-                let classes = model
-                    .classify_host(
-                        &self.engine,
-                        batch.model,
-                        version,
-                        rows,
-                        batch.cols,
-                        batch.steps,
-                        feats,
-                    )
-                    .map_err(gpu_status)?;
-                self.pool.clock().advance(self.cpu.time_for_flops(flops_per_item * items as f64));
-                self.pool.note_fallback(rows);
-                (classes.into_iter().map(|c| c as u64).collect(), None)
-            }
-        };
-
-        for (req, class) in batch.requests.iter().zip(classes) {
-            sched.ready.insert(req.ticket, ReadyEntry { class, sync });
-            // The submit-time pin has done its job: the row executed, so
-            // the weights may be evicted again.
-            sched.pins.remove(&req.ticket);
-        }
-        Ok(())
-    }
-
-    /// One attempt at running a dispatched batch on `device_idx`'s
-    /// dedicated stream. Any GPU-op failure comes back whole so the caller
-    /// can recover on the CPU.
-    fn batch_on_device(
-        &self,
-        device_idx: usize,
-        batch: &Batch,
-        kernel_base: &str,
-        items: u64,
-        feats: &[f32],
-    ) -> Result<Vec<u64>, GpuError> {
-        let rows = batch.rows();
-        let gpu = self.pool.device(device_idx);
-        let stream = self.pool.stream(device_idx);
-        let in_bytes = rows * batch.cols * 4;
-        let mut raw_in = Vec::with_capacity(in_bytes);
-        for &x in feats {
-            raw_in.extend_from_slice(&x.to_le_bytes());
-        }
-        let input = gpu.mem_alloc(in_bytes)?;
-        let output = match gpu.mem_alloc(rows * 4) {
-            Ok(p) => p,
-            Err(e) => {
-                let _ = gpu.mem_free(input);
-                return Err(e);
-            }
-        };
-        let kernel = format!("{kernel_base}_{}", batch.model);
-        let run = gpu
-            .memcpy_htod_async(stream, input, &raw_in)
-            .and_then(|()| {
-                gpu.launch_kernel_async(
-                    stream,
-                    &kernel,
-                    items,
-                    &[
-                        KernelArg::Ptr(input),
-                        KernelArg::Ptr(output),
-                        KernelArg::U64(rows as u64),
-                        KernelArg::U64(batch.cols as u64),
-                        KernelArg::U64(batch.steps as u64),
-                    ],
-                )
-            })
-            .and_then(|()| gpu.memcpy_dtoh_async(stream, output, rows * 4));
-        let _ = gpu.mem_free(input);
-        let _ = gpu.mem_free(output);
-        let raw = run?;
-        self.pool.note_dispatch(device_idx, rows);
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")) as u64)
-            .collect())
-    }
-
-    /// `tfInferSubmit`: enqueue one row with the batcher; dispatches the
-    /// queue if this submission filled it (or another queue came due).
-    fn ml_infer_submit(&self, payload: &[u8]) -> Result<Bytes, Status> {
-        let mut d = Decoder::new(payload);
-        let id = d.get_u64().map_err(|_| Status::Malformed)?;
-        let client = d.get_u64().map_err(|_| Status::Malformed)?;
-        let cols = d.get_u64().map_err(|_| Status::Malformed)? as usize;
-        let steps = d.get_u64().map_err(|_| Status::Malformed)? as usize;
-        let shm_offset = d.get_u64().map_err(|_| Status::Malformed)? as usize;
-        if cols == 0 {
-            return Err(Status::VendorError(code::ML_BAD_SHAPE));
-        }
-        // Validate the model id and row shape up front, so a bad submit
-        // fails here instead of poisoning a whole batch later.
-        let model = self.model(id)?;
-        model.launch_shape(1, cols, steps)?;
-
-        let shm_buf =
-            self.shm.resolve(shm_offset).map_err(|_| Status::VendorError(code::SHM_BAD_HANDLE))?;
-        let in_bytes = cols * 4;
-        let feats: Vec<f32> = self
-            .shm
-            .with_bytes(&shm_buf, |bytes| {
-                if bytes.len() < in_bytes {
-                    return Err(Status::VendorError(code::ML_BAD_SHAPE));
-                }
-                Ok(bytes[..in_bytes]
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect())
-            })
-            .map_err(|_| Status::VendorError(code::SHM_BAD_HANDLE))??;
-
-        let now = self.pool.clock().now();
-        let mut sched = self.sched.lock();
-        let (ticket, full) = sched.batcher.submit(client, id, cols, steps, &feats, now);
-        sched.issued = ticket;
-        // Hold the submit-time pin until the ticket's batch executes: a
-        // queued row can never have its weights evicted out from under it.
-        sched.pins.insert(ticket, model);
-        if let Some(batch) = full {
-            self.execute_batch(&mut sched, batch)?;
-        }
-        let due = sched.batcher.poll_due(now);
-        for batch in due {
-            self.execute_batch(&mut sched, batch)?;
-        }
-
-        let mut e = Encoder::new();
-        e.put_u64(ticket);
-        Ok(e.finish())
-    }
-
-    /// `tfInferPoll`: retrieve a batched result. Dispatches overdue
-    /// queues first, and synchronizes the batch's stream on pickup so
-    /// the caller's clock includes the batch latency.
-    fn ml_infer_poll(&self, payload: &[u8]) -> Result<Bytes, Status> {
-        let mut d = Decoder::new(payload);
-        let ticket = d.get_u64().map_err(|_| Status::Malformed)?;
-
-        let now = self.pool.clock().now();
-        let mut sched = self.sched.lock();
-        let due = sched.batcher.poll_due(now);
-        for batch in due {
-            self.execute_batch(&mut sched, batch)?;
-        }
-
-        let mut e = Encoder::new();
-        if let Some(entry) = sched.ready.remove(&ticket) {
-            sched.consumed.insert(ticket);
-            if let Some((device_idx, stream)) = entry.sync {
-                self.pool.device(device_idx).stream_synchronize(stream).map_err(gpu_status)?;
-            }
-            e.put_u8(1).put_u64(entry.class);
-        } else if sched.lost.remove(&ticket) {
-            sched.consumed.insert(ticket);
-            self.tickets_lost.fetch_add(1, Ordering::Relaxed);
-            return Err(Status::VendorError(code::SCHED_TICKET_LOST));
-        } else if ticket == 0 || ticket > sched.issued || sched.consumed.contains(&ticket) {
-            return Err(Status::VendorError(code::SCHED_BAD_TICKET));
-        } else {
-            e.put_u8(0);
-        }
-        Ok(e.finish())
-    }
-
     // -- supervised lifecycle (crash recovery) -----------------------------
 
-    /// Models the death of the daemon process: every in-memory model and
-    /// every queued/unpicked batched-inference row dies with the old
-    /// incarnation. Ticket bookkeeping (`issued`/`consumed`) is kept —
-    /// conceptually it lives kernel-side — so polling a lost ticket fails
-    /// typed ([`code::SCHED_TICKET_LOST`]) instead of hanging, and fresh
-    /// tickets stay monotonic across incarnations.
+    /// Models the death of the daemon process: every in-memory model dies
+    /// with the old incarnation.
     pub fn crash_reset(&self, _new_epoch: u64) {
-        // Wipe the model store first: the serial bump turns every
-        // outstanding pin of the dead incarnation into a no-op, so
-        // dropping the queued tickets' pins below cannot double-free
-        // pages the reset already swept.
+        // The serial bump turns every outstanding pin of the dead
+        // incarnation into a no-op, so a call still holding one cannot
+        // double-free pages the reset already swept.
         self.store.crash_reset();
         // The packed weight caches died with the incarnation's models,
         // and the driver released the dead process's device memory.
@@ -1164,16 +893,6 @@ impl LakeDaemon {
         for (id, model) in on_device {
             self.evict_from_devices(id, model);
         }
-        let mut sched = self.sched.lock();
-        for batch in sched.batcher.flush_all() {
-            for req in &batch.requests {
-                sched.lost.insert(req.ticket);
-            }
-        }
-        let unpicked: Vec<u64> = sched.ready.keys().copied().collect();
-        sched.lost.extend(unpicked);
-        sched.ready.clear();
-        sched.pins.clear();
     }
 
     /// Replays one shadow-table model into a fresh incarnation **under
@@ -1199,52 +918,28 @@ impl LakeDaemon {
         Ok(())
     }
 
-    /// `tfSwapModel`: versioned hot-swap. Pending batches are drained
-    /// onto the old weights first (no queued ticket straddles the version
-    /// boundary), then the blob installs as `v+1`: new requests see the
-    /// new version immediately while in-flight pins finish on the old
-    /// page. The daemon assigns the version, so a client retrying a swap
+    /// `tfSwapModel`: versioned hot-swap. The blob installs as `v+1`: new
+    /// requests see the new version immediately while in-flight pins
+    /// finish on the old page. The daemon assigns the version, so a client retrying a swap
     /// whose response died with a crash lands a fresh `v+1` instead of
     /// double-installing.
     fn ml_swap_model(&self, payload: &[u8]) -> Result<Bytes, Status> {
         let mut d = Decoder::new(payload);
         let id = d.get_u64().map_err(|_| Status::Malformed)?;
         let blob = d.get_bytes().map_err(|_| Status::Malformed)?;
-        // Validate the blob before touching any queue or store state.
+        // Validate the blob before touching any store state.
         let model = self.decode_model(blob)?;
         let (weight_bytes, kernel_base, flops_per_item) = model.device_footprint(blob.len());
         let current =
             self.store.version_of(id).ok_or(Status::VendorError(code::ML_UNKNOWN_MODEL))?;
-
-        // Barrier-flush under the sched lock: every queued row executes
-        // on the version it was submitted against.
-        let mut sched = self.sched.lock();
-        let batches = sched.batcher.flush_all();
-        for batch in batches {
-            self.execute_batch(&mut sched, batch)?;
-        }
         let version = current + 1;
         let blob = Arc::new(blob.to_vec());
         self.store.install_decoded(id, version, blob, model).map_err(store_status)?;
-        drop(sched);
 
         self.place_on_devices(id, weight_bytes, kernel_base, flops_per_item)?;
 
         let mut e = Encoder::new();
         e.put_u64(version);
-        Ok(e.finish())
-    }
-
-    /// `tfInferFlush`: force-dispatch every pending queue.
-    fn ml_infer_flush(&self, _payload: &[u8]) -> Result<Bytes, Status> {
-        let mut sched = self.sched.lock();
-        let batches = sched.batcher.flush_all();
-        let n = batches.len() as u64;
-        for batch in batches {
-            self.execute_batch(&mut sched, batch)?;
-        }
-        let mut e = Encoder::new();
-        e.put_u64(n);
         Ok(e.finish())
     }
 }
@@ -1417,9 +1112,6 @@ impl ApiHandler for LakeDaemon {
             api::ML_INFER_KNN => self.ml_infer(payload, ModelKind::Knn),
             api::ML_TRAIN_MLP => self.ml_train_mlp(payload),
             api::ML_EXPORT_MODEL => self.ml_export_model(payload),
-            api::ML_INFER_SUBMIT => self.ml_infer_submit(payload),
-            api::ML_INFER_POLL => self.ml_infer_poll(payload),
-            api::ML_INFER_FLUSH => self.ml_infer_flush(payload),
             api::ML_SWAP_MODEL => self.ml_swap_model(payload),
             api::ML_QUANTIZE_MODEL => self.ml_quantize_model(payload),
             _ => Err(Status::UnknownApi),
@@ -1434,6 +1126,8 @@ impl ApiHandler for LakeDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
     use lake_gpu::GpuSpec;
     use lake_ml::{Activation, PackedMlp};
     use lake_sim::SharedClock;
@@ -1442,6 +1136,44 @@ mod tests {
 
     fn call(daemon: &LakeDaemon, api: ApiId, payload: Bytes) -> Vec<u8> {
         daemon.handle(api, &payload).expect("daemon call").to_vec()
+    }
+
+    /// The retired ticket-batcher ids (0x308–0x30A) are refused as unknown
+    /// without disturbing the daemon, and no surviving id was renumbered.
+    #[test]
+    fn retired_wire_ids_are_refused_cleanly() {
+        let gpu = GpuDevice::new(GpuSpec::a100(), SharedClock::new());
+        let shm = ShmRegion::with_capacity(1 << 20);
+        let daemon = LakeDaemon::new(gpu, shm.clone());
+        let net = Mlp::new(&[6, 16, 3], Activation::Relu, &mut StdRng::seed_from_u64(5));
+        let x = Matrix::from_vec(8, 6, (0..48).map(|i| (i % 5) as f32 / 5.0 - 0.3).collect());
+        let mut e = Encoder::new();
+        e.put_bytes(&serialize::encode_mlp(&net));
+        let id = Decoder::new(&call(&daemon, api::ML_LOAD_MODEL, e.finish())).get_u64().unwrap();
+
+        for retired in 0x308..=0x30A {
+            let mut e = Encoder::new();
+            e.put_u64(id).put_u64(1);
+            assert_eq!(daemon.handle(ApiId(retired), &e.finish()), Err(Status::UnknownApi));
+        }
+
+        let buf = shm.alloc(48 * 4).unwrap();
+        shm.with_bytes_mut(&buf, |dst| {
+            for (chunk, v) in dst.chunks_exact_mut(4).zip(x.data()) {
+                chunk.copy_from_slice(&v.to_le_bytes());
+            }
+        })
+        .unwrap();
+        let mut e = Encoder::new();
+        e.put_u64(id).put_u64(8).put_u64(6).put_u64(0).put_u64(buf.offset() as u64);
+        let got = Decoder::new(&call(&daemon, api::ML_INFER_MLP, e.finish())).get_u64_slice();
+        let want: Vec<u64> = net.classify(&x).into_iter().map(|c| c as u64).collect();
+        assert_eq!(got.unwrap(), want, "the next inference still answers");
+
+        let unique: HashSet<ApiId> = api::ALL_APIS.into_iter().collect();
+        assert_eq!((api::ALL_APIS.len(), unique.len()), (23, 23));
+        assert_eq!(api::ML_SWAP_MODEL, ApiId(0x30B));
+        assert_eq!(api::ML_QUANTIZE_MODEL, ApiId(0x30C));
     }
 
     /// A read pinned to v1 that packs after the swap to v2 must not leave

@@ -37,12 +37,8 @@ pub mod code {
     /// A hot-swap offered a version at or below the installed one; the
     /// store only moves forward.
     pub const ML_STALE_VERSION: u32 = 36;
-    /// Unknown (never issued or already consumed) batched-inference
-    /// ticket.
-    pub const SCHED_BAD_TICKET: u32 = 48;
-    /// The ticket's queued row (or unpicked result) died with a daemon
-    /// incarnation; the submit must be repeated.
-    pub const SCHED_TICKET_LOST: u32 = 49;
+    // 48 and 49 are retired (batched-inference ticket errors) and not
+    // reissued.
 }
 
 /// Errors surfaced to LAKE-powered kernel applications.

@@ -39,16 +39,10 @@ impl std::fmt::Display for ModelId {
     }
 }
 
-/// Completion handle for a batched inference submitted with
-/// [`LakeMl::infer_submit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket(pub u64);
-
-impl std::fmt::Display for Ticket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ticket#{}", self.0)
-    }
-}
+/// The admission-control client every staged buffer is charged to. The
+/// high-level calls do not name their subsystem, so they share one
+/// staging quota.
+const STAGING_CLIENT: u64 = 0;
 
 /// One queued inference's class vector, or the typed error its frame
 /// surfaced — what the sync path would have returned for the same call.
@@ -152,12 +146,12 @@ impl LakeMl {
     /// request id), going through admission control when it is wired:
     /// shm exhaustion waits boundedly on the virtual clock instead of
     /// failing immediately or forever.
-    fn admit_staging(&self, size: usize, client: u64) -> Result<ShmBuffer, LakeError> {
+    fn admit_staging(&self, size: usize) -> Result<ShmBuffer, LakeError> {
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let size = size.max(1);
         match &self.admission {
             Some(ctl) => ctl
-                .admit(client, size, || self.shm.alloc_owned(size, request_id).ok())
+                .admit(STAGING_CLIENT, size, || self.shm.alloc_owned(size, request_id).ok())
                 .map_err(LakeError::Admission),
             None => Ok(self.shm.alloc_owned(size, request_id)?),
         }
@@ -167,9 +161,9 @@ impl LakeMl {
     /// **straight into** an owner-tagged shm buffer — one copy end to
     /// end, with no intermediate byte vector between the caller's
     /// tensor and the shared mapping.
-    fn stage_f32(&self, features: &[f32], client: u64) -> Result<ShmBuffer, LakeError> {
+    fn stage_f32(&self, features: &[f32]) -> Result<ShmBuffer, LakeError> {
         let bytes = features.len() * 4;
-        let buf = self.admit_staging(bytes, client)?;
+        let buf = self.admit_staging(bytes)?;
         self.shm.with_bytes_mut(&buf, |dst| {
             for (chunk, &x) in dst.chunks_exact_mut(4).zip(features) {
                 chunk.copy_from_slice(&x.to_le_bytes());
@@ -188,12 +182,7 @@ impl LakeMl {
     /// freed here — the dead incarnation may still have it mapped, so it
     /// is disowned (marked orphaned) for the supervisor's reclamation
     /// sweep to collect once the restart protocol has run.
-    fn unstage(
-        &self,
-        buf: ShmBuffer,
-        client: u64,
-        lost_with_daemon: bool,
-    ) -> Result<(), LakeError> {
+    fn unstage(&self, buf: ShmBuffer, lost_with_daemon: bool) -> Result<(), LakeError> {
         let size = buf.len();
         if lost_with_daemon {
             self.shm.mark_orphan(&buf)?;
@@ -201,7 +190,7 @@ impl LakeMl {
             self.shm.free(buf)?;
         }
         if let Some(ctl) = &self.admission {
-            ctl.release(client, size);
+            ctl.release(STAGING_CLIENT, size);
         }
         Ok(())
     }
@@ -254,7 +243,7 @@ impl LakeMl {
         assert_eq!(features.len(), rows * cols, "feature buffer shape mismatch");
         // Stage the batch in lakeShm so only the descriptor crosses the
         // channel.
-        let buf = self.stage_f32(features, 0)?;
+        let buf = self.stage_f32(features)?;
 
         let mut e = Encoder::new();
         e.put_u64(id.0)
@@ -264,7 +253,7 @@ impl LakeMl {
             .put_u64(buf.offset() as u64);
         let result = self.call(api, e.finish());
         let lost = matches!(result, Err(RpcError::DaemonRestarted { .. }));
-        self.unstage(buf, 0, lost)?;
+        self.unstage(buf, lost)?;
         let resp = result?;
         let mut d = Decoder::new(&resp);
         let classes = d.get_u64_slice().map_err(|_| LakeError::BadResponse("class vector"))?;
@@ -341,7 +330,7 @@ impl LakeMl {
     ) -> Result<f32, LakeError> {
         assert_eq!(features.len(), rows * cols, "feature buffer shape mismatch");
         assert_eq!(labels.len(), rows, "one label per row");
-        let buf = self.stage_f32(features, 0)?;
+        let buf = self.stage_f32(features)?;
 
         let label_words: Vec<u64> = labels.iter().map(|&l| l as u64).collect();
         let mut e = Encoder::new();
@@ -354,7 +343,7 @@ impl LakeMl {
             .put_u64(buf.offset() as u64);
         let result = self.call(api::ML_TRAIN_MLP, e.finish());
         let lost = matches!(result, Err(RpcError::DaemonRestarted { .. }));
-        self.unstage(buf, 0, lost)?;
+        self.unstage(buf, lost)?;
         let resp = result?;
         let mut d = Decoder::new(&resp);
         let loss = d.get_f32().map_err(|_| LakeError::BadResponse("training loss"))?;
@@ -437,80 +426,6 @@ impl LakeMl {
         Ok(d.get_bytes().map_err(|_| LakeError::BadResponse("model blob"))?.to_vec())
     }
 
-    /// `tfInferSubmit`: enqueue one feature row with the daemon's
-    /// cross-subsystem batcher instead of launching immediately. `client`
-    /// identifies the submitting subsystem (LinnOS, Kleio, …); the daemon
-    /// coalesces rows from all clients that target the same model into
-    /// one batched launch. For LSTM models pass the timestep count in
-    /// `steps`; other models use `steps = 0`.
-    ///
-    /// The result is retrieved with [`LakeMl::infer_poll`]; a queue
-    /// dispatches when it fills to the configured max batch or its
-    /// oldest row has waited the configured max wait of virtual time
-    /// (force everything with [`LakeMl::infer_flush`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LakeError`] for unknown models or shape mismatches.
-    pub fn infer_submit(
-        &self,
-        id: ModelId,
-        client: u64,
-        cols: usize,
-        steps: usize,
-        features: &[f32],
-    ) -> Result<Ticket, LakeError> {
-        assert_eq!(features.len(), cols, "one row of `cols` features");
-        let buf = self.stage_f32(features, client)?;
-
-        let mut e = Encoder::new();
-        e.put_u64(id.0)
-            .put_u64(client)
-            .put_u64(cols as u64)
-            .put_u64(steps as u64)
-            .put_u64(buf.offset() as u64);
-        let result = self.call(api::ML_INFER_SUBMIT, e.finish());
-        let lost = matches!(result, Err(RpcError::DaemonRestarted { .. }));
-        self.unstage(buf, client, lost)?;
-        let resp = result?;
-        let mut d = Decoder::new(&resp);
-        let ticket = d.get_u64().map_err(|_| LakeError::BadResponse("ticket"))?;
-        Ok(Ticket(ticket))
-    }
-
-    /// `tfInferPoll`: retrieve a batched result. Returns `Ok(None)` while
-    /// the row's batch is still queued; overdue queues are dispatched as
-    /// a side effect, so polling after the max-wait deadline always
-    /// completes the request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LakeError`] for unknown or already-consumed tickets.
-    pub fn infer_poll(&self, ticket: Ticket) -> Result<Option<u32>, LakeError> {
-        let mut e = Encoder::new();
-        e.put_u64(ticket.0);
-        let resp = self.call(api::ML_INFER_POLL, e.finish())?;
-        let mut d = Decoder::new(&resp);
-        let ready = d.get_u8().map_err(|_| LakeError::BadResponse("poll status"))?;
-        if ready == 0 {
-            return Ok(None);
-        }
-        let class = d.get_u64().map_err(|_| LakeError::BadResponse("class"))?;
-        Ok(Some(class as u32))
-    }
-
-    /// `tfInferFlush`: force-dispatch every pending batch; returns how
-    /// many batches were launched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LakeError`] if a dispatched batch fails to execute.
-    pub fn infer_flush(&self) -> Result<u64, LakeError> {
-        let resp = self.call(api::ML_INFER_FLUSH, bytes::Bytes::new())?;
-        let mut d = Decoder::new(&resp);
-        d.get_u64().map_err(|_| LakeError::BadResponse("batch count"))
-    }
-
     /// Batched k-NN classification: `rows` queries of `cols` dimensions.
     ///
     /// # Errors
@@ -544,7 +459,7 @@ impl LakeMl {
         features: &[f32],
     ) -> Result<CmdId, LakeError> {
         assert_eq!(features.len(), rows * cols, "feature buffer shape mismatch");
-        let buf = self.stage_f32(features, 0)?;
+        let buf = self.stage_f32(features)?;
 
         let mut e = Encoder::new();
         e.put_u64(id.0)
@@ -627,7 +542,7 @@ impl LakeMl {
         let buf = self.staged.lock().expect("staged map poisoned").remove(&c.id);
         let lost = matches!(c.result, Err(RpcError::DaemonRestarted { .. }));
         let unstaged = match buf {
-            Some(buf) => self.unstage(buf, 0, lost),
+            Some(buf) => self.unstage(buf, lost),
             None => Ok(()),
         };
         // A queued ticket died with the daemon: its staging buffer was

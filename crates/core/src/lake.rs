@@ -5,9 +5,7 @@ use std::sync::Arc;
 
 use lake_gpu::{GpuDevice, GpuError, GpuFaultConfig, GpuSpec, KernelArg, KernelCtx};
 use lake_rpc::{CallEngine, CallPolicy, CallStats};
-use lake_sched::{
-    AdmissionController, AdmissionPolicy, BatchPolicy, DevicePool, PoolPolicy, SchedMetrics,
-};
+use lake_sched::{AdmissionController, AdmissionPolicy, DevicePool, PoolPolicy, SchedMetrics};
 use lake_shm::{AllocStats, ReclaimReport, ShmRegion};
 use lake_sim::{BurstSchedule, CrashSchedule, FaultCounters, FaultPlan, FaultSpec, SharedClock};
 use lake_transport::{Channel, Link, Mechanism, RingEndpoint, RingLink, RingStats, WaitStrategy};
@@ -102,7 +100,6 @@ pub struct LakeBuilder {
     clock: Option<SharedClock>,
     num_devices: usize,
     pool_policy: PoolPolicy,
-    batch_policy: BatchPolicy,
     call_policy: Option<CallPolicy>,
     transport_faults: Option<(FaultSpec, u64)>,
     gpu_faults: Vec<(usize, GpuFaultConfig)>,
@@ -129,7 +126,6 @@ impl Default for LakeBuilder {
             clock: None,
             num_devices: 1,
             pool_policy: PoolPolicy::default(),
-            batch_policy: BatchPolicy::default(),
             call_policy: None,
             transport_faults: None,
             gpu_faults: Vec::new(),
@@ -190,12 +186,6 @@ impl LakeBuilder {
     /// Overrides the scheduler's placement thresholds.
     pub fn pool_policy(mut self, policy: PoolPolicy) -> Self {
         self.pool_policy = policy;
-        self
-    }
-
-    /// Overrides the cross-subsystem batcher's dispatch policy.
-    pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
-        self.batch_policy = policy;
         self
     }
 
@@ -321,9 +311,10 @@ impl LakeBuilder {
     /// pages. Models past the budget are evicted second-chance (never
     /// while pinned by an in-flight inference) and fault back in through
     /// the simulated NVMe on next use, charging reload latency to the
-    /// virtual clock. Unbounded by default. The `LAKE_MODEL_BUDGET`
-    /// environment variable overrides this at build time (a byte count;
-    /// the empty string means unbounded).
+    /// virtual clock. Unbounded by default. A builder that sets no budget
+    /// takes one from the `LAKE_MODEL_BUDGET` environment variable at
+    /// build time (a byte count; unset or empty means unbounded); an
+    /// explicit budget here always wins over the variable.
     pub fn model_budget_bytes(mut self, bytes: usize) -> Self {
         self.model_budget = Some(bytes);
         self
@@ -415,11 +406,13 @@ impl LakeBuilder {
             }
             Err(_) => self.queue_depth,
         };
-        let model_budget = match std::env::var("LAKE_MODEL_BUDGET") {
-            Ok(s) if s.trim().is_empty() => None,
-            Ok(s) => Some(s.trim().parse::<usize>().expect("LAKE_MODEL_BUDGET")),
-            Err(_) => self.model_budget,
-        };
+        // An explicit builder budget wins; the variable only fills an
+        // unset one.
+        let model_budget = self.model_budget.or_else(|| {
+            let s = std::env::var("LAKE_MODEL_BUDGET").ok()?;
+            let s = s.trim();
+            (!s.is_empty()).then(|| s.parse::<usize>().expect("LAKE_MODEL_BUDGET"))
+        });
         let daemon_workers = match std::env::var("LAKE_DAEMON_WORKERS") {
             Ok(s) => {
                 let n: usize = s.trim().parse().expect("LAKE_DAEMON_WORKERS");
@@ -452,13 +445,8 @@ impl LakeBuilder {
             None => 8 << 20,
         };
         let model_pages = ShmRegion::with_capacity(page_capacity);
-        let daemon = LakeDaemon::with_model_store(
-            Arc::clone(&pool),
-            shm.clone(),
-            self.batch_policy,
-            model_pages,
-            model_budget,
-        );
+        let daemon =
+            LakeDaemon::with_model_store(Arc::clone(&pool), shm.clone(), model_pages, model_budget);
         daemon.set_stall_schedule(self.stall_schedule);
         // A private region, not the kernel-visible lakeShm: staged frames
         // are engine bookkeeping, and the main region's accounting
@@ -625,9 +613,6 @@ pub struct FaultReport {
     /// Daemon lifecycle counters (crashes, restarts, replay, breaker,
     /// orphan reclamation).
     pub supervisor: SupervisorStats,
-    /// Polls that surfaced `SCHED_TICKET_LOST` on this shard's daemon —
-    /// batched rows that died with a crashed incarnation.
-    pub tickets_lost: u64,
 }
 
 /// The fast path in one snapshot: RPC copy accounting, engine staging
@@ -815,7 +800,6 @@ impl Lake {
             shm: self.shm.stats(),
             staging: self.engine.staging_stats(),
             supervisor: self.supervisor.stats(),
-            tickets_lost: self.daemon.tickets_lost(),
         }
     }
 
@@ -1370,7 +1354,7 @@ mod fault_tests {
 #[cfg(test)]
 mod crash_tests {
     use super::*;
-    use crate::error::{code, LakeError};
+    use crate::error::LakeError;
     use lake_ml::{serialize, Activation, Mlp};
     use lake_rpc::RpcError;
     use lake_sched::AdmissionError;
@@ -1524,36 +1508,6 @@ mod crash_tests {
 
         // Nothing left for the quiesced sweep.
         assert_eq!(lake.reclaim_shm_orphans().reclaimed_allocs, 0);
-    }
-
-    #[test]
-    fn lost_batched_tickets_fail_typed_after_a_crash() {
-        let crashes = vec![Instant::EPOCH + Duration::from_micros(500)];
-        let lake = Lake::builder()
-            .crash_schedule(CrashSchedule::at(crashes))
-            // Keep the queue parked so the row is still queued at crash
-            // time.
-            .batch_policy(BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(50) })
-            .build();
-        let ml = offloading_ml(&lake);
-        let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
-        let ticket = ml.infer_submit(id, 7, 4, 0, &[0.5; 4]).unwrap();
-
-        // The daemon dies with the row queued; the restarted incarnation
-        // has no memory of it. Polling must say so explicitly rather than
-        // hang or claim the ticket never existed.
-        lake.clock().advance_to(Instant::EPOCH + Duration::from_micros(501));
-        let err = ml.infer_poll(ticket).unwrap_err();
-        assert_eq!(err.vendor_code(), Some(code::SCHED_TICKET_LOST));
-        // The loss is reported once; afterwards the ticket is consumed.
-        let err = ml.infer_poll(ticket).unwrap_err();
-        assert_eq!(err.vendor_code(), Some(code::SCHED_BAD_TICKET));
-
-        // Resubmitting against the new incarnation completes normally.
-        let ticket = ml.infer_submit(id, 7, 4, 0, &[0.5; 4]).unwrap();
-        ml.infer_flush().unwrap();
-        assert!(ml.infer_poll(ticket).unwrap().is_some());
-        assert_eq!(lake.supervisor().stats().epoch, 1);
     }
 
     #[test]

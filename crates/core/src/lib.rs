@@ -55,7 +55,7 @@ pub mod policy;
 pub mod supervisor;
 
 pub use error::LakeError;
-pub use highlevel::{InferCompletion, LakeMl, ModelId, Ticket};
+pub use highlevel::{InferCompletion, LakeMl, ModelId};
 pub use lake::{FaultReport, Lake, LakeBuilder, LinkMode, PerfReport};
 pub use lakelib::LakeCuda;
 pub use policy::{BatchThresholdPolicy, CuPolicy, Policy, PolicyConfig, Target};
@@ -64,8 +64,8 @@ pub use supervisor::{DaemonSupervisor, LocalStats, SupervisorPolicy, SupervisorS
 // Re-export the types that appear in this crate's public API.
 pub use lake_gpu::{DevicePtr, ExecMode, GpuDevice, GpuError, GpuSpec, KernelArg, KernelCtx};
 pub use lake_sched::{
-    AdmissionController, AdmissionCounters, AdmissionError, AdmissionPolicy, BatchPolicy,
-    DevicePool, Placement, PoolPolicy, SchedMetrics,
+    AdmissionController, AdmissionCounters, AdmissionError, AdmissionPolicy, DevicePool, Placement,
+    PoolPolicy, SchedMetrics,
 };
 pub use lake_shm::{AllocStats, ReclaimReport, ShmBuffer, ShmRegion};
 pub use lake_sim::CrashSchedule;

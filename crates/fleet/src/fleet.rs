@@ -42,9 +42,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lake_core::{
-    FaultReport, Lake, LakeBuilder, LakeError, LakeMl, ModelId, PerfReport, Policy, Ticket,
-};
+use lake_core::{FaultReport, Lake, LakeBuilder, LakeError, LakeMl, ModelId, PerfReport, Policy};
 use lake_rpc::{CmdId, PerfSnapshot, RpcError};
 use lake_sim::{Duration, SharedClock};
 use lake_transport::RingStats;
@@ -89,17 +87,6 @@ impl std::fmt::Display for FleetModelId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "fleet-model#{}", self.0)
     }
-}
-
-/// Completion handle for a batched inference submitted through
-/// [`FleetMl::infer_submit`]. Pins the shard: batched tickets are bound
-/// to one daemon incarnation and never fail over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FleetTicket {
-    /// Shard the rows were submitted to.
-    pub shard: usize,
-    /// The shard-local ticket.
-    pub ticket: Ticket,
 }
 
 /// Ticket for a queued inference submitted through
@@ -190,8 +177,6 @@ pub struct FleetFaultReport {
     /// One report per shard, indexed by shard id (each report's `shard`
     /// field matches its position).
     pub shards: Vec<FaultReport>,
-    /// Total `SCHED_TICKET_LOST` polls across shards.
-    pub tickets_lost: u64,
     /// Total supervised restarts across shards.
     pub restarts: u64,
     /// Total crashes detected across shards.
@@ -332,7 +317,6 @@ impl DaemonFleet {
     pub fn fault_report(&self) -> FleetFaultReport {
         let shards: Vec<FaultReport> = self.shards.iter().map(Lake::fault_report).collect();
         FleetFaultReport {
-            tickets_lost: shards.iter().map(|r| r.tickets_lost).sum(),
             restarts: shards.iter().map(|r| r.supervisor.restarts).sum(),
             crashes_detected: shards.iter().map(|r| r.supervisor.crashes_detected).sum(),
             orphans_reclaimed: shards.iter().map(|r| r.supervisor.orphans_reclaimed).sum(),
@@ -536,58 +520,6 @@ impl FleetMl<'_> {
         self.admit(tenant, std::mem::size_of_val(features))?;
         let route = self.route(id)?;
         self.with_failover(route, |ml, mid| ml.infer_knn(mid, rows, cols, features))
-    }
-
-    /// Submits one client's rows to the batched path. Non-idempotent:
-    /// always routes the primary, and the returned ticket is pinned to
-    /// that shard (a ticket cannot outlive its daemon incarnation).
-    ///
-    /// # Errors
-    ///
-    /// Tenant admission, then shard-local submit errors.
-    pub fn infer_submit(
-        &self,
-        tenant: u32,
-        id: FleetModelId,
-        client: u64,
-        cols: usize,
-        steps: usize,
-        features: &[f32],
-    ) -> Result<FleetTicket, LakeError> {
-        self.admit(tenant, std::mem::size_of_val(features))?;
-        let route = self.route(id)?;
-        self.fleet.routed_primary.fetch_add(1, Ordering::Relaxed);
-        let ticket = self.mls[route.primary].infer_submit(
-            route.primary_id,
-            client,
-            cols,
-            steps,
-            features,
-        )?;
-        Ok(FleetTicket { shard: route.primary, ticket })
-    }
-
-    /// Polls a batched ticket on the shard it was submitted to.
-    ///
-    /// # Errors
-    ///
-    /// Shard-local poll errors (including `SCHED_TICKET_LOST`).
-    pub fn infer_poll(&self, ticket: FleetTicket) -> Result<Option<u32>, LakeError> {
-        self.mls[ticket.shard].infer_poll(ticket.ticket)
-    }
-
-    /// Flushes pending batches on *every* shard, returning total rows
-    /// dispatched.
-    ///
-    /// # Errors
-    ///
-    /// The first shard-local flush error.
-    pub fn infer_flush(&self) -> Result<u64, LakeError> {
-        let mut dispatched = 0;
-        for ml in &self.mls {
-            dispatched += ml.infer_flush()?;
-        }
-        Ok(dispatched)
     }
 
     /// Trains on the primary replica only (training is non-idempotent

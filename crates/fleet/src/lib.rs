@@ -46,7 +46,7 @@ pub mod ring;
 
 pub use fleet::{
     DaemonFleet, FleetCmdId, FleetFaultReport, FleetMl, FleetModelId, FleetPerfReport, FleetPolicy,
-    FleetStats, FleetTicket,
+    FleetStats,
 };
 pub use qos::{QosCounters, QosPolicy, TenantGovernor};
 pub use ring::{HashRing, DEFAULT_VNODES};

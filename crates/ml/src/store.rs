@@ -10,8 +10,7 @@
 //!   in reference order when a fault needs room;
 //! * **refcounted pinning** — [`ModelStore::acquire`] returns a
 //!   [`ModelPin`] guard; pinned weights are never evicted, so in-flight
-//!   inference (including queued batcher tickets) cannot lose its model
-//!   mid-call;
+//!   inference cannot lose its model mid-call;
 //! * **versioned hot-swap** — [`ModelStore::install`] retires the old
 //!   version in place: new requests see `v+1` immediately while pins on
 //!   `v` keep its page alive until the last one drops;

@@ -1,4 +1,4 @@
-//! `lake-sched`: multi-GPU dispatch and cross-subsystem batching.
+//! `lake-sched`: multi-GPU dispatch and admission control.
 //!
 //! The paper deploys LAKE on a single GPU, but its design calls for the
 //! daemon to arbitrate "concurrent accelerator access from multiple
@@ -14,12 +14,14 @@
 //!   the least-loaded device; when every device sits above the
 //!   contention threshold the pool signals [`Placement::CpuFallback`],
 //!   reproducing Fig 13's adaptive behavior per device.
-//! * [`Batcher`] — aggregates single-row inference requests from
-//!   different subsystems into batched launches under a configurable
-//!   max-batch / max-wait policy, the batching the paper leans on for
-//!   its Fig 8 / Table 3 GPU break-even points.
-//! * [`SchedMetrics`] — queue depth, batch sizes, and per-device
-//!   utilization counters built on `lake_sim::metrics`.
+//! * [`AdmissionController`] — bounded backpressure in front of staging
+//!   buffer allocation.
+//! * [`SchedMetrics`] — per-device dispatch, utilization and health
+//!   counters, plus CPU fallbacks.
+//!
+//! Batching is the caller's: each subsystem hands the daemon a batch of
+//! rows per call, the batch size the paper's Fig 8 / Table 3 GPU
+//! break-even points are measured over.
 //!
 //! `lake-core`'s daemon owns a pool and routes the high-level remoted ML
 //! APIs (§4.4) through it; this crate itself stays below the RPC layer
@@ -28,11 +30,9 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod batcher;
 pub mod metrics;
 pub mod pool;
 
 pub use admission::{AdmissionController, AdmissionCounters, AdmissionError, AdmissionPolicy};
-pub use batcher::{Batch, BatchPolicy, Batcher, BatcherCounters, InferRequest};
 pub use metrics::{DeviceMetrics, SchedMetrics};
 pub use pool::{DevicePool, Placement, PoolPolicy};

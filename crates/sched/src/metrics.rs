@@ -1,8 +1,7 @@
-//! Scheduler observability: a point-in-time snapshot combining pool and
-//! batcher counters, built from `lake_sim::metrics` primitives.
+//! Scheduler observability: a point-in-time snapshot of the pool's
+//! counters.
 
 use crate::admission::AdmissionCounters;
-use crate::batcher::Batcher;
 use crate::pool::DevicePool;
 
 /// Per-device scheduler counters.
@@ -48,24 +47,6 @@ pub struct SchedMetrics {
     pub recovered_batches: u64,
     /// Rows inside those recovered batches.
     pub recovered_rows: u64,
-    /// Requests currently waiting in the batcher.
-    pub queue_depth: usize,
-    /// Requests ever accepted by the batcher.
-    pub submitted: u64,
-    /// Batches the batcher has handed out.
-    pub dispatched_batches: u64,
-    /// Batches dispatched because a queue filled to `max_batch`.
-    pub full_flushes: u64,
-    /// Batches dispatched because `max_wait` elapsed.
-    pub timeout_flushes: u64,
-    /// Batches dispatched by an explicit flush.
-    pub forced_flushes: u64,
-    /// Mean dispatched batch size, if any batch was dispatched.
-    pub mean_batch_size: Option<f64>,
-    /// Largest dispatched batch size, if any batch was dispatched.
-    pub max_batch_size: Option<f64>,
-    /// Mean batcher queue depth sampled at submit time.
-    pub mean_queue_depth: Option<f64>,
     /// Whether the restart-storm breaker has latched the pool into
     /// forced CPU fallback.
     pub forced_fallback: bool,
@@ -103,10 +84,10 @@ pub struct SchedMetrics {
 }
 
 impl SchedMetrics {
-    /// Collects a snapshot from a pool and its batcher. Utilization reads
-    /// go through the pool's rate-limited samplers, so collecting metrics
-    /// is as cheap as the Fig 3 policy's own NVML queries.
-    pub fn collect(pool: &DevicePool, batcher: &Batcher) -> Self {
+    /// Collects a snapshot from a pool. Utilization reads go through the
+    /// pool's rate-limited samplers, so collecting metrics is as cheap as
+    /// the Fig 3 policy's own NVML queries.
+    pub fn collect(pool: &DevicePool) -> Self {
         let utils = pool.utilization_snapshot();
         let frees = pool.engine_free_snapshot();
         let devices = (0..pool.len())
@@ -133,7 +114,6 @@ impl SchedMetrics {
         let (device_evictions, device_reinstatements) = (0..pool.len())
             .map(|idx| pool.health_counts(idx))
             .fold((0, 0), |(e, r), (de, dr)| (e + de, r + dr));
-        let c = batcher.counters();
         SchedMetrics {
             devices,
             cpu_fallback_batches: cpu_batches,
@@ -142,15 +122,6 @@ impl SchedMetrics {
             device_reinstatements,
             recovered_batches,
             recovered_rows,
-            queue_depth: batcher.queue_depth(),
-            submitted: c.submitted,
-            dispatched_batches: c.dispatched_batches,
-            full_flushes: c.full_flushes,
-            timeout_flushes: c.timeout_flushes,
-            forced_flushes: c.forced_flushes,
-            mean_batch_size: c.batch_sizes.mean(),
-            max_batch_size: c.batch_sizes.max(),
-            mean_queue_depth: c.queue_depths.mean(),
             forced_fallback: pool.forced_fallback(),
             forced_fallback_trips: pool.forced_fallback_trips(),
             admission: AdmissionCounters::default(),
@@ -175,45 +146,33 @@ impl SchedMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::BatchPolicy;
     use crate::pool::PoolPolicy;
     use lake_gpu::GpuSpec;
-    use lake_sim::{Instant, SharedClock};
+    use lake_sim::SharedClock;
 
     #[test]
-    fn snapshot_reflects_pool_and_batcher_state() {
+    fn snapshot_reflects_pool_state() {
         let pool = DevicePool::new(2, GpuSpec::tiny(), SharedClock::new(), PoolPolicy::default());
-        let mut batcher = Batcher::new(BatchPolicy { max_batch: 2, ..Default::default() });
-        let (_, none) = batcher.submit(1, 7, 1, 0, &[1.0], Instant::EPOCH);
-        assert!(none.is_none());
-        let (_, batch) = batcher.submit(2, 7, 1, 0, &[2.0], Instant::EPOCH);
-        assert!(batch.is_some());
         pool.note_dispatch(1, 2);
         pool.note_fallback(1);
 
-        let m = SchedMetrics::collect(&pool, &batcher);
+        let m = SchedMetrics::collect(&pool);
         assert_eq!(m.devices.len(), 2);
         assert_eq!(m.devices[1].dispatched_batches, 1);
         assert_eq!(m.devices[1].dispatched_rows, 2);
         assert_eq!(m.cpu_fallback_batches, 1);
         assert!(m.devices.iter().all(|d| d.healthy));
         assert_eq!((m.device_evictions, m.device_reinstatements), (0, 0));
-        assert_eq!(m.submitted, 2);
-        assert_eq!(m.dispatched_batches, 1);
-        assert_eq!(m.full_flushes, 1);
-        assert_eq!(m.mean_batch_size, Some(2.0));
-        assert_eq!(m.queue_depth, 0);
     }
 
     #[test]
     fn snapshot_surfaces_health_transitions() {
         let pool = DevicePool::new(2, GpuSpec::tiny(), SharedClock::new(), PoolPolicy::default());
-        let batcher = Batcher::new(BatchPolicy::default());
         for _ in 0..pool.policy().fault_threshold {
             pool.note_device_fault(0);
         }
         pool.note_recovered(8);
-        let m = SchedMetrics::collect(&pool, &batcher);
+        let m = SchedMetrics::collect(&pool);
         assert!(!m.devices[0].healthy);
         assert!(m.devices[1].healthy);
         assert_eq!(m.devices[0].evictions, 1);

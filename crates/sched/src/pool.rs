@@ -58,9 +58,6 @@ impl Default for PoolPolicy {
 struct PooledDevice {
     device: Arc<GpuDevice>,
     sampler: Mutex<NvmlSampler>,
-    /// Dedicated dispatch stream: batched launches ride this stream so
-    /// work on different devices overlaps in virtual time.
-    stream: u32,
     dispatches: AtomicU64,
     rows: AtomicU64,
     /// False once `fault_threshold` consecutive faults evict the device.
@@ -73,8 +70,8 @@ struct PooledDevice {
     reinstatements: AtomicU64,
 }
 
-/// N simulated GPUs sharing one virtual clock, each with its own dispatch
-/// stream and NVML sampler.
+/// N simulated GPUs sharing one virtual clock, each with its own NVML
+/// sampler.
 pub struct DevicePool {
     devices: Vec<PooledDevice>,
     policy: PoolPolicy,
@@ -129,7 +126,6 @@ impl DevicePool {
             .into_iter()
             .map(|device| PooledDevice {
                 sampler: Mutex::new(NvmlSampler::new(Arc::clone(&device))),
-                stream: device.stream_create(),
                 device,
                 dispatches: AtomicU64::new(0),
                 rows: AtomicU64::new(0),
@@ -187,15 +183,6 @@ impl DevicePool {
     /// device; only the stateless high-level path spreads).
     pub fn primary(&self) -> &Arc<GpuDevice> {
         &self.devices[0].device
-    }
-
-    /// The dedicated dispatch stream of device `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn stream(&self, idx: usize) -> u32 {
-        self.devices[idx].stream
     }
 
     /// Registers a kernel on every device (the multi-GPU analog of

@@ -62,7 +62,7 @@ pub use lake_ml as ml;
 pub use lake_registry as registry;
 /// LAKE's RPC wire format and call engine (`lake-rpc`).
 pub use lake_rpc as rpc;
-/// Multi-GPU dispatch and cross-subsystem batching (`lake-sched`).
+/// Multi-GPU dispatch and admission control (`lake-sched`).
 pub use lake_sched as sched;
 /// lakeShm shared memory (`lake-shm`).
 pub use lake_shm as shm;

@@ -141,7 +141,7 @@ fn fleet_survives_one_shard_crashing_with_identical_answers() {
         "fleet crash seed {seed} ({} shards): {} crashes detected, {} restarts \
          on shard 0 (epoch {}); router: {} primary, {} diverted, {} failover \
          retries; {} typed restart errors; totals: {} restarts, {} orphans \
-         reclaimed, {} tickets lost",
+         reclaimed",
         stats.shards,
         shard0.crashes_detected,
         shard0.restarts,
@@ -152,7 +152,6 @@ fn fleet_survives_one_shard_crashing_with_identical_answers() {
         typed,
         report.restarts,
         report.orphans_reclaimed,
-        report.tickets_lost,
     );
 
     // The crash plan really fired, and only on shard 0.

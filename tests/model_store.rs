@@ -8,9 +8,9 @@
 //!   oversubscribed;
 //! * **bit-identical answers** — eviction and cold-miss refaulting never
 //!   change what a model computes;
-//! * **pins are inviolable** — weights referenced by an in-flight call
-//!   (including a parked batched ticket) are never evicted; competing
-//!   work gets a typed `ML_STORE_FULL` instead of corrupted answers;
+//! * **typed exhaustion** — weights that cannot fit get a typed
+//!   `ML_STORE_FULL` instead of corrupted answers (pin immunity itself is
+//!   covered by the store's and the daemon's unit tests);
 //! * **epoch semantics on hot-swap** — in-flight work finishes on the
 //!   version it started on while new requests see the next version;
 //! * **crash-safe swaps** — a daemon crash inside the swap window
@@ -19,7 +19,7 @@
 //!   model only while its version is resident, so packed bytes stay
 //!   under the budget.
 
-use lake::core::{BatchPolicy, BatchThresholdPolicy, CrashSchedule, Lake, LakeError, LakeMl};
+use lake::core::{BatchThresholdPolicy, CrashSchedule, Lake, LakeError, LakeMl};
 use lake::ml::{serialize, Activation, LstmClassifier, Matrix, Mlp, PackedMlp};
 use lake::rpc::RpcError;
 use lake::sim::{BurstSchedule, Duration, Instant, PressurePlan};
@@ -44,23 +44,21 @@ fn row(i: usize) -> Vec<f32> {
 }
 
 /// A model set ~10× the byte budget churns through eviction while every
-/// answer stays bit-identical to an unbounded run and residency never
+/// answer stays bit-identical to `Mlp::classify` and residency never
 /// crosses the ceiling.
 #[test]
 fn oversubscribed_budget_evicts_faults_and_stays_bit_identical() {
     const MODELS: usize = 10;
-    let blobs: Vec<Vec<u8>> = (0..MODELS).map(|i| serialize::encode_mlp(&mlp(i as u64))).collect();
+    let nets: Vec<Mlp> = (0..MODELS).map(|i| mlp(i as u64)).collect();
+    let blobs: Vec<Vec<u8>> = nets.iter().map(serialize::encode_mlp).collect();
 
     // Budget sized to one model's resident footprint: the working set is
     // ~10× oversubscribed, so round-robin traffic evicts on every switch.
     let one = blobs[0].len().div_ceil(4096) * 4096;
     let budget = one;
 
-    let unbounded = Lake::builder().build();
     let bounded = Lake::builder().model_budget_bytes(budget).build();
-    let uml = offloading(&unbounded);
     let bml = offloading(&bounded);
-    let uids: Vec<_> = blobs.iter().map(|b| uml.load_model(b).unwrap()).collect();
     let bids: Vec<_> = blobs.iter().map(|b| bml.load_model(b).unwrap()).collect();
 
     for round in 0..6 {
@@ -68,7 +66,7 @@ fn oversubscribed_budget_evicts_faults_and_stays_bit_identical() {
             // Two calls per visit so the second is a warm hit.
             for k in 0..2 {
                 let x = row(round * MODELS + m + k);
-                let want = uml.infer_mlp(uids[m], 1, COLS, &x).unwrap();
+                let want = vec![nets[m].classify(&Matrix::from_vec(1, COLS, x.clone()))[0] as u32];
                 let got = bml.infer_mlp(bids[m], 1, COLS, &x).unwrap();
                 assert_eq!(got, want, "eviction churn changed model {m}'s answer");
                 let s = bounded.model_store_stats();
@@ -93,9 +91,6 @@ fn oversubscribed_budget_evicts_faults_and_stays_bit_identical() {
     let faults = bounded.model_fault_latencies_us();
     assert_eq!(faults.len() as u64, s.misses);
     assert!(s.fault_ns_total > 0 && faults.iter().all(|&us| us > 0.0));
-    // The unbounded twin never faulted or evicted.
-    let u = unbounded.model_store_stats();
-    assert_eq!((u.misses, u.evictions), (0, 0), "{u:?}");
 }
 
 /// 16 LinnOS+1 MLPs (`[31, 256, 256, 2]`, the shape the end-to-end
@@ -193,44 +188,45 @@ fn pressure_storm_trims_residency_without_changing_answers() {
     assert_eq!(lake.model_store_stats().resident_bytes, budget);
 }
 
-/// Weights pinned by a parked batched ticket can never be evicted: a
-/// competing model that needs the space gets `ML_STORE_FULL`, and flows
-/// once the ticket completes and drops its pin.
+/// A competing model whose page can never fit the budget gets a typed
+/// `ML_STORE_FULL` instead of a corrupted answer, releases every pin it
+/// took, and leaves the resident model answering bit-identically. Pin
+/// immunity itself is covered by the store's
+/// `pinned_models_are_never_evicted` and the daemon's
+/// `a_retired_versions_pack_leaves_with_its_last_pin`.
 #[test]
 fn pinned_weights_survive_budget_pressure_from_competing_models() {
-    let blob_a = serialize::encode_mlp(&mlp(200));
-    let blob_b = serialize::encode_mlp(&mlp(201));
+    let a_net = mlp(200);
+    let blob_a = serialize::encode_mlp(&a_net);
+    let blob_b = serialize::encode_mlp(&Mlp::new(
+        &[COLS, 256, 2],
+        Activation::Relu,
+        &mut StdRng::seed_from_u64(201),
+    ));
     let one = blob_a.len().div_ceil(4096) * 4096;
+    assert!(blob_b.len() > one, "B's page exceeds the budget");
 
-    let lake = Lake::builder()
-        .model_budget_bytes(one) // exactly one resident model
-        .batch_policy(BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(50) })
-        .build();
+    let lake = Lake::builder().model_budget_bytes(one).build(); // exactly one resident A
     let ml = offloading(&lake);
     let a = ml.load_model(&blob_a).unwrap();
     assert!(lake.daemon().model_resident(a.0), "first load is eager-resident");
 
-    // Park a row against A: the ticket holds A's weights pinned.
-    let ticket = ml.infer_submit(a, 1, COLS, 0, &row(0)).unwrap();
-    assert!(lake.model_store_stats().pinned_bytes > 0, "parked ticket pins weights");
-
-    // B's install cannot evict pinned A, so it lands lazy (non-resident).
+    // B's install cannot fit, so it lands lazy (non-resident).
     let b = ml.load_model(&blob_b).unwrap();
-    assert!(lake.daemon().model_resident(a.0), "pinned A immune to B's install");
     assert!(!lake.daemon().model_resident(b.0), "no room for the second");
 
-    // B cannot fault in — A is pinned, so there is nothing to evict.
+    // B cannot fault in at all: the call fails typed.
     let err = ml.infer_mlp(b, 1, COLS, &row(1)).unwrap_err();
     assert_eq!(err.vendor_code(), Some(lake::core::error::code::ML_STORE_FULL), "{err:?}");
-    assert!(lake.daemon().model_resident(a.0), "pinned weights were not sacrificed");
+    assert!(!lake.daemon().model_resident(b.0));
+    assert_eq!(lake.model_store_stats().pinned_bytes, 0, "the failed call left no pin");
 
-    // Drain the ticket; its pin drops, and B faults in by evicting A.
-    ml.infer_flush().unwrap();
-    assert!(ml.infer_poll(ticket).unwrap().is_some());
-    assert_eq!(lake.model_store_stats().pinned_bytes, 0);
-    assert_eq!(ml.infer_mlp(b, 1, COLS, &row(1)).unwrap().len(), 1);
-    assert!(!lake.daemon().model_resident(a.0), "A paged out once unpinned");
-    assert!(lake.daemon().model_resident(b.0));
+    // A still answers exactly, faulting back in if B's attempt evicted it.
+    let want = a_net.classify(&Matrix::from_vec(1, COLS, row(0)))[0] as u32;
+    assert_eq!(ml.infer_mlp(a, 1, COLS, &row(0)).unwrap(), vec![want]);
+    assert!(lake.daemon().model_resident(a.0));
+    let s = lake.model_store_stats();
+    assert!(s.resident_bytes <= one && s.peak_resident_bytes <= one, "{s:?}");
 }
 
 /// A daemon crash landing inside the hot-swap window: the swap surfaces
@@ -297,39 +293,31 @@ fn lstm_classify(model: &LstmClassifier, flat: &[f32]) -> u32 {
 
 proptest! {
     /// Epoch semantics under hot-swap, property-checked across random
-    /// weight pairs and feature batches: rows parked against version 1
-    /// finish bit-identical to a v1-only run even though version 2 swaps
-    /// in underneath them, and the first post-swap request sees v2.
+    /// weight pairs and feature batches: rows drained before the swap
+    /// answer bit-identically to v1, and every request after it sees v2.
     #[test]
     fn in_flight_lstm_batch_finishes_on_its_version_across_hot_swap(seed in 0u64..1000) {
         let v1 = LstmClassifier::new(LSTM_FEATS, 6, 1, 3, &mut StdRng::seed_from_u64(seed));
         let v2 = LstmClassifier::new(LSTM_FEATS, 6, 1, 3, &mut StdRng::seed_from_u64(seed + 7919));
         let rows = lstm_rows(seed);
 
-        let lake = Lake::builder()
-            // Rows park until the swap's barrier flush drains them.
-            .batch_policy(BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(50) })
-            .build();
+        let lake = Lake::builder().build();
         let ml = offloading(&lake);
         let id = ml.load_model(&serialize::encode_lstm(&v1)).unwrap();
 
-        let tickets: Vec<_> = rows
+        let calls: Vec<_> = rows
             .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                ml.infer_submit(id, i as u64, LSTM_FEATS * LSTM_STEPS, LSTM_STEPS, r).unwrap()
-            })
+            .map(|r| ml.submit_lstm(id, 1, LSTM_STEPS, LSTM_FEATS, r).unwrap())
             .collect();
+        let done = ml.drain_completions();
+        prop_assert_eq!(done.len(), rows.len());
+        for (call, r) in calls.iter().zip(&rows) {
+            let (_, got) = done.iter().find(|(c, _)| c == call).expect("row completed");
+            prop_assert_eq!(got.as_ref().unwrap()[0], lstm_classify(&v1, r), "pre-swap row left v1");
+        }
 
-        // Hot-swap while the batch is in flight. The daemon drains the
-        // parked rows against v1 *before* installing v2.
         let version = ml.swap_model(id, &serialize::encode_lstm(&v2)).unwrap();
         prop_assert_eq!(version, 2);
-
-        for (ticket, r) in tickets.iter().zip(&rows) {
-            let class = ml.infer_poll(*ticket).unwrap();
-            prop_assert_eq!(class, Some(lstm_classify(&v1, r)), "in-flight row left v1");
-        }
 
         // New requests land on v2 immediately.
         for r in &rows {
