@@ -49,8 +49,8 @@ pub enum LakeError {
     Rpc(RpcError),
     /// A `lakeShm` operation failed locally (allocation, bounds).
     Shm(ShmError),
-    /// Admission control rejected the request after bounded backpressure
-    /// (queue full, or the staging quota/region never freed in time).
+    /// The fleet's tenant governor gave up on the request after its
+    /// bounded virtual-time wait.
     Admission(AdmissionError),
     /// The daemon's response payload did not decode as expected.
     BadResponse(&'static str),

@@ -21,7 +21,6 @@ use bytes::Bytes;
 use lake_rpc::{
     ApiId, CallEngine, CmdId, Completion, Decoder, Encoder, QueuePair, QueueStats, RpcError,
 };
-use lake_sched::AdmissionController;
 use lake_shm::{ShmBuffer, ShmRegion};
 
 use crate::api;
@@ -39,11 +38,6 @@ impl std::fmt::Display for ModelId {
     }
 }
 
-/// The admission-control client every staged buffer is charged to. The
-/// high-level calls do not name their subsystem, so they share one
-/// staging quota.
-const STAGING_CLIENT: u64 = 0;
-
 /// One queued inference's class vector, or the typed error its frame
 /// surfaced — what the sync path would have returned for the same call.
 pub type InferCompletion = (CmdId, Result<Vec<u32>, LakeError>);
@@ -53,10 +47,8 @@ pub type InferCompletion = (CmdId, Result<Vec<u32>, LakeError>);
 pub struct LakeMl {
     engine: Arc<CallEngine>,
     shm: ShmRegion,
-    /// Bounded backpressure in front of staging-buffer allocation.
-    admission: Option<Arc<AdmissionController>>,
     /// Shadow registration table for crash replay.
-    supervisor: Option<Arc<DaemonSupervisor>>,
+    supervisor: Arc<DaemonSupervisor>,
     /// Owner tag for staged buffers (unique per handle, monotonic).
     next_request: Arc<AtomicU64>,
     /// This handle's SQ/CQ pair over the engine. Always present (the
@@ -81,15 +73,13 @@ impl LakeMl {
     pub(crate) fn new(
         engine: Arc<CallEngine>,
         shm: ShmRegion,
-        admission: Option<Arc<AdmissionController>>,
-        supervisor: Option<Arc<DaemonSupervisor>>,
+        supervisor: Arc<DaemonSupervisor>,
         queue_depth: usize,
     ) -> Self {
         let queue = Arc::new(QueuePair::new(Arc::clone(&engine), queue_depth));
         LakeMl {
             engine,
             shm,
-            admission,
             supervisor,
             next_request: Arc::new(AtomicU64::new(1)),
             queue,
@@ -121,11 +111,10 @@ impl LakeMl {
         features: &[f32],
     ) -> Option<Vec<u32>> {
         assert_eq!(features.len(), rows * cols, "feature buffer shape mismatch");
-        let sup = self.supervisor.as_ref()?;
         if self.policy.lock().expect("policy poisoned").decide(rows) != Target::Cpu {
             return None;
         }
-        let classes = sup.classify_local(id.0, rows, cols, features)?;
+        let classes = self.supervisor.classify_local(id.0, rows, cols, features)?;
         Some(classes.into_iter().map(|c| c as u32).collect())
     }
 
@@ -142,28 +131,16 @@ impl LakeMl {
         self.queue.wait(id)
     }
 
-    /// Allocates an **owner-tagged** shm buffer (current daemon epoch +
-    /// request id), going through admission control when it is wired:
-    /// shm exhaustion waits boundedly on the virtual clock instead of
-    /// failing immediately or forever.
-    fn admit_staging(&self, size: usize) -> Result<ShmBuffer, LakeError> {
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let size = size.max(1);
-        match &self.admission {
-            Some(ctl) => ctl
-                .admit(STAGING_CLIENT, size, || self.shm.alloc_owned(size, request_id).ok())
-                .map_err(LakeError::Admission),
-            None => Ok(self.shm.alloc_owned(size, request_id)?),
-        }
-    }
-
     /// Stages a feature tensor by encoding the f32 words little-endian
-    /// **straight into** an owner-tagged shm buffer — one copy end to
-    /// end, with no intermediate byte vector between the caller's
-    /// tensor and the shared mapping.
+    /// **straight into** an shm buffer tagged with the current daemon
+    /// epoch and a request id — one copy end to end, with no intermediate
+    /// byte vector between the caller's tensor and the shared mapping. An
+    /// exhausted region fails at once with `ShmError::OutOfMemory`;
+    /// callers free room by harvesting their queued batches.
     fn stage_f32(&self, features: &[f32]) -> Result<ShmBuffer, LakeError> {
         let bytes = features.len() * 4;
-        let buf = self.admit_staging(bytes)?;
+        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
+        let buf = self.shm.alloc_owned(bytes.max(1), request_id)?;
         self.shm.with_bytes_mut(&buf, |dst| {
             for (chunk, &x) in dst.chunks_exact_mut(4).zip(features) {
                 chunk.copy_from_slice(&x.to_le_bytes());
@@ -183,14 +160,10 @@ impl LakeMl {
     /// is disowned (marked orphaned) for the supervisor's reclamation
     /// sweep to collect once the restart protocol has run.
     fn unstage(&self, buf: ShmBuffer, lost_with_daemon: bool) -> Result<(), LakeError> {
-        let size = buf.len();
         if lost_with_daemon {
             self.shm.mark_orphan(&buf)?;
         } else {
             self.shm.free(buf)?;
-        }
-        if let Some(ctl) = &self.admission {
-            ctl.release(STAGING_CLIENT, size);
         }
         Ok(())
     }
@@ -210,9 +183,7 @@ impl LakeMl {
         // Shadow-register the blob so a supervised restart replays it
         // into the new incarnation under the same id. Fresh loads always
         // install at version 1.
-        if let Some(sup) = &self.supervisor {
-            sup.record_model(id, 1, blob);
-        }
+        self.supervisor.record_model(id, 1, blob);
         Ok(ModelId(id))
     }
 
@@ -225,9 +196,7 @@ impl LakeMl {
         let mut e = Encoder::new();
         e.put_u64(id.0);
         self.call(api::ML_UNLOAD_MODEL, e.finish())?;
-        if let Some(sup) = &self.supervisor {
-            sup.forget_model(id.0);
-        }
+        self.supervisor.forget_model(id.0);
         Ok(())
     }
 
@@ -352,9 +321,7 @@ impl LakeMl {
         // Refresh the shadow registration so a supervised restart replays
         // the *trained* weights at their bumped version, not the stale
         // originals.
-        if let Some(sup) = &self.supervisor {
-            sup.record_model(id.0, version, blob);
-        }
+        self.supervisor.record_model(id.0, version, blob);
         Ok(loss)
     }
 
@@ -380,9 +347,7 @@ impl LakeMl {
         let resp = self.call(api::ML_SWAP_MODEL, e.finish())?;
         let mut d = Decoder::new(&resp);
         let version = d.get_u64().map_err(|_| LakeError::BadResponse("swapped version"))?;
-        if let Some(sup) = &self.supervisor {
-            sup.record_model(id.0, version, blob);
-        }
+        self.supervisor.record_model(id.0, version, blob);
         Ok(version)
     }
 
@@ -405,9 +370,7 @@ impl LakeMl {
         let new_id = d.get_u64().map_err(|_| LakeError::BadResponse("quantized model id"))?;
         let version = d.get_u64().map_err(|_| LakeError::BadResponse("quantized version"))?;
         let blob = d.get_bytes().map_err(|_| LakeError::BadResponse("quantized blob"))?;
-        if let Some(sup) = &self.supervisor {
-            sup.record_model(new_id, version, blob);
-        }
+        self.supervisor.record_model(new_id, version, blob);
         Ok(ModelId(new_id))
     }
 
@@ -550,9 +513,7 @@ impl LakeMl {
         // so sweep orphans from dead incarnations back to the free list
         // now instead of waiting for an explicit reclaim call.
         if lost {
-            if let Some(sup) = &self.supervisor {
-                sup.sweep_idle_orphans();
-            }
+            self.supervisor.sweep_idle_orphans();
         }
         let result = unstaged.and_then(|()| {
             let resp = c.result?;

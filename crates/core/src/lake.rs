@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use lake_gpu::{GpuDevice, GpuError, GpuFaultConfig, GpuSpec, KernelArg, KernelCtx};
 use lake_rpc::{CallEngine, CallPolicy, CallStats};
-use lake_sched::{AdmissionController, AdmissionPolicy, DevicePool, PoolPolicy, SchedMetrics};
+use lake_sched::{DevicePool, PoolPolicy, SchedMetrics};
 use lake_shm::{AllocStats, ReclaimReport, ShmRegion};
 use lake_sim::{BurstSchedule, CrashSchedule, FaultCounters, FaultPlan, FaultSpec, SharedClock};
 use lake_transport::{Channel, Link, Mechanism, RingEndpoint, RingLink, RingStats, WaitStrategy};
@@ -105,8 +105,6 @@ pub struct LakeBuilder {
     gpu_faults: Vec<(usize, GpuFaultConfig)>,
     stall_schedule: Option<BurstSchedule>,
     crash_schedule: Option<CrashSchedule>,
-    supervisor_policy: SupervisorPolicy,
-    admission_policy: AdmissionPolicy,
     staging_threshold: Option<usize>,
     link_mode: LinkMode,
     wait_strategy: WaitStrategy,
@@ -131,8 +129,6 @@ impl Default for LakeBuilder {
             gpu_faults: Vec::new(),
             stall_schedule: None,
             crash_schedule: None,
-            supervisor_policy: SupervisorPolicy::default(),
-            admission_policy: AdmissionPolicy::default(),
             staging_threshold: None,
             link_mode: LinkMode::default(),
             wait_strategy: WaitStrategy::default(),
@@ -221,18 +217,6 @@ impl LakeBuilder {
     /// a new incarnation epoch.
     pub fn crash_schedule(mut self, schedule: CrashSchedule) -> Self {
         self.crash_schedule = Some(schedule);
-        self
-    }
-
-    /// Overrides the supervisor's lease/backoff/breaker tunables.
-    pub fn supervisor_policy(mut self, policy: SupervisorPolicy) -> Self {
-        self.supervisor_policy = policy;
-        self
-    }
-
-    /// Overrides the staging-buffer admission-control tunables.
-    pub fn admission_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission_policy = policy;
         self
     }
 
@@ -462,7 +446,7 @@ impl LakeBuilder {
         let supervisor = DaemonSupervisor::new(
             clock.clone(),
             self.crash_schedule.unwrap_or_else(CrashSchedule::none),
-            self.supervisor_policy,
+            SupervisorPolicy::default(),
             Arc::clone(&daemon),
             shm.clone(),
             staging.as_ref().map(|(region, _)| region.clone()),
@@ -551,7 +535,6 @@ impl LakeBuilder {
         // Retry-with-backoff only ever fires for APIs registered as
         // idempotent; classify the whole surface up front.
         crate::api::register_idempotency(&engine);
-        let admission = Arc::new(AdmissionController::new(clock.clone(), self.admission_policy));
         Lake {
             clock,
             shm,
@@ -561,7 +544,6 @@ impl LakeBuilder {
             engine,
             fault_plan,
             supervisor,
-            admission,
             link_mode,
             ring,
             queue_depth,
@@ -584,7 +566,6 @@ pub struct Lake {
     engine: Arc<CallEngine>,
     fault_plan: Option<Arc<FaultPlan>>,
     supervisor: Arc<DaemonSupervisor>,
-    admission: Arc<AdmissionController>,
     link_mode: LinkMode,
     ring: Option<RingEndpoint>,
     queue_depth: usize,
@@ -691,10 +672,9 @@ impl Lake {
 
     /// A snapshot of the scheduler's counters (queue depth, batch sizes,
     /// per-device utilization and dispatches, CPU fallbacks), with
-    /// admission-control, shm-orphan, and daemon-lifecycle counters
-    /// folded in.
+    /// shm-orphan and daemon-lifecycle counters folded in.
     pub fn sched_metrics(&self) -> SchedMetrics {
-        let mut m = self.daemon.sched_metrics().with_admission(self.admission.counters());
+        let mut m = self.daemon.sched_metrics();
         let shm = self.shm.stats();
         m.shm_orphaned_bytes = shm.orphaned_bytes;
         m.shm_reclaimed_allocs = shm.reclaimed_allocs;
@@ -710,11 +690,6 @@ impl Lake {
     /// replay table).
     pub fn supervisor(&self) -> &Arc<DaemonSupervisor> {
         &self.supervisor
-    }
-
-    /// The staging-buffer admission controller.
-    pub fn admission(&self) -> &Arc<AdmissionController> {
-        &self.admission
     }
 
     /// Quiesced orphan sweep: frees every shm allocation still owned by
@@ -737,16 +712,15 @@ impl Lake {
         LakeCuda::new(Arc::clone(&self.engine), self.shm.clone())
     }
 
-    /// A kernel-space high-level-ML handle (§4.4), with staging-buffer
-    /// admission control and crash-replay shadow registration wired in.
+    /// A kernel-space high-level-ML handle (§4.4), with owner-tagged
+    /// lakeShm staging and crash-replay shadow registration wired in.
     /// MLP calls below the default policy's 8-row crossover are answered
     /// kernel-side from the shadow table ([`LakeMl::with_policy`]).
     pub fn ml(&self) -> LakeMl {
         LakeMl::new(
             Arc::clone(&self.engine),
             self.shm.clone(),
-            Some(Arc::clone(&self.admission)),
-            Some(Arc::clone(&self.supervisor)),
+            Arc::clone(&self.supervisor),
             self.queue_depth,
         )
     }
@@ -1357,7 +1331,7 @@ mod crash_tests {
     use crate::error::LakeError;
     use lake_ml::{serialize, Activation, Mlp};
     use lake_rpc::RpcError;
-    use lake_sched::AdmissionError;
+    use lake_shm::ShmError;
     use lake_sim::{Duration, Instant};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1511,32 +1485,26 @@ mod crash_tests {
     }
 
     #[test]
-    fn admission_control_bounds_shm_exhaustion() {
-        // A 256-byte region cannot ever stage a 512-byte batch: admission
-        // must bound the wait and surface a typed error instead of
-        // spinning forever (or panicking on the allocator).
+    fn shm_exhaustion_fails_typed_without_waiting() {
+        // A 256-byte region cannot ever stage a 512-byte batch, and only
+        // this caller could free room: the call fails at once with the
+        // allocator's typed error instead of waiting on the clock.
         let lake = Lake::builder().shm_capacity(256).build();
         let ml = offloading_ml(&lake);
         let id = ml.load_model(&serialize::encode_mlp(&tiny_mlp())).unwrap();
 
         let t0 = lake.clock().now();
         let err = ml.infer_mlp(id, 32, 4, &vec![0.25f32; 128]).unwrap_err();
-        let waited = lake.clock().now() - t0;
         assert!(
-            matches!(err, LakeError::Admission(AdmissionError::DeadlineExpired { .. })),
-            "expected a typed admission deadline, got {err:?}"
+            matches!(err, LakeError::Shm(ShmError::OutOfMemory { requested: 512, .. })),
+            "expected a typed shm exhaustion, got {err:?}"
         );
-        let deadline = lake.admission().policy().queue_deadline;
-        assert!(waited >= deadline, "backpressure held for the full deadline");
-        assert!(waited < deadline * 3, "and is bounded: waited {waited}");
+        assert_eq!(lake.clock().now(), t0, "the failure did not wait");
 
-        let counters = lake.sched_metrics().admission;
-        assert_eq!(counters.expired_deadline, 1);
-        assert_eq!(counters.queued_waits, 1);
-
-        // Right-sized requests still flow afterwards: the failed admit
-        // released its claim.
+        // Right-sized requests still flow afterwards, and nothing stays
+        // staged.
         assert_eq!(ml.infer_mlp(id, 1, 4, &[0.25; 4]).unwrap().len(), 1);
+        assert_eq!(lake.shm().stats().in_use, 0);
     }
 }
 

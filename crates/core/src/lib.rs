@@ -63,10 +63,7 @@ pub use supervisor::{DaemonSupervisor, LocalStats, SupervisorPolicy, SupervisorS
 
 // Re-export the types that appear in this crate's public API.
 pub use lake_gpu::{DevicePtr, ExecMode, GpuDevice, GpuError, GpuSpec, KernelArg, KernelCtx};
-pub use lake_sched::{
-    AdmissionController, AdmissionCounters, AdmissionError, AdmissionPolicy, DevicePool, Placement,
-    PoolPolicy, SchedMetrics,
-};
+pub use lake_sched::{AdmissionError, DevicePool, Placement, PoolPolicy, SchedMetrics};
 pub use lake_shm::{AllocStats, ReclaimReport, ShmBuffer, ShmRegion};
 pub use lake_sim::CrashSchedule;
 pub use lake_transport::{Mechanism, RingStats, WaitStrategy};

@@ -15,8 +15,8 @@
 //!    sibling while the primary sits in restart backoff — the caller
 //!    sees an answer, not a retry storm.
 //! 3. **Tenant QoS.** A fleet-level [`TenantGovernor`] applies weighted
-//!    fair queueing of staged bytes *across tenants*, one level above
-//!    PR 3's per-client admission quotas inside each shard.
+//!    fair queueing of staged bytes *across tenants*; inside each shard
+//!    staging allocates straight from that shard's lakeShm region.
 //!
 //! Failover state machine per call, for a model with distinct
 //! primary/backup:
@@ -374,8 +374,8 @@ fn failover_eligible(err: &LakeError) -> bool {
 /// plus routing, tenant admission, replication, and failover.
 ///
 /// Every data-plane call names a `tenant`; staged bytes are admitted
-/// through the fleet's [`TenantGovernor`] *before* shard-local
-/// per-client admission applies inside the chosen shard.
+/// through the fleet's [`TenantGovernor`] before the chosen shard
+/// stages them.
 pub struct FleetMl<'f> {
     fleet: &'f DaemonFleet,
     mls: Vec<LakeMl>,
@@ -426,7 +426,7 @@ impl FleetMl<'_> {
     }
 
     /// Admits `bytes` of staged payload for `tenant` through the fleet
-    /// governor (blocking in virtual time, like shard-local admission).
+    /// governor (blocking in virtual time).
     fn admit(&self, tenant: u32, bytes: usize) -> Result<(), LakeError> {
         self.fleet.governor.admit(tenant, bytes).map_err(LakeError::from)
     }

@@ -9,8 +9,7 @@
 //!   topology change remaps only ~1/N of the keys and every router
 //!   agrees on each key's backup shard without coordination.
 //! - [`qos`] — deficit-round-robin weighted fair queueing of staged
-//!   bytes across *tenants*, one level above the per-client byte quotas
-//!   each shard's admission controller already enforces.
+//!   bytes across *tenants*, the one admission wait in the stack.
 //! - [`fleet`] — the [`DaemonFleet`] itself: deployment from a
 //!   [`lake_core::LakeBuilder`] template (`shards(n)` / `LAKE_SHARDS`),
 //!   model replication to ring backups, proactive diversion plus

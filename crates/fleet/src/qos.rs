@@ -1,10 +1,9 @@
 //! Weighted fair queueing of staged bytes across tenants.
 //!
-//! PR 3's `AdmissionController` bounds how many bytes one *client* may
-//! hold in flight, but a node serving several kernel subsystems (or, in
-//! the fleet's framing, several tenants each owning many clients) needs
-//! a second, higher level: how fast may each tenant *consume* staging
-//! bandwidth relative to the others? The classic answer is
+//! A node serving several kernel subsystems (or, in the fleet's
+//! framing, several tenants each owning many clients) must decide how
+//! fast each tenant may *consume* staging bandwidth relative to the
+//! others. The classic answer is
 //! deficit-round-robin: each tenant owns a byte bucket that refills at
 //! `weight × quantum` per refill tick, and a request is admitted when
 //! the bucket covers it. Under saturation every tenant's service rate is
@@ -12,7 +11,7 @@
 //! isolation gate (and the 1:2:4 proptest) asserts — while an idle
 //! tenant's unused share is naturally available to others.
 //!
-//! Like the admission controller, the governor lives in *virtual* time:
+//! The governor lives in *virtual* time:
 //! a blocked [`TenantGovernor::admit`] advances the shared clock by
 //! `refill_interval` per retry (modeling the stub spinning on a refill
 //! timer) and gives up with [`AdmissionError::DeadlineExpired`] after
@@ -66,7 +65,7 @@ struct TenantState {
     served_bytes: u64,
 }
 
-/// Aggregate counters, mirroring `AdmissionCounters`' shape.
+/// Aggregate counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QosCounters {
     /// Requests admitted immediately (bucket already covered them).
@@ -307,11 +306,8 @@ mod tests {
         );
         tight.set_weight(1, 1);
         assert!(tight.try_admit(1, 100), "drain starting credit");
-        let err = tight.admit(1, 100_000).unwrap_err();
-        match err {
-            AdmissionError::DeadlineExpired { waited_us } => assert!(waited_us >= 20),
-            other => panic!("expected DeadlineExpired, got {other:?}"),
-        }
+        let AdmissionError::DeadlineExpired { waited_us } = tight.admit(1, 100_000).unwrap_err();
+        assert!(waited_us >= 20);
         assert_eq!(tight.counters().expired, 1);
     }
 

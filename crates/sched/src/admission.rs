@@ -1,67 +1,18 @@
-//! Bounded backpressure for shm exhaustion and daemon-down windows.
+//! The typed failure of a bounded admission wait.
 //!
-//! When the shared-memory region is full (or temporarily riddled with
-//! orphans from a dead daemon incarnation) the high-level APIs must not
-//! spin forever or fail unboundedly. The [`AdmissionController`] sits in
-//! front of staging-buffer allocation and applies the ISSUE 3 policy:
-//!
-//! * **per-subsystem quota** — each client (subsystem id) may hold at
-//!   most `quota_bytes` of in-flight staging memory; requests beyond the
-//!   quota wait instead of starving other subsystems,
-//! * **bounded queue** — at most `max_waiters` requests may be waiting
-//!   at once; the next one is rejected immediately with
-//!   [`AdmissionError::QueueFull`],
-//! * **virtual-time deadlines** — a waiting request retries on the
-//!   shared clock every `retry_interval` and gives up with
-//!   [`AdmissionError::DeadlineExpired`] once it has waited
-//!   `queue_deadline`, so backpressure is bounded in (virtual) time.
-//!
-//! The controller is resource-agnostic: the caller supplies a
-//! `try_acquire` closure (typically an shm `alloc_owned` attempt) and
-//! the controller decides *whether and how long* to keep trying.
+//! Staging-buffer allocation does not wait: an exhausted `lakeShm`
+//! region fails at once with the allocator's own typed error. The one
+//! admission wait left in the stack is the fleet's per-tenant governor,
+//! which paces a tenant on the shared virtual clock and gives up with
+//! [`AdmissionError::DeadlineExpired`] once its deadline passes.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
-
-use lake_sim::{Duration, SharedClock};
-
-/// Tunables for [`AdmissionController`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionPolicy {
-    /// Maximum in-flight staging bytes a single client may hold.
-    pub quota_bytes: usize,
-    /// Maximum number of requests allowed to wait concurrently.
-    pub max_waiters: usize,
-    /// How long a request may wait (virtual time) before expiring.
-    pub queue_deadline: Duration,
-    /// Virtual-time pause between acquisition retries while waiting.
-    pub retry_interval: Duration,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        Self {
-            quota_bytes: 256 * 1024,
-            max_waiters: 64,
-            queue_deadline: Duration::from_micros(500),
-            retry_interval: Duration::from_micros(10),
-        }
-    }
-}
 
 /// Typed admission failures, surfaced to the caller instead of an
-/// unbounded stall or a raw allocator `None`.
+/// unbounded stall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionError {
-    /// The bounded wait queue is already full.
-    QueueFull {
-        /// Number of requests already waiting.
-        waiters: usize,
-    },
-    /// The request waited `queue_deadline` without the resource freeing.
+    /// The request waited its queue deadline without being admitted.
     DeadlineExpired {
         /// Virtual microseconds spent waiting before expiry.
         waited_us: u64,
@@ -71,9 +22,6 @@ pub enum AdmissionError {
 impl fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AdmissionError::QueueFull { waiters } => {
-                write!(f, "admission queue full ({waiters} waiters)")
-            }
             AdmissionError::DeadlineExpired { waited_us } => {
                 write!(f, "admission deadline expired after {waited_us}us")
             }
@@ -82,237 +30,3 @@ impl fmt::Display for AdmissionError {
 }
 
 impl std::error::Error for AdmissionError {}
-
-/// Snapshot of admission activity, surfaced through `SchedMetrics`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionCounters {
-    /// Requests admitted (with or without waiting).
-    pub admitted: u64,
-    /// Requests that had to wait at least one retry interval.
-    pub queued_waits: u64,
-    /// Requests rejected because the wait queue was full.
-    pub rejected_queue_full: u64,
-    /// Requests that expired their queue deadline while waiting.
-    pub expired_deadline: u64,
-    /// Total in-flight staging bytes across all clients right now.
-    pub in_flight_bytes: usize,
-}
-
-/// Per-subsystem quota + bounded queue with virtual-time deadlines.
-pub struct AdmissionController {
-    clock: SharedClock,
-    policy: AdmissionPolicy,
-    /// client id -> in-flight staging bytes.
-    in_flight: Mutex<HashMap<u64, usize>>,
-    waiters: AtomicU64,
-    admitted: AtomicU64,
-    queued_waits: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    expired_deadline: AtomicU64,
-}
-
-impl fmt::Debug for AdmissionController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AdmissionController")
-            .field("policy", &self.policy)
-            .field("counters", &self.counters())
-            .finish_non_exhaustive()
-    }
-}
-
-impl AdmissionController {
-    /// Creates a controller driven by the stack's shared virtual clock.
-    pub fn new(clock: SharedClock, policy: AdmissionPolicy) -> Self {
-        Self {
-            clock,
-            policy,
-            in_flight: Mutex::new(HashMap::new()),
-            waiters: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            queued_waits: AtomicU64::new(0),
-            rejected_queue_full: AtomicU64::new(0),
-            expired_deadline: AtomicU64::new(0),
-        }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// Admits a request for `bytes` staging bytes on behalf of `client`.
-    ///
-    /// `try_acquire` is invoked to actually obtain the resource (e.g. an
-    /// shm allocation); returning `None` means "resource exhausted, try
-    /// again later". The controller retries on the virtual clock until
-    /// the queue deadline expires. On success the client's quota is
-    /// charged; the caller must pair it with [`AdmissionController::release`].
-    pub fn admit<T>(
-        &self,
-        client: u64,
-        bytes: usize,
-        mut try_acquire: impl FnMut() -> Option<T>,
-    ) -> Result<T, AdmissionError> {
-        let mut waited = Duration::ZERO;
-        let mut queued = false;
-        loop {
-            let under_quota = {
-                let in_flight = self.in_flight.lock();
-                let held = in_flight.get(&client).copied().unwrap_or(0);
-                // A single oversized request may still run alone so it
-                // cannot deadlock against its own quota.
-                held + bytes <= self.policy.quota_bytes || held == 0
-            };
-            if under_quota {
-                if let Some(got) = try_acquire() {
-                    *self.in_flight.lock().entry(client).or_insert(0) += bytes;
-                    self.admitted.fetch_add(1, Ordering::Relaxed);
-                    if queued {
-                        self.waiters.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    return Ok(got);
-                }
-            }
-            // Resource (or quota) exhausted: join the bounded queue.
-            if !queued {
-                let waiters = self.waiters.load(Ordering::Relaxed);
-                if waiters >= self.policy.max_waiters as u64 {
-                    self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                    return Err(AdmissionError::QueueFull { waiters: waiters as usize });
-                }
-                self.waiters.fetch_add(1, Ordering::Relaxed);
-                self.queued_waits.fetch_add(1, Ordering::Relaxed);
-                queued = true;
-            }
-            if waited >= self.policy.queue_deadline {
-                self.waiters.fetch_sub(1, Ordering::Relaxed);
-                self.expired_deadline.fetch_add(1, Ordering::Relaxed);
-                return Err(AdmissionError::DeadlineExpired { waited_us: waited.as_micros() });
-            }
-            self.clock.advance(self.policy.retry_interval);
-            waited += self.policy.retry_interval;
-        }
-    }
-
-    /// Returns `bytes` of quota for `client`, freeing headroom for
-    /// queued requests.
-    pub fn release(&self, client: u64, bytes: usize) {
-        let mut in_flight = self.in_flight.lock();
-        if let Some(held) = in_flight.get_mut(&client) {
-            *held = held.saturating_sub(bytes);
-            if *held == 0 {
-                in_flight.remove(&client);
-            }
-        }
-    }
-
-    /// In-flight staging bytes currently charged to `client`.
-    pub fn in_flight_of(&self, client: u64) -> usize {
-        self.in_flight.lock().get(&client).copied().unwrap_or(0)
-    }
-
-    /// Aggregate counters for metrics surfacing.
-    pub fn counters(&self) -> AdmissionCounters {
-        AdmissionCounters {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            queued_waits: self.queued_waits.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            expired_deadline: self.expired_deadline.load(Ordering::Relaxed),
-            in_flight_bytes: self.in_flight.lock().values().sum(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ctl(quota: usize, max_waiters: usize) -> AdmissionController {
-        AdmissionController::new(
-            SharedClock::new(),
-            AdmissionPolicy {
-                quota_bytes: quota,
-                max_waiters,
-                queue_deadline: Duration::from_micros(100),
-                retry_interval: Duration::from_micros(10),
-            },
-        )
-    }
-
-    #[test]
-    fn admits_within_quota_without_waiting() {
-        let c = ctl(1024, 4);
-        let t0 = c.clock.now();
-        let got = c.admit(1, 256, || Some(42u32)).unwrap();
-        assert_eq!(got, 42);
-        assert_eq!(c.clock.now(), t0, "no virtual time charged on fast path");
-        assert_eq!(c.in_flight_of(1), 256);
-        let counters = c.counters();
-        assert_eq!(counters.admitted, 1);
-        assert_eq!(counters.queued_waits, 0);
-        c.release(1, 256);
-        assert_eq!(c.in_flight_of(1), 0);
-    }
-
-    #[test]
-    fn over_quota_request_waits_then_expires_typed() {
-        let c = ctl(512, 4);
-        c.admit(7, 512, || Some(())).unwrap();
-        let t0 = c.clock.now();
-        let err = c.admit(7, 64, || Some(())).unwrap_err();
-        assert_eq!(err, AdmissionError::DeadlineExpired { waited_us: 100 });
-        let waited = c.clock.now().duration_since(t0);
-        assert_eq!(waited, Duration::from_micros(100), "bounded virtual wait");
-        let counters = c.counters();
-        assert_eq!(counters.queued_waits, 1);
-        assert_eq!(counters.expired_deadline, 1);
-    }
-
-    #[test]
-    fn freed_resource_unblocks_a_waiter_within_deadline() {
-        let c = ctl(4096, 4);
-        // The underlying resource (shm) is exhausted for the first two
-        // polls, then an orphan sweep frees it.
-        let mut polls = 0;
-        let t0 = c.clock.now();
-        let got = c.admit(3, 128, || {
-            polls += 1;
-            (polls > 2).then_some("ok")
-        });
-        assert_eq!(got.unwrap(), "ok");
-        assert_eq!(c.in_flight_of(3), 128);
-        let waited = c.clock.now().duration_since(t0);
-        assert_eq!(waited, Duration::from_micros(20), "two retry intervals");
-        assert_eq!(c.counters().queued_waits, 1);
-        assert_eq!(c.counters().expired_deadline, 0);
-    }
-
-    #[test]
-    fn queue_bound_rejects_the_next_waiter() {
-        let c = ctl(64, 0);
-        c.admit(1, 64, || Some(())).unwrap();
-        let err = c.admit(1, 64, || Some(())).unwrap_err();
-        assert_eq!(err, AdmissionError::QueueFull { waiters: 0 });
-        assert_eq!(c.counters().rejected_queue_full, 1);
-    }
-
-    #[test]
-    fn oversized_request_is_not_self_deadlocked() {
-        let c = ctl(100, 4);
-        // Larger than the whole quota, but the client holds nothing:
-        // it must be allowed through rather than wait forever.
-        c.admit(9, 4096, || Some(())).unwrap();
-        assert_eq!(c.in_flight_of(9), 4096);
-    }
-
-    #[test]
-    fn quotas_are_per_client() {
-        let c = ctl(256, 4);
-        c.admit(1, 256, || Some(())).unwrap();
-        // A different subsystem is unaffected by client 1's saturation.
-        let t0 = c.clock.now();
-        c.admit(2, 256, || Some(())).unwrap();
-        assert_eq!(c.clock.now(), t0);
-        assert_eq!(c.counters().in_flight_bytes, 512);
-    }
-}

@@ -1,4 +1,4 @@
-//! `lake-sched`: multi-GPU dispatch and admission control.
+//! `lake-sched`: multi-GPU dispatch.
 //!
 //! The paper deploys LAKE on a single GPU, but its design calls for the
 //! daemon to arbitrate "concurrent accelerator access from multiple
@@ -14,8 +14,8 @@
 //!   the least-loaded device; when every device sits above the
 //!   contention threshold the pool signals [`Placement::CpuFallback`],
 //!   reproducing Fig 13's adaptive behavior per device.
-//! * [`AdmissionController`] — bounded backpressure in front of staging
-//!   buffer allocation.
+//! * [`AdmissionError`] — the typed expiry of a bounded admission wait
+//!   (the fleet's tenant governor is the one that waits).
 //! * [`SchedMetrics`] — per-device dispatch, utilization and health
 //!   counters, plus CPU fallbacks.
 //!
@@ -33,6 +33,6 @@ pub mod admission;
 pub mod metrics;
 pub mod pool;
 
-pub use admission::{AdmissionController, AdmissionCounters, AdmissionError, AdmissionPolicy};
+pub use admission::AdmissionError;
 pub use metrics::{DeviceMetrics, SchedMetrics};
 pub use pool::{DevicePool, Placement, PoolPolicy};

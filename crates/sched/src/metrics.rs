@@ -1,7 +1,6 @@
 //! Scheduler observability: a point-in-time snapshot of the pool's
 //! counters.
 
-use crate::admission::AdmissionCounters;
 use crate::pool::DevicePool;
 
 /// Per-device scheduler counters.
@@ -52,10 +51,6 @@ pub struct SchedMetrics {
     pub forced_fallback: bool,
     /// Times the forced-fallback breaker has latched.
     pub forced_fallback_trips: u64,
-    /// Admission-control activity (quota waits, rejections, expiries).
-    /// Zero unless the owner wires an `AdmissionController` in via
-    /// [`SchedMetrics::with_admission`].
-    pub admission: AdmissionCounters,
     /// Daemon restarts observed by the supervisor. Populated by the
     /// stack owner; zero when collected below the lifecycle layer.
     pub daemon_restarts: u64,
@@ -124,7 +119,6 @@ impl SchedMetrics {
             recovered_rows,
             forced_fallback: pool.forced_fallback(),
             forced_fallback_trips: pool.forced_fallback_trips(),
-            admission: AdmissionCounters::default(),
             daemon_restarts: 0,
             shm_orphaned_bytes: 0,
             shm_reclaimed_allocs: 0,
@@ -134,12 +128,6 @@ impl SchedMetrics {
             gemm_pool_utilization: 0.0,
             simd_kernel: "",
         }
-    }
-
-    /// Folds admission-controller counters into the snapshot.
-    pub fn with_admission(mut self, counters: AdmissionCounters) -> Self {
-        self.admission = counters;
-        self
     }
 }
 

@@ -221,7 +221,8 @@ impl fmt::Display for Instant {
 ///
 /// Components that model sequential execution (a kernel thread issuing a
 /// remoted API call, a CPU running AES rounds) advance the clock directly;
-/// the event-driven [`crate::Simulation`] advances it as events fire.
+/// overlapping ones (device completions, frame arrivals) move it forward
+/// to their completion instants with [`Clock::advance_to`].
 #[derive(Debug, Default)]
 pub struct Clock {
     now_ns: AtomicU64,

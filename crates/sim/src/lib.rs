@@ -1,9 +1,9 @@
-//! Discrete-event simulation substrate for the LAKE reproduction.
+//! Shared virtual-clock simulation substrate for the LAKE reproduction.
 //!
 //! The LAKE paper ([Fingler et al., ASPLOS '23]) evaluates a real Linux 6.0
 //! kernel on a GPU testbed. This crate provides the synthetic equivalent used
-//! throughout the reproduction: a virtual nanosecond clock, a deterministic
-//! event queue, shared resources with utilization accounting, time-series
+//! throughout the reproduction: a virtual nanosecond clock shared by every
+//! component, shared resources with utilization accounting, time-series
 //! metric recorders, and the random distributions the paper uses to generate
 //! storage traces (exponential inter-arrival, lognormal size, uniform offset).
 //!
@@ -15,14 +15,13 @@
 //! # Example
 //!
 //! ```
-//! use lake_sim::{Simulation, Duration};
+//! use lake_sim::{Duration, SharedClock};
 //!
-//! let mut sim = Simulation::new();
-//! sim.schedule_in(Duration::from_micros(5), |sim| {
-//!     assert_eq!(sim.now().as_micros(), 5);
-//! });
-//! sim.run();
-//! assert_eq!(sim.now().as_micros(), 5);
+//! // Both spaces and the device hold clones of one clock.
+//! let clock = SharedClock::new();
+//! let device = clock.clone();
+//! device.advance(Duration::from_micros(5));
+//! assert_eq!(clock.now().as_micros(), 5);
 //! ```
 //!
 //! [Fingler et al., ASPLOS '23]: https://doi.org/10.1145/3575693.3575697
@@ -31,7 +30,6 @@
 
 pub mod clock;
 pub mod dist;
-pub mod event;
 pub mod fault;
 pub mod metrics;
 pub mod park;
@@ -39,11 +37,10 @@ pub mod resource;
 pub mod rng;
 
 pub use clock::{Clock, Duration, Instant, SharedClock};
-pub use event::{schedule_periodic, EventId, Simulation};
 pub use fault::{
     BurstSchedule, CrashSchedule, FaultCounters, FaultPlan, FaultSpec, FrameFault, PressurePlan,
 };
-pub use metrics::{Histogram, MovingAverage, TimeSeries, UtilizationMeter, ValueStats};
+pub use metrics::{Histogram, MovingAverage, TimeSeries, UtilizationMeter};
 pub use park::{ParkMeter, ParkStats, Parked};
 pub use resource::{FifoResource, Grant};
 pub use rng::SimRng;

@@ -302,69 +302,6 @@ impl Histogram {
     }
 }
 
-/// Streaming aggregate statistics over unit-less values (batch sizes,
-/// queue depths, …) — the dimensionless counterpart of [`Histogram`].
-///
-/// Keeps only count/sum/min/max, so it is O(1) in memory no matter how
-/// many values are recorded.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ValueStats {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl ValueStats {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        ValueStats::default()
-    }
-
-    /// Records a value.
-    pub fn record(&mut self, v: f64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Mean value, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Smallest recorded value, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded value, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all recorded values.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,20 +391,5 @@ mod tests {
         let mut h = Histogram::new();
         assert!(h.mean().is_none());
         assert!(h.percentile(50.0).is_none());
-    }
-
-    #[test]
-    fn value_stats_aggregates() {
-        let mut v = ValueStats::new();
-        assert!(v.is_empty());
-        assert!(v.mean().is_none());
-        for x in [4.0, 1.0, 7.0] {
-            v.record(x);
-        }
-        assert_eq!(v.count(), 3);
-        assert_eq!(v.mean(), Some(4.0));
-        assert_eq!(v.min(), Some(1.0));
-        assert_eq!(v.max(), Some(7.0));
-        assert_eq!(v.sum(), 12.0);
     }
 }

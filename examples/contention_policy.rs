@@ -18,7 +18,7 @@ fn sparkline(points: &[(lake::sim::Instant, f64)], max: f64) -> String {
         .collect()
 }
 
-fn main() {
+pub fn main() {
     // --- Fig 1: no policy --------------------------------------------------
     let cfg = ContentionConfig::fig1();
     let result = run(&cfg);

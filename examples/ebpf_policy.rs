@@ -9,7 +9,7 @@ use lake::core::policy::offload;
 use lake::core::{Lake, Target};
 use lake::sim::Duration;
 
-fn main() {
+pub fn main() {
     // 1. Author + verify the Fig 3 policy as a program.
     let program = PolicyProgram::fig3(40, 8);
     println!("loaded fig3 policy: {} instructions, verified", program.len());

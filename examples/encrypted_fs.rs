@@ -9,7 +9,7 @@ use lake::core::Lake;
 use lake::fs::{CryptoPath, Ecryptfs, EcryptfsConfig};
 use lake::sim::SimRng;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let key = [0x42u8; 32];
     let block = 512 * 1024; // 512 KiB extents
     let total = 16 << 20; // 16 MiB file

@@ -62,11 +62,11 @@ pub use lake_ml as ml;
 pub use lake_registry as registry;
 /// LAKE's RPC wire format and call engine (`lake-rpc`).
 pub use lake_rpc as rpc;
-/// Multi-GPU dispatch and admission control (`lake-sched`).
+/// Multi-GPU dispatch (`lake-sched`).
 pub use lake_sched as sched;
 /// lakeShm shared memory (`lake-shm`).
 pub use lake_shm as shm;
-/// Discrete-event simulation substrate (`lake-sim`).
+/// Shared virtual-clock simulation substrate (`lake-sim`).
 pub use lake_sim as sim;
 /// Kernel↔user channel mechanisms (`lake-transport`).
 pub use lake_transport as transport;

@@ -17,9 +17,11 @@
 //! `CHAOS_SEED` selects the fault plan's seed (CI runs a small matrix);
 //! any seed must satisfy the same invariants.
 
-use lake::core::{BatchThresholdPolicy, Lake, LakeError, LakeMl, PoolPolicy};
+use std::collections::HashMap;
+
+use lake::core::{BatchThresholdPolicy, Lake, LakeError, LakeMl, LinkMode, PoolPolicy};
 use lake::gpu::GpuFaultConfig;
-use lake::ml::{serialize, Activation, Kernel, Mlp};
+use lake::ml::{serialize, Activation, Kernel, Matrix, Mlp};
 use lake::rpc::{CallPolicy, RpcError};
 use lake::sim::{BurstSchedule, CrashSchedule, Duration, FaultSpec};
 use rand::rngs::StdRng;
@@ -345,4 +347,41 @@ fn deployed_daemon_runs_the_lake_simd_kernel() {
     let lake = Lake::builder().build();
     assert_eq!(lake.daemon().simd_kernel(), Kernel::from_env());
     assert_eq!(lake.sched_metrics().simd_kernel, Kernel::from_env().name());
+}
+
+/// A full production-depth queue of 8 KiB feature batches — 512 KiB
+/// staged before the first harvest — completes: staging allocates
+/// straight from the 128 MiB lakeShm region, with no smaller cap in
+/// front of it, and every buffer is back on the free list afterwards.
+#[test]
+fn queued_staging_beyond_256_kib_completes() {
+    const SUBMITS: usize = 64;
+    const ROWS: usize = 64;
+    const WIDTH: usize = 32;
+    let net = Mlp::new(&[WIDTH, 16, 2], Activation::Relu, &mut StdRng::seed_from_u64(45));
+    for mode in [LinkMode::InProcess, LinkMode::Ring] {
+        let lake = Lake::builder().link_mode(mode).queue_depth(64).build();
+        let ml = offloading(&lake);
+        let id = ml.load_model(&serialize::encode_mlp(&net)).unwrap();
+        let mut want = HashMap::new();
+        for i in 0..SUBMITS {
+            let x: Vec<f32> =
+                (0..ROWS * WIDTH).map(|j| ((i * 37 + j * 13) % 101) as f32 / 101.0).collect();
+            let ticket = ml
+                .submit_mlp(id, ROWS, WIDTH, &x)
+                .unwrap_or_else(|e| panic!("{mode:?}: submit {i} failed: {e}"));
+            let classes: Vec<u32> = net
+                .classify(&Matrix::from_vec(ROWS, WIDTH, x))
+                .into_iter()
+                .map(|c| c as u32)
+                .collect();
+            want.insert(ticket, classes);
+        }
+        let done = ml.drain_completions();
+        assert_eq!(done.len(), SUBMITS, "{mode:?}: every submission completes");
+        for (ticket, result) in done {
+            assert_eq!(result.unwrap(), want[&ticket], "{mode:?}: ticket {ticket:?}");
+        }
+        assert_eq!(lake.shm().stats().in_use, 0, "{mode:?}: every staging buffer freed");
+    }
 }
