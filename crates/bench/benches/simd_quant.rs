@@ -84,7 +84,7 @@ struct Row {
 
 /// Kernels to measure: every tier the host can actually run.
 fn kernels() -> Vec<Kernel> {
-    [Kernel::Scalar, Kernel::Avx2].into_iter().filter(|k| k.available()).collect()
+    Kernel::ALL.into_iter().filter(|k| k.available()).collect()
 }
 
 fn agreement(a: &[usize], b: &[usize]) -> f64 {

@@ -25,23 +25,26 @@
 //!   until none are left. Since no two parts ever touch the same
 //!   accumulator, the reduction order per element is unchanged no matter
 //!   how wide the pool is or which thread runs which part.
-//! * Bias and activation are fused into the store ([`PackedMlp::forward`]):
+//! * Bias and activation are fused into the store ([`PackedMlp::forward_with`]):
 //!   elementwise epilogues commute with the row partition, and the scalar
 //!   formulas replicate [`Activation`]'s exactly.
 //! * [`PackedLstm`] batches the gate GEMMs across the batch dimension (all
 //!   rows of a timestep stream the packed `Wx`/`Wh` once) while keeping the
 //!   per-row accumulation order of `LstmCell::step`.
 //!
-//! Single-thread speed comes from a [`Kernel`] dispatch layer with two
-//! tiers: a runtime-detected AVX2 microkernel (register-blocked, 4 vector
-//! accumulators resident across the whole reduction loop) and the portable
-//! scalar oracle, both under MC/KC/NC cache tiling. `LAKE_SIMD` picks one
-//! (`auto|avx2|scalar`; `sse` is an alias of `scalar`). The AVX2 kernels
-//! stay bit-identical to the scalar oracle because they only widen
-//! across *independent* output columns: each element still sees
-//! ascending-k accumulation, the `== 0.0` skip, and a separate multiply
-//! then add (FMA is deliberately not used — its single rounding would
-//! change bits).
+//! Single-thread speed comes from a [`Kernel`] dispatch layer with three
+//! tiers, all under MC/KC/NC cache tiling: a runtime-detected AVX2
+//! microkernel (register-blocked, 4 vector accumulators resident across
+//! the whole reduction loop), the AVX-512 tier (the AVX2 kernels plus a
+//! dense 8-row × 32-column register tile for full 8-row blocks of
+//! finite-weight layers), and the portable scalar oracle. `LAKE_SIMD`
+//! picks one (`auto|avx512|avx2|scalar`; `sse` is an alias of `scalar`).
+//! The SIMD kernels stay bit-identical to the scalar oracle because they
+//! only widen across *independent* output elements: each element still
+//! sees ascending-k accumulation and a separate multiply then add (FMA is
+//! deliberately not used — its single rounding would change bits), and
+//! the AVX2 kernels keep the `== 0.0` skip. The AVX-512 tile drops the
+//! skip only where that provably changes no bit (see `gemm_rows`).
 //!
 //! [`PackedModelCache`] memoizes the packed form per model version so
 //! packing is paid once per residency, and [`InferenceEngine`] bundles
@@ -66,51 +69,64 @@ pub const PACK_LANE: usize = 16;
 // Kernel dispatch
 // ---------------------------------------------------------------------------
 
-/// Which microkernel family executes the GEMM inner loops: AVX2 where the
-/// CPU supports it, the portable scalar oracle everywhere.
+/// Which microkernel family executes the GEMM inner loops: AVX-512 or
+/// AVX2 where the CPU supports it, the portable scalar oracle everywhere.
 ///
 /// All f32 kernels are **bit-identical**: per output element they perform
 /// the exact op sequence of the scalar oracle (ascending-k accumulation,
-/// the `a == 0.0` skip, separate multiply then add). SIMD only widens
-/// across independent output columns. The int8 kernels accumulate in i32,
-/// which is exact, so they too agree across kernels to the last bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// separate multiply then add), and they keep the oracle's `a == 0.0` skip
+/// wherever skipping a term could change the result. SIMD only widens
+/// across independent output columns (and, in the AVX-512 tile, across
+/// independent rows). The int8 kernels accumulate in i32, which is exact,
+/// so they too agree across kernels to the last bit.
+///
+/// The tiers are ordered: a kernel is available when it is at most the
+/// detected one, and a request clamps down to the detected one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Kernel {
     /// Portable scalar loops — the chaos-invariant oracle.
     Scalar,
     /// AVX2 256-bit lanes (8 f32 / 16 i16 per op).
     Avx2,
+    /// The AVX2 kernels, plus a dense 8-row × 32-column AVX-512 register
+    /// tile for f32 GEMM rows whose packed weights are all finite (see
+    /// `gemm_rows`). Every other path runs the AVX2 kernels.
+    Avx512,
 }
 
-/// Runtime CPU probe via CPUID, cached after the first call. AVX2 also
-/// requires OS support for saving ymm state (OSXSAVE + XCR0 bits 1–2) —
-/// checking the feature bit alone would fault on kernels that disable AVX.
+/// Runtime CPU probe via CPUID, cached after the first call as a tier code
+/// (0 scalar, 1 AVX2, 2 AVX-512). Each tier also requires OS support for
+/// saving its register state (OSXSAVE plus XCR0 bits 1–2 for ymm, and bits
+/// 5–7 for the opmask and zmm state) — checking the feature bit alone would
+/// fault on kernels that disable AVX.
 #[cfg(target_arch = "x86_64")]
 fn detect_cpu() -> Kernel {
     use std::sync::atomic::{AtomicU8, Ordering};
     static CACHED: AtomicU8 = AtomicU8::new(u8::MAX);
     let cached = CACHED.load(Ordering::Relaxed);
-    if cached != u8::MAX {
-        return if cached == 1 { Kernel::Avx2 } else { Kernel::Scalar };
+    if let Some(&tier) = Kernel::ALL.get(usize::from(cached)) {
+        return tier;
     }
     // SAFETY: CPUID exists on every x86_64 CPU; _xgetbv is gated on the
     // OSXSAVE bit which guarantees the instruction is enabled.
-    let avx2 = unsafe {
+    let tier: u8 = unsafe {
         use std::arch::x86_64::{__cpuid, __cpuid_count, _xgetbv};
-        let f1 = __cpuid(1);
-        let osxsave = f1.ecx & (1 << 27) != 0;
-        let ymm_enabled = osxsave && (_xgetbv(0) & 0x6) == 0x6;
-        ymm_enabled && __cpuid_count(7, 0).ebx & (1 << 5) != 0
+        let osxsave = __cpuid(1).ecx & (1 << 27) != 0;
+        let xcr0 = if osxsave { _xgetbv(0) } else { 0 };
+        let ebx7 = __cpuid_count(7, 0).ebx;
+        let avx2 = xcr0 & 0x6 == 0x6 && ebx7 & (1 << 5) != 0;
+        let avx512 = avx2 && xcr0 & 0xE6 == 0xE6 && ebx7 & (1 << 16) != 0;
+        u8::from(avx2) + u8::from(avx512)
     };
-    CACHED.store(u8::from(avx2), Ordering::Relaxed);
-    if avx2 {
-        Kernel::Avx2
-    } else {
-        Kernel::Scalar
-    }
+    CACHED.store(tier, Ordering::Relaxed);
+    Kernel::ALL[usize::from(tier)]
 }
 
 impl Kernel {
+    /// Every tier, oracle first. Tests and benches iterate this, filtered
+    /// by [`Kernel::available`].
+    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512];
+
     /// Best kernel the running CPU supports.
     pub fn detect() -> Kernel {
         #[cfg(target_arch = "x86_64")]
@@ -125,36 +141,28 @@ impl Kernel {
 
     /// Whether this kernel can run on the current CPU.
     pub fn available(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            matches!((self, detect_cpu()), (Kernel::Scalar, _) | (Kernel::Avx2, Kernel::Avx2))
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            matches!(self, Kernel::Scalar)
-        }
+        self <= Kernel::detect()
     }
 
-    /// Clamps a requested kernel down to the best one actually available.
-    /// Identity for any available kernel; every public dispatch entry runs
-    /// requests through this, so the `unsafe` target-feature kernels can
-    /// never execute on a CPU that lacks them (the check is one relaxed
-    /// atomic load, amortized over a whole tile of work).
+    /// Clamps a requested kernel down to the best one actually available
+    /// (Avx512 → Avx2 → Scalar). Identity for any available kernel; every
+    /// public dispatch entry runs requests through this, so the `unsafe`
+    /// target-feature kernels can never execute on a CPU that lacks them
+    /// (the check is one relaxed atomic load, amortized over a whole tile
+    /// of work).
     pub(crate) fn clamped(self) -> Kernel {
-        match self {
-            Kernel::Avx2 if Kernel::Avx2.available() => Kernel::Avx2,
-            Kernel::Scalar | Kernel::Avx2 => Kernel::Scalar,
-        }
+        self.min(Kernel::detect())
     }
 
     /// Parses a `LAKE_SIMD` value. `auto` (or empty) detects the best
-    /// kernel; `avx2` clamps down to what the CPU supports, so asking for
-    /// it on a host without AVX2 degrades to scalar instead of crashing.
+    /// kernel; `avx512` and `avx2` clamp down to what the CPU supports, so
+    /// asking for a tier the host lacks degrades instead of crashing.
     /// `sse`/`sse4.1`/`sse41` name a tier that no longer exists and are
     /// accepted as aliases of `scalar`.
-    pub fn from_name(s: &str) -> Option<Kernel> {
+    pub(crate) fn from_name(s: &str) -> Option<Kernel> {
         match s.to_ascii_lowercase().as_str() {
             "" | "auto" => Some(Kernel::detect()),
+            "avx512" => Some(Kernel::Avx512.clamped()),
             "avx2" => Some(Kernel::Avx2.clamped()),
             "scalar" | "sse" | "sse4.1" | "sse41" => Some(Kernel::Scalar),
             _ => None,
@@ -162,9 +170,10 @@ impl Kernel {
     }
 
     /// Kernel selected by the `LAKE_SIMD` environment variable
-    /// (`auto|avx2|scalar`, with `sse` an alias of `scalar`), defaulting
-    /// to [`Kernel::detect`] when unset. This is the one place the variable
-    /// is read; every engine takes its kernel from here when built.
+    /// (`auto|avx512|avx2|scalar`, with `sse` an alias of `scalar`),
+    /// defaulting to [`Kernel::detect`] when unset. This is the one place
+    /// the variable is read; every engine takes its kernel from here when
+    /// built.
     ///
     /// # Panics
     ///
@@ -172,7 +181,7 @@ impl Kernel {
     pub fn from_env() -> Kernel {
         match std::env::var("LAKE_SIMD") {
             Ok(v) => Kernel::from_name(&v)
-                .unwrap_or_else(|| panic!("LAKE_SIMD must be auto|avx2|scalar, got {v:?}")),
+                .unwrap_or_else(|| panic!("LAKE_SIMD must be auto|avx512|avx2|scalar, got {v:?}")),
             Err(_) => Kernel::detect(),
         }
     }
@@ -182,6 +191,7 @@ impl Kernel {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Avx2 => "avx2",
+            Kernel::Avx512 => "avx512",
         }
     }
 }
@@ -222,6 +232,9 @@ pub struct PackedMatrix {
     stride: usize,
     /// Offset of the first packed element (aligns the base to 64 bytes).
     base: usize,
+    /// Whether every weight is finite, which lets the AVX-512 tile add the
+    /// `a == 0.0` terms the oracle skips (see `gemm_rows`).
+    finite: bool,
     data: Vec<f32>,
 }
 
@@ -238,12 +251,12 @@ impl PackedMatrix {
         let addr = data.as_ptr() as usize;
         let base = (addr.next_multiple_of(64) - addr) / std::mem::size_of::<f32>();
         debug_assert!(base < PACK_LANE, "alignment slack exceeded");
-        let src = b.data();
-        for kk in 0..k {
-            data[base + kk * stride..base + kk * stride + n]
-                .copy_from_slice(&src[kk * n..(kk + 1) * n]);
+        let mut finite = true;
+        for (kk, src) in b.data().chunks_exact(n.max(1)).enumerate() {
+            finite &= src.iter().all(|v| v.is_finite());
+            data[base + kk * stride..base + kk * stride + n].copy_from_slice(src);
         }
-        let pm = PackedMatrix { k, n, stride, base, data };
+        let pm = PackedMatrix { k, n, stride, base, finite, data };
         debug_assert!(pm.base_aligned(), "packed base must be 64-byte aligned");
         pm
     }
@@ -256,21 +269,6 @@ impl PackedMatrix {
     pub fn base_aligned(&self) -> bool {
         let base_ptr = self.data[self.base..].as_ptr() as usize;
         base_ptr.is_multiple_of(64) && (self.stride * std::mem::size_of::<f32>()).is_multiple_of(64)
-    }
-
-    /// Reduction dimension (rows of the original matrix).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output dimension (columns of the original matrix).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Padded stride of one packed row, in f32 elements.
-    pub fn stride(&self) -> usize {
-        self.stride
     }
 
     /// Bytes held by the packed buffer (pad + alignment included).
@@ -339,11 +337,12 @@ pub(crate) fn accumulate(
             Kernel::Scalar => accumulate_scalar(idx, val, pb, k0, j0, out),
             // SAFETY: every public dispatch entry normalizes its kernel via
             // `Kernel::clamped`, so a non-scalar kernel only reaches here
-            // when the CPU reports the required target features.
+            // when the CPU reports the required target features (AVX-512
+            // implies AVX2).
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { accumulate_avx2(idx, val, pb, k0, j0, out) },
+            Kernel::Avx2 | Kernel::Avx512 => unsafe { accumulate_avx2(idx, val, pb, k0, j0, out) },
             #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Avx2 => accumulate_scalar(idx, val, pb, k0, j0, out),
+            Kernel::Avx2 | Kernel::Avx512 => accumulate_scalar(idx, val, pb, k0, j0, out),
         }
     }
 }
@@ -422,6 +421,112 @@ unsafe fn accumulate_avx2(
     }
 }
 
+/// Rows per AVX-512 register tile.
+const TILE_MR: usize = 8;
+
+/// AVX-512 register tile: `out[r][j] += Σ_k a[r][k] * B[k][j]` for 8 rows
+/// of `a` (row-major, `pb.k` wide) and 8 rows of `out` (`pb.n` wide),
+/// over the reduction range `ks` and the output columns `cols`.
+///
+/// Dense: no `a == 0.0` skip, so only call it when `pb.finite` (the proof
+/// that this is bit-identical to the skipping oracle is in `gemm_rows`).
+/// A 32-column strip keeps 16 zmm accumulators (8 rows × 2 × 16 lanes)
+/// resident across the whole `ks` loop, so each packed weight vector is
+/// loaded once per 8 rows instead of once per row; a strip of at most 16
+/// columns uses one zmm per row. Each step is a separate multiply then
+/// add, never FMA. Accumulators are loaded from and stored back to `out`,
+/// which does not round, so callers may tile `k`.
+///
+/// # Safety
+///
+/// The CPU must support avx512f. `cols.start` must be a multiple of 32
+/// ([`TILE_NC`] is), so every strip starts on a [`PACK_LANE`] boundary.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dense_tile_avx512(
+    a: &[f32],
+    ks: Range<usize>,
+    pb: &PackedMatrix,
+    cols: Range<usize>,
+    out: &mut [f32],
+) {
+    let (a_cols, n) = (pb.k, pb.n);
+    debug_assert_eq!(a.len(), TILE_MR * a_cols, "tile input rows");
+    debug_assert_eq!(out.len(), TILE_MR * n, "tile output rows");
+    debug_assert!(ks.end <= a_cols && cols.end <= n && cols.start.is_multiple_of(32), "tile range");
+    let mut j = cols.start;
+    while j < cols.end {
+        let left = cols.end - j;
+        if left > PACK_LANE {
+            tile_strip::<2>(a, ks.clone(), pb, j, left, out);
+        } else {
+            tile_strip::<1>(a, ks.clone(), pb, j, left, out);
+        }
+        j += 2 * PACK_LANE;
+    }
+}
+
+/// One `NV × 16`-column strip of [`dense_tile_avx512`], starting at column
+/// `j` with `left` columns to go before the end of the range. Output lanes
+/// at or past `left` are masked off on load and store; packed weight loads
+/// are not masked.
+///
+/// # Safety
+///
+/// The CPU must support avx512f, and the shapes must be as
+/// [`dense_tile_avx512`] asserts. Then `out` holds `TILE_MR` rows of `n`
+/// floats and every lane at or past column `n` is masked off, so the
+/// masked loads and stores touch only `out`, and the `a` reads stay inside
+/// `a`. A packed row is `stride` floats, `n` rounded up to [`PACK_LANE`],
+/// and `j` is a multiple of `PACK_LANE` below `n`, so a load of `NV · 16`
+/// floats from column `j` ends at or before the row's padded end. The
+/// padding holds `0.0`, whose products reach only masked-off lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_strip<const NV: usize>(
+    a: &[f32],
+    ks: Range<usize>,
+    pb: &PackedMatrix,
+    j: usize,
+    left: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (a_cols, n, stride) = (pb.k, pb.n, pb.stride);
+    let mut masks = [0 as __mmask16; NV];
+    for (v, m) in masks.iter_mut().enumerate() {
+        let lanes = left.saturating_sub(v * PACK_LANE).min(PACK_LANE);
+        *m = ((1u32 << lanes) - 1) as __mmask16;
+    }
+    let op = out.as_mut_ptr().add(j);
+    let mut acc = [[_mm512_setzero_ps(); NV]; TILE_MR];
+    for (r, acc) in acc.iter_mut().enumerate() {
+        for (v, acc) in acc.iter_mut().enumerate() {
+            *acc = _mm512_maskz_loadu_ps(masks[v], op.add(r * n + v * PACK_LANE));
+        }
+    }
+    let ap = a.as_ptr();
+    let bbase = pb.data.as_ptr().add(pb.base + j);
+    for k in ks {
+        let bp = bbase.add(k * stride);
+        let mut b = [_mm512_setzero_ps(); NV];
+        for (v, b) in b.iter_mut().enumerate() {
+            *b = _mm512_loadu_ps(bp.add(v * PACK_LANE));
+        }
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let va = _mm512_set1_ps(*ap.add(r * a_cols + k));
+            for (acc, &b) in acc.iter_mut().zip(&b) {
+                *acc = _mm512_add_ps(*acc, _mm512_mul_ps(va, b));
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        for (v, &acc) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(op.add(r * n + v * PACK_LANE), masks[v], acc);
+        }
+    }
+}
+
 /// Reduction-dimension tile: a 256-element slice of one input row is 1 KB,
 /// comfortably L1-resident alongside the accumulator block.
 const TILE_KC: usize = 256;
@@ -446,7 +551,7 @@ pub(crate) fn apply_act(act: Activation, x: f32) -> f32 {
 ///
 /// `a` is the full input (row-major, `a_cols` wide); rows `rows.start..
 /// rows.end` are computed into `out`, which must hold exactly that range
-/// (`(rows.len()) * pb.n()` floats). `bias`/`act` fuse the epilogue:
+/// (`(rows.len()) * pb.n` floats). `bias`/`act` fuse the epilogue:
 /// `out = act(a·B + bias)` with bias added **after** the accumulation,
 /// matching `matmul` → `add_row_bias` → `Activation::apply`.
 ///
@@ -459,6 +564,16 @@ pub(crate) fn apply_act(act: Activation, x: f32) -> f32 {
 /// don't round), so the bit pattern is tiling-invariant. The win is reuse:
 /// one L2-resident weight panel streams once while every row of the range
 /// consumes it.
+///
+/// Under [`Kernel::Avx512`], when every packed weight is finite, each full
+/// 8-row block of the range runs [`dense_tile_avx512`], which adds the
+/// zero terms the oracle skips. That changes no bit. With a finite `b`, a
+/// zero `a[k]` makes `a[k]·b` equal ±0. An accumulator that starts at
+/// `+0.0` never becomes `−0.0` under round-to-nearest (`x + (−x) = +0`
+/// and `+0 + −0 = +0`), so adding ±0 leaves it unchanged bit for bit.
+/// Only a non-finite weight breaks this (`0·∞ = NaN`), so such layers
+/// keep the skipping per-row kernels; so do the LSTM gates, whose
+/// accumulators start at a bias that may be `−0.0`.
 #[allow(clippy::too_many_arguments)] // internal driver: shape + fused epilogue
 fn gemm_rows(
     kernel: Kernel,
@@ -474,11 +589,25 @@ fn gemm_rows(
     let n = pb.n;
     assert_eq!(out.len(), rows.len() * n, "gemm output size mismatch");
     out.fill(0.0);
+    let tiled = match kernel {
+        Kernel::Avx512 if pb.finite => rows.len() / TILE_MR * TILE_MR,
+        _ => 0,
+    };
     for jc in (0..n).step_by(TILE_NC) {
         let jw = TILE_NC.min(n - jc);
         for kc in (0..a_cols).step_by(TILE_KC) {
             let kw = TILE_KC.min(a_cols - kc);
-            for (li, i) in rows.clone().enumerate() {
+            #[cfg(target_arch = "x86_64")]
+            for li in (0..tiled).step_by(TILE_MR) {
+                let i = rows.start + li;
+                let a_blk = &a[i * a_cols..(i + TILE_MR) * a_cols];
+                let out_blk = &mut out[li * n..(li + TILE_MR) * n];
+                // SAFETY: `tiled` is nonzero only for `Kernel::Avx512`, and
+                // every public entry clamps its kernel to the detected CPU,
+                // so avx512f is present. The slices have the tile's shape.
+                unsafe { dense_tile_avx512(a_blk, kc..kc + kw, pb, jc..jc + jw, out_blk) };
+            }
+            for (li, i) in rows.clone().enumerate().skip(tiled) {
                 let a_row = &a[i * a_cols + kc..i * a_cols + kc + kw];
                 let out_row = &mut out[li * n + jc..li * n + jc + jw];
                 accumulate(kernel, a_row, pb, kc, jc, out_row);
@@ -677,19 +806,15 @@ pub(crate) fn partition(rows: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// Packed, pool-partitioned matrix multiply, bit-identical to
-/// [`Matrix::matmul`].
+/// [`Matrix::matmul`] for every choice of microkernel (see [`Kernel`]):
+/// the bare GEMM the tests check each kernel and worker count against.
 ///
 /// `pb` must be [`PackedMatrix::pack`] of the right-hand side. With a pool,
 /// output rows are partitioned across workers (disjoint accumulators, so
 /// the per-element reduction order — and therefore every output bit — is
 /// independent of the worker count).
-pub fn matmul_packed(a: &Matrix, pb: &PackedMatrix, pool: Option<&WorkerPool>) -> Matrix {
-    matmul_packed_with(a, pb, pool, Kernel::from_env())
-}
-
-/// [`matmul_packed`] with an explicit microkernel (bit-identical for every
-/// choice; see [`Kernel`]).
-pub fn matmul_packed_with(
+#[cfg(test)]
+fn matmul_packed_with(
     a: &Matrix,
     pb: &PackedMatrix,
     pool: Option<&WorkerPool>,
@@ -820,20 +945,7 @@ impl PackedMlp {
     }
 
     /// Batch logits, partitioned across `pool`. Bit-identical to
-    /// `Mlp::forward` on the same batch. Kernel comes from `LAKE_SIMD` /
-    /// CPU detection; see [`PackedMlp::forward_with`].
-    pub fn forward(
-        &self,
-        data: &[f32],
-        rows: usize,
-        cols: usize,
-        pool: Option<&WorkerPool>,
-    ) -> Matrix {
-        self.forward_with(data, rows, cols, pool, Kernel::from_env())
-    }
-
-    /// [`PackedMlp::forward`] with an explicit microkernel (bit-identical
-    /// for every choice).
+    /// `Mlp::forward` on the same batch, for every choice of microkernel.
     pub fn forward_with(
         &self,
         data: &[f32],
@@ -858,17 +970,6 @@ impl PackedMlp {
 
     /// Argmax classes for a batch; first maximal index wins on ties,
     /// replicating `Matrix::argmax_rows` (hence `Mlp::classify`).
-    pub fn classify(
-        &self,
-        data: &[f32],
-        rows: usize,
-        cols: usize,
-        pool: Option<&WorkerPool>,
-    ) -> Vec<usize> {
-        self.classify_with(data, rows, cols, pool, Kernel::from_env())
-    }
-
-    /// [`PackedMlp::classify`] with an explicit microkernel.
     pub fn classify_with(
         &self,
         data: &[f32],
@@ -910,9 +1011,9 @@ pub(crate) fn lstm_gate_epilogue(kernel: Kernel, z: &[f32], h: &mut [f32], c: &m
         // SAFETY: kernels are clamped at every public entry (see
         // `accumulate`), so the target features are present here.
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { lstm_gate_epilogue_avx2(z, h, c) },
+        Kernel::Avx2 | Kernel::Avx512 => unsafe { lstm_gate_epilogue_avx2(z, h, c) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => lstm_gate_epilogue_range(z, h, c, 0),
+        Kernel::Avx2 | Kernel::Avx512 => lstm_gate_epilogue_range(z, h, c, 0),
     }
 }
 
@@ -1150,21 +1251,8 @@ impl PackedLstm {
     }
 
     /// Argmax classes for a batch of flattened sequences; bit-identical to
-    /// looping `LstmClassifier::classify` row by row. Kernel comes from
-    /// `LAKE_SIMD` / CPU detection; see [`PackedLstm::classify_with`].
-    pub fn classify(
-        &self,
-        data: &[f32],
-        rows: usize,
-        cols: usize,
-        steps: usize,
-        pool: Option<&WorkerPool>,
-    ) -> Vec<usize> {
-        self.classify_with(data, rows, cols, steps, pool, Kernel::from_env())
-    }
-
-    /// [`PackedLstm::classify`] with an explicit microkernel (bit-identical
-    /// for every choice).
+    /// looping `LstmClassifier::classify` row by row, for every choice of
+    /// microkernel.
     pub fn classify_with(
         &self,
         data: &[f32],
@@ -1341,7 +1429,7 @@ pub struct EngineStats {
     pub workers: usize,
     /// Pool width originally requested, before clamping to host cores.
     pub workers_requested: usize,
-    /// Name of the active microkernel (`avx2` or `scalar`).
+    /// Name of the active microkernel (`avx512`, `avx2` or `scalar`).
     pub simd: &'static str,
     /// Pool jobs dispatched (each splits into `workers` parts).
     pub pool_runs: u64,
@@ -1373,7 +1461,7 @@ impl EngineStats {
     }
 }
 
-/// Default pool work-size threshold: batches under this many rows run
+/// Pool work-size threshold: batches under this many rows run
 /// inline on the caller. Measured floor, not a guess — the PR 4 scaling
 /// numbers (`BENCH_PR4.json`) showed an 8-row LSTM batch *losing* to the
 /// naive path under 4 workers (0.88×): per-row work is microseconds, so
@@ -1388,7 +1476,6 @@ pub const DEFAULT_POOL_MIN_ROWS: usize = 32;
 pub struct InferenceEngine {
     pool: WorkerPool,
     cache: PackedModelCache,
-    pool_min_rows: usize,
     workers_requested: usize,
     kernel: Kernel,
     tasks: AtomicU64,
@@ -1399,7 +1486,7 @@ pub struct InferenceEngine {
 impl InferenceEngine {
     /// Engine with a pool `workers` wide, caller included (clamped to
     /// the host's available cores — an oversubscribed pool only buys
-    /// context-switch latency, the BENCH_PR4 p99 blowup), the default
+    /// context-switch latency, the BENCH_PR4 p99 blowup), the pool
     /// work-size threshold ([`DEFAULT_POOL_MIN_ROWS`]), and the
     /// `LAKE_SIMD`-selected kernel.
     pub fn new(workers: usize) -> Self {
@@ -1415,22 +1502,12 @@ impl InferenceEngine {
         InferenceEngine {
             pool: WorkerPool::new(effective),
             cache: PackedModelCache::new(),
-            pool_min_rows: DEFAULT_POOL_MIN_ROWS,
             workers_requested: workers,
             kernel: Kernel::from_env(),
             tasks: AtomicU64::new(0),
             direct: AtomicU64::new(0),
             bypassed: AtomicU64::new(0),
         }
-    }
-
-    /// Overrides the pool work-size threshold: batches with fewer than
-    /// `min_rows` rows run inline on the caller thread even when a
-    /// multi-worker pool is available. `0`/`1` disables the bypass
-    /// (every multi-row batch pools — the pre-threshold behaviour).
-    pub fn with_pool_threshold(mut self, min_rows: usize) -> Self {
-        self.pool_min_rows = min_rows;
-        self
     }
 
     /// Overrides the microkernel (default: `LAKE_SIMD` / CPU detection).
@@ -1445,24 +1522,9 @@ impl InferenceEngine {
         self.kernel
     }
 
-    /// The active pool work-size threshold.
-    pub fn pool_threshold(&self) -> usize {
-        self.pool_min_rows
-    }
-
-    /// The underlying pool.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// The packed-model cache.
-    pub fn cache(&self) -> &PackedModelCache {
-        &self.cache
-    }
-
     fn account(&self, rows: usize) -> Option<&WorkerPool> {
         if self.pool.workers() > 1 && rows > 1 {
-            if rows < self.pool_min_rows {
+            if rows < DEFAULT_POOL_MIN_ROWS {
                 // Multi-worker pool available, but the batch is under the
                 // work-size floor: the fan-out/join handshake would cost
                 // more than the parallelism buys back, so run inline.
@@ -1639,9 +1701,8 @@ mod tests {
     fn packed_layout_is_row_major_and_padded() {
         let b = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let pb = PackedMatrix::pack(&b);
-        assert_eq!(pb.k(), 2);
-        assert_eq!(pb.n(), 3);
-        assert_eq!(pb.stride() % PACK_LANE, 0);
+        assert_eq!((pb.k, pb.n), (2, 3));
+        assert_eq!(pb.stride % PACK_LANE, 0);
         assert_eq!(pb.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(pb.row(1), &[4.0, 5.0, 6.0]);
     }
@@ -1663,10 +1724,11 @@ mod tests {
         }
     }
 
-    /// Every available kernel must agree with the scalar oracle to the
+    /// Every available kernel must agree with the naive oracle to the
     /// bit, across shapes that exercise the 32/16-column register blocks,
-    /// the narrow-vector loops, the scalar tails, and the KC/NC tiling
-    /// boundaries.
+    /// the narrow-vector loops, the scalar tails, the KC/NC tiling
+    /// boundaries, and the AVX-512 tile's full 8-row blocks, row remainder,
+    /// ≤ 16-column tail, 17–31-column strip and KC round trip.
     #[test]
     fn simd_kernels_are_bit_identical_to_scalar() {
         let mut rng = StdRng::seed_from_u64(21);
@@ -1678,15 +1740,17 @@ mod tests {
             (5, 64, 300), // n spans two NC tiles
             (2, 257, 260),
             (64, 256, 31),
+            (8, 40, 40),   // one tile, ≤ 16-column tail
+            (16, 50, 57),  // two tiles, 17–31-column strip
+            (23, 300, 70), // two tiles + 7 rows, k spans two KC tiles
+            (16, 64, 300), // tiles across two NC panels
+            (8, 513, 12),  // three KC blocks, one narrow strip
         ] {
             let a = rand_matrix(&mut rng, m, k, true);
             let b = rand_matrix(&mut rng, k, n, false);
             let pb = PackedMatrix::pack(&b);
             let want = a.matmul(&b);
-            for kernel in [Kernel::Scalar, Kernel::Avx2] {
-                if !kernel.available() {
-                    continue;
-                }
+            for kernel in Kernel::ALL.into_iter().filter(|k| k.available()) {
                 let got = matmul_packed_with(&a, &pb, None, kernel);
                 for (x, y) in want.data().iter().zip(got.data()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "{} ({m},{k},{n})", kernel.name());
@@ -1697,20 +1761,82 @@ mod tests {
 
     #[test]
     fn kernel_requests_clamp_to_available() {
-        // `auto` resolves to the detected best; `avx2` is honored exactly
-        // where available and degrades to scalar elsewhere.
+        // `auto` resolves to the detected best; every tier is honored
+        // exactly where available and steps down to the best one below it
+        // elsewhere.
         let best = Kernel::detect();
         assert_eq!(Kernel::from_name("auto"), Some(best));
-        assert_eq!(Kernel::from_name("scalar"), Some(Kernel::Scalar));
         assert_eq!(Kernel::from_name("nope"), None);
         // The retired SSE4.1 tier's names alias the scalar oracle.
         for alias in ["sse", "sse4.1", "sse41"] {
             assert_eq!(Kernel::from_name(alias), Some(Kernel::Scalar), "{alias}");
         }
-        let got = Kernel::from_name(Kernel::Avx2.name()).unwrap();
-        assert!(got.available());
-        if Kernel::Avx2.available() {
-            assert_eq!(got, Kernel::Avx2);
+        for kernel in Kernel::ALL {
+            let got = Kernel::from_name(kernel.name()).unwrap();
+            assert!(got.available(), "{}", kernel.name());
+            assert_eq!(got, if kernel.available() { kernel } else { best }, "{}", kernel.name());
+        }
+    }
+
+    /// The AVX-512 tile adds the `a == 0.0` terms the oracle skips, which
+    /// is exact only for finite weights. Column `C` of the batch is ±0.0
+    /// in every row and row `C` of the weights holds +∞ and NaN: the
+    /// oracle skips those products, so its output is finite, and any
+    /// kernel that multiplies them in yields NaN.
+    #[test]
+    fn non_finite_weights_keep_the_zero_skip_on_every_kernel() {
+        const C: usize = 5;
+        let mut rng = StdRng::seed_from_u64(31);
+        let (rows, k, n) = (16, 20, 40);
+        let mut a = rand_matrix(&mut rng, rows, k, false);
+        for r in 0..rows {
+            a.set(r, C, if r % 3 == 0 { -0.0 } else { 0.0 });
+        }
+        let mut w = rand_matrix(&mut rng, k, n, false);
+        w.set(C, 3, f32::INFINITY);
+        w.set(C, 21, f32::NAN);
+        let pb = PackedMatrix::pack(&w);
+        assert!(!pb.finite);
+        let want = a.matmul(&w);
+        assert!(want.data().iter().all(|v| v.is_finite()), "the oracle skips the zeros");
+        let bias = rand_matrix(&mut rng, 1, n, false).data().to_vec();
+        let head = rand_matrix(&mut rng, n, 3, false);
+        let mlp = Mlp::from_parameters(vec![(w, bias), (head, vec![0.5; 3])], Activation::Relu);
+        let packed = PackedMlp::pack(&mlp);
+        let logits = mlp.forward(&a);
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.available()) {
+            assert_bits_eq(&want, &matmul_packed_with(&a, &pb, None, kernel));
+            assert_bits_eq(&logits, &packed.forward_with(a.data(), rows, k, None, kernel));
+        }
+    }
+
+    /// Finite weights with −0.0 inputs, including an all-(−0.0) row, whose
+    /// oracle output is +0.0: the dense tile adds the −0.0 products and
+    /// must land on the same bits.
+    #[test]
+    fn negative_zero_inputs_are_bit_identical_on_every_kernel() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let (rows, k, n) = (24, 33, 50);
+        let mut a = rand_matrix(&mut rng, rows, k, true);
+        for (i, v) in a.data_mut().iter_mut().enumerate() {
+            if *v == 0.0 || i % 7 == 0 {
+                *v = -0.0;
+            }
+        }
+        for c in 0..k {
+            a.set(9, c, -0.0);
+        }
+        let w = rand_matrix(&mut rng, k, n, true);
+        let pb = PackedMatrix::pack(&w);
+        assert!(pb.finite);
+        let want = a.matmul(&w);
+        assert!(want.row(9).iter().all(|v| v.to_bits() == 0), "all-zero row is +0.0");
+        let mlp = Mlp::from_parameters(vec![(w, vec![-0.0; n])], Activation::Relu);
+        let packed = PackedMlp::pack(&mlp);
+        let logits = mlp.forward(&a);
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.available()) {
+            assert_bits_eq(&want, &matmul_packed_with(&a, &pb, None, kernel));
+            assert_bits_eq(&logits, &packed.forward_with(a.data(), rows, k, None, kernel));
         }
     }
 
@@ -1723,7 +1849,7 @@ mod tests {
             let a = rand_matrix(&mut rng, m, k, true);
             let b = rand_matrix(&mut rng, k, n, false);
             let pb = PackedMatrix::pack(&b);
-            assert_bits_eq(&a.matmul(&b), &matmul_packed(&a, &pb, None));
+            assert_bits_eq(&a.matmul(&b), &matmul_packed_with(&a, &pb, None, Kernel::detect()));
         }
     }
 
@@ -1736,7 +1862,7 @@ mod tests {
         let want = a.matmul(&b);
         for workers in [1, 2, 3, 4, 7] {
             let pool = WorkerPool::new(workers);
-            assert_bits_eq(&want, &matmul_packed(&a, &pb, Some(&pool)));
+            assert_bits_eq(&want, &matmul_packed_with(&a, &pb, Some(&pool), Kernel::detect()));
         }
     }
 
@@ -1749,8 +1875,8 @@ mod tests {
             let want = m.classify(&x);
             let packed = PackedMlp::pack(&m);
             let pool = WorkerPool::new(4);
-            assert_eq!(want, packed.classify(x.data(), 65, 12, None));
-            assert_eq!(want, packed.classify(x.data(), 65, 12, Some(&pool)));
+            assert_eq!(want, packed.classify_with(x.data(), 65, 12, None, Kernel::detect()));
+            assert_eq!(want, packed.classify_with(x.data(), 65, 12, Some(&pool), Kernel::detect()));
         }
     }
 
@@ -1760,7 +1886,10 @@ mod tests {
         let m = Mlp::new(&[8, 24, 3], Activation::Relu, &mut rng);
         let x = rand_matrix(&mut rng, 9, 8, true);
         let packed = PackedMlp::pack(&m);
-        assert_bits_eq(&m.forward(&x), &packed.forward(x.data(), 9, 8, None));
+        assert_bits_eq(
+            &m.forward(&x),
+            &packed.forward_with(x.data(), 9, 8, None, Kernel::detect()),
+        );
     }
 
     #[test]
@@ -1779,8 +1908,11 @@ mod tests {
             .collect();
         let packed = PackedLstm::pack(&m);
         let pool = WorkerPool::new(3);
-        assert_eq!(want, packed.classify(x.data(), rows, cols, steps, None));
-        assert_eq!(want, packed.classify(x.data(), rows, cols, steps, Some(&pool)));
+        assert_eq!(want, packed.classify_with(x.data(), rows, cols, steps, None, Kernel::detect()));
+        assert_eq!(
+            want,
+            packed.classify_with(x.data(), rows, cols, steps, Some(&pool), Kernel::detect())
+        );
     }
 
     /// Regression (small-batch LSTM, BENCH_PR4): batches under the pool
@@ -1803,7 +1935,11 @@ mod tests {
                     m.classify(&seq)
                 })
                 .collect();
-            assert_eq!(want, packed.classify(x.data(), rows, cols, steps, None), "rows={rows}");
+            assert_eq!(
+                want,
+                packed.classify_with(x.data(), rows, cols, steps, None, Kernel::detect()),
+                "rows={rows}"
+            );
         }
     }
 
@@ -1820,7 +1956,17 @@ mod tests {
         let seq = vec![vec![0.5, -0.25, 0.0]; 2];
         assert_eq!(tied.classify(&seq), 2);
         let packed = PackedLstm::pack(&tied);
-        assert_eq!(packed.classify(&[0.5, -0.25, 0.0, 0.5, -0.25, 0.0], 1, 6, 2, None), vec![2]);
+        assert_eq!(
+            packed.classify_with(
+                &[0.5, -0.25, 0.0, 0.5, -0.25, 0.0],
+                1,
+                6,
+                2,
+                None,
+                Kernel::detect()
+            ),
+            vec![2]
+        );
     }
 
     #[test]
@@ -1830,7 +1976,7 @@ mod tests {
         let x = rand_matrix(&mut rng, 4, 3, false);
         assert_eq!(m.classify(&x), vec![0, 0, 0, 0]);
         let packed = PackedMlp::pack(&m);
-        assert_eq!(packed.classify(x.data(), 4, 3, None), vec![0, 0, 0, 0]);
+        assert_eq!(packed.classify_with(x.data(), 4, 3, None, Kernel::detect()), vec![0, 0, 0, 0]);
     }
 
     #[test]
@@ -1839,10 +1985,11 @@ mod tests {
         let m = Mlp::new(&[4, 8, 2], Activation::Relu, &mut rng);
         // Explicit host-core override: the CI host may have a single core,
         // which would clamp the pool to one worker and bypass it entirely.
-        let engine = InferenceEngine::with_host_cores(2, 2).with_pool_threshold(2);
-        let x = rand_matrix(&mut rng, 8, 4, false);
-        let a = engine.classify_mlp(7, 1, &m, x.data(), 8, 4);
-        let b = engine.classify_mlp(7, 1, &m, x.data(), 8, 4);
+        let engine = InferenceEngine::with_host_cores(2, 2);
+        let rows = DEFAULT_POOL_MIN_ROWS;
+        let x = rand_matrix(&mut rng, rows, 4, false);
+        let a = engine.classify_mlp(7, 1, &m, x.data(), rows, 4);
+        let b = engine.classify_mlp(7, 1, &m, x.data(), rows, 4);
         assert_eq!(a, b);
         let stats = engine.stats();
         assert_eq!(stats.cache_misses, 1);
@@ -1857,7 +2004,7 @@ mod tests {
         assert_eq!(engine.stats().packed_bytes, one, "another version's release keeps v1");
         engine.release(7, 1);
         assert_eq!(engine.stats().packed_bytes, 0);
-        engine.classify_mlp(7, 1, &m, x.data(), 8, 4);
+        engine.classify_mlp(7, 1, &m, x.data(), rows, 4);
         assert_eq!(engine.stats().cache_misses, 2);
         engine.clear_cache();
         assert_eq!(engine.stats().packed_bytes, 0);
@@ -1882,7 +2029,6 @@ mod tests {
         // 4 workers, default threshold (32): an 8-row batch is exactly the
         // regressing shape from the PR 4 scaling run and must stay inline.
         let engine = InferenceEngine::with_host_cores(4, 4);
-        assert_eq!(engine.pool_threshold(), DEFAULT_POOL_MIN_ROWS);
         let small = rand_matrix(&mut rng, 8, 4, false);
         assert_eq!(engine.classify_mlp(3, 1, &m, small.data(), 8, 4), m.classify(&small));
         let stats = engine.stats();
@@ -2026,9 +2172,9 @@ mod proptests {
             let b = Matrix::from_vec(k, n, b_data[..k * n].to_vec());
             let pb = PackedMatrix::pack(&b);
             let want = a.matmul(&b);
-            let serial = matmul_packed(&a, &pb, None);
+            let serial = matmul_packed_with(&a, &pb, None, Kernel::detect());
             let pool = WorkerPool::new(workers);
-            let parallel = matmul_packed(&a, &pb, Some(&pool));
+            let parallel = matmul_packed_with(&a, &pb, Some(&pool), Kernel::detect());
             for ((x, y), z) in want.data().iter().zip(serial.data()).zip(parallel.data()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
                 prop_assert_eq!(x.to_bits(), z.to_bits());
@@ -2036,21 +2182,21 @@ mod proptests {
         }
 
         /// Kernel-dispatch equivalence: every kernel the host supports
-        /// (scalar always, AVX2 when detected) produces bit-identical
-        /// output for arbitrary shapes and sparsity — the scalar oracle
-        /// transfers its chaos-invariant guarantee to the SIMD paths.
+        /// produces bit-identical output for arbitrary shapes and sparsity
+        /// — the scalar oracle transfers its chaos-invariant guarantee to
+        /// the SIMD paths. Up to 39 rows: several full AVX-512 tiles plus a
+        /// remainder.
         #[test]
         fn kernel_dispatch_bit_identical(
-            (m, k, n) in (1usize..12, 1usize..80, 1usize..80),
-            a_data in proptest::collection::vec(sparse_f32(), 12 * 80),
+            (m, k, n) in (1usize..40, 1usize..80, 1usize..80),
+            a_data in proptest::collection::vec(sparse_f32(), 40 * 80),
             b_data in proptest::collection::vec(sparse_f32(), 80 * 80),
         ) {
             let a = Matrix::from_vec(m, k, a_data[..m * k].to_vec());
             let b = Matrix::from_vec(k, n, b_data[..k * n].to_vec());
             let pb = PackedMatrix::pack(&b);
             let want = matmul_packed_with(&a, &pb, None, Kernel::Scalar);
-            let kernel = Kernel::Avx2;
-            if kernel.available() {
+            for kernel in Kernel::ALL.into_iter().filter(|k| k.available()) {
                 let got = matmul_packed_with(&a, &pb, None, kernel);
                 for (x, y) in want.data().iter().zip(got.data()) {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -2081,9 +2227,9 @@ mod proptests {
             let want = model.classify(&x);
             let packed = PackedMlp::pack(&model);
             let pool = WorkerPool::new(workers);
-            prop_assert_eq!(&want, &packed.classify(x.data(), rows, input, None));
-            prop_assert_eq!(&want, &packed.classify(x.data(), rows, input, Some(&pool)));
-            let logits = packed.forward(x.data(), rows, input, Some(&pool));
+            prop_assert_eq!(&want, &packed.classify_with(x.data(), rows, input, None, Kernel::detect()));
+            prop_assert_eq!(&want, &packed.classify_with(x.data(), rows, input, Some(&pool), Kernel::detect()));
+            let logits = packed.forward_with(x.data(), rows, input, Some(&pool), Kernel::detect());
             let naive = model.forward(&x);
             for (x, y) in naive.data().iter().zip(logits.data()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -2114,8 +2260,8 @@ mod proptests {
                 .collect();
             let packed = PackedLstm::pack(&model);
             let pool = WorkerPool::new(workers);
-            prop_assert_eq!(&want, &packed.classify(data, rows, cols, steps, None));
-            prop_assert_eq!(&want, &packed.classify(data, rows, cols, steps, Some(&pool)));
+            prop_assert_eq!(&want, &packed.classify_with(data, rows, cols, steps, None, Kernel::detect()));
+            prop_assert_eq!(&want, &packed.classify_with(data, rows, cols, steps, Some(&pool), Kernel::detect()));
         }
 
         /// Four threads share one pool: every forward stays bit-identical
@@ -2137,7 +2283,7 @@ mod proptests {
             let pool = WorkerPool::new(width);
             let check = |x: &Matrix| {
                 let rows = x.rows();
-                let got = packed_mlp.forward(x.data(), rows, COLS, Some(&pool));
+                let got = packed_mlp.forward_with(x.data(), rows, COLS, Some(&pool), Kernel::detect());
                 for (a, b) in mlp.forward(x).data().iter().zip(got.data()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "mlp, {rows} rows");
                 }
@@ -2148,7 +2294,7 @@ mod proptests {
                         lstm.classify(&seq)
                     })
                     .collect();
-                let got = packed_lstm.classify(x.data(), rows, COLS, STEPS, Some(&pool));
+                let got = packed_lstm.classify_with(x.data(), rows, COLS, STEPS, Some(&pool), Kernel::detect());
                 assert_eq!(want, got, "lstm, {rows} rows");
                 let ran: Vec<AtomicUsize> = (0..width).map(|_| AtomicUsize::new(0)).collect();
                 pool.run(&|part| {

@@ -87,18 +87,13 @@ impl LstmCell {
         self.hidden
     }
 
-    /// Deconstructs the cell into `(wx, wh, b)` for serialization.
-    pub fn into_raw_parts(self) -> (Matrix, Matrix, Vec<f32>) {
-        (self.wx, self.wh, self.b)
-    }
-
     /// Borrows the raw parameters `(wx, wh, b)`.
     pub fn raw_parts(&self) -> (&Matrix, &Matrix, &[f32]) {
         (&self.wx, &self.wh, &self.b)
     }
 
     /// Rebuilds a cell from raw parameters (inverse of
-    /// [`LstmCell::into_raw_parts`]).
+    /// [`LstmCell::raw_parts`]).
     ///
     /// # Panics
     ///
@@ -165,7 +160,7 @@ impl LstmCell {
     }
 
     /// Runs a whole sequence from zero state; returns all hidden states.
-    pub fn forward_sequence(&self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    fn forward_sequence(&self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let mut h = vec![0.0; self.hidden];
         let mut c = vec![0.0; self.hidden];
         let mut hs = Vec::with_capacity(xs.len());
@@ -290,11 +285,6 @@ impl LstmClassifier {
             (0..hidden * classes).map(|_| rng.gen_range(-limit..limit)).collect(),
         );
         LstmClassifier { cells, head_w, head_b: vec![0.0; classes] }
-    }
-
-    /// Number of stacked LSTM layers.
-    pub fn num_layers(&self) -> usize {
-        self.cells.len()
     }
 
     /// Borrows the stacked cells.
@@ -530,7 +520,7 @@ mod tests {
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(1);
         let model = LstmClassifier::new(3, 8, 2, 4, &mut rng);
-        assert_eq!(model.num_layers(), 2);
+        assert_eq!(model.cells().len(), 2);
         assert_eq!(model.num_classes(), 4);
         let seq: Vec<Vec<f32>> = (0..5).map(|_| vec![0.1, 0.2, 0.3]).collect();
         let logits = model.forward(&seq);

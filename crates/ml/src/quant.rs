@@ -84,9 +84,9 @@ fn quantize_acts(kernel: Kernel, x: &[f32], pairs: &mut [u32]) -> f32 {
         // SAFETY: kernels are clamped to detected CPU features at every
         // public entry.
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { quantize_acts_avx2(x, pairs) },
+        Kernel::Avx2 | Kernel::Avx512 => unsafe { quantize_acts_avx2(x, pairs) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => quantize_acts_scalar(x, pairs),
+        Kernel::Avx2 | Kernel::Avx512 => quantize_acts_scalar(x, pairs),
     }
 }
 
@@ -242,11 +242,6 @@ impl QuantizedMlp {
         self.layers[0].k
     }
 
-    /// Output classes produced by the last layer.
-    pub fn num_classes(&self) -> usize {
-        self.layers.last().expect("non-empty mlp").n
-    }
-
     /// Hidden-layer activation.
     pub fn hidden_activation(&self) -> Activation {
         self.hidden_activation
@@ -393,11 +388,6 @@ impl QuantizedLstm {
         (&self.head_w, &self.head_b)
     }
 
-    /// Output classes.
-    pub fn num_classes(&self) -> usize {
-        self.head_b.len()
-    }
-
     /// FLOPs for one timestep across all cells (same multiply-add count as
     /// the f32 original).
     pub fn flops_per_step(&self) -> f64 {
@@ -513,16 +503,6 @@ impl PackedQuantMatrix {
         pm
     }
 
-    /// Reduction dimension (original rows).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output dimension (original columns).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Bytes held by the packed buffer (pad + alignment included).
     pub fn packed_bytes(&self) -> usize {
         std::mem::size_of_val(&self.data[..])
@@ -581,9 +561,9 @@ fn qaccumulate(kernel: Kernel, pairs: &[u32], pqm: &PackedQuantMatrix, acc: &mut
             // SAFETY: as in the f32 dispatch — kernels are clamped to
             // detected CPU features at every public entry.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { qaccumulate_avx2(idx, val, pqm, acc) },
+            Kernel::Avx2 | Kernel::Avx512 => unsafe { qaccumulate_avx2(idx, val, pqm, acc) },
             #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Avx2 => qaccumulate_scalar(idx, val, pqm, 0, acc),
+            Kernel::Avx2 | Kernel::Avx512 => qaccumulate_scalar(idx, val, pqm, 0, acc),
         }
     }
 }
@@ -1035,8 +1015,7 @@ mod tests {
         let packed = PackedQuantMlp::pack(&q);
         let x = rand_matrix(&mut rng, 19, 37);
         let want = packed.forward_with(x.data(), 19, 37, None, Kernel::Scalar);
-        let kernel = Kernel::Avx2;
-        if kernel.available() {
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.available()) {
             let got = packed.forward_with(x.data(), 19, 37, None, kernel);
             for (a, b) in want.data().iter().zip(got.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{}", kernel.name());
@@ -1053,8 +1032,7 @@ mod tests {
             let x: Vec<f32> = (0..len).map(|_| rng.gen_range(-3.0..3.0f32)).collect();
             let mut want = vec![0u32; len.div_ceil(2)];
             let sa = quantize_acts(Kernel::Scalar, &x, &mut want);
-            let kernel = Kernel::Avx2;
-            if kernel.available() {
+            for kernel in Kernel::ALL.into_iter().filter(|k| k.available()) {
                 let mut got = vec![0u32; len.div_ceil(2)];
                 let sg = quantize_acts(kernel, &x, &mut got);
                 assert_eq!(sa.to_bits(), sg.to_bits(), "{} scale, len {len}", kernel.name());
@@ -1072,8 +1050,7 @@ mod tests {
         let (rows, steps, feat) = (9, 4, 6);
         let x = rand_matrix(&mut rng, rows, steps * feat);
         let want = packed.classify_with(x.data(), rows, steps * feat, steps, None, Kernel::Scalar);
-        let kernel = Kernel::Avx2;
-        if kernel.available() {
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.available()) {
             assert_eq!(
                 want,
                 packed.classify_with(x.data(), rows, steps * feat, steps, None, kernel),
@@ -1093,8 +1070,7 @@ mod tests {
     fn quant_pack_is_interleaved_aligned_and_zero_padded() {
         let w: Vec<i8> = vec![1, 2, 3, 4, 5, 6, 7, 8, 9]; // 3×3
         let pm = PackedQuantMatrix::pack(&w, 3, 3);
-        assert_eq!(pm.k(), 3);
-        assert_eq!(pm.n(), 3);
+        assert_eq!((pm.k, pm.n), (3, 3));
         assert!(pm.base_aligned());
         // Pair-row 0 interleaves original rows 0 and 1.
         assert_eq!(&pm.row(0)[..6], &[1, 4, 2, 5, 3, 6]);
@@ -1116,7 +1092,6 @@ mod tests {
         assert!(agree >= 190, "only {agree}/200 rows agree");
         assert_eq!(q.flops_per_input(), m.flops_per_input());
         assert_eq!(q.input_size(), 16);
-        assert_eq!(q.num_classes(), 4);
     }
 }
 
@@ -1144,8 +1119,7 @@ mod proptests {
             let packed = PackedQuantMlp::pack(&q);
             let data = &x_data[..rows * k];
             let want = packed.forward_with(data, rows, k, None, Kernel::Scalar);
-            let kernel = Kernel::Avx2;
-            if kernel.available() {
+            for kernel in Kernel::ALL.into_iter().filter(|k| k.available()) {
                 let got = packed.forward_with(data, rows, k, None, kernel);
                 for (a, b) in want.data().iter().zip(got.data()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());

@@ -178,17 +178,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise product (Hadamard), producing a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
     /// `self + rhs`, producing a new matrix.
     ///
     /// # Panics
