@@ -11,7 +11,9 @@
 //! decision (§4.2): below the crossover batch the handle classifies in the
 //! caller's thread from the kernel-side shadow copy of the model
 //! ([`DaemonSupervisor::classify_local`]) and nothing is staged, framed or
-//! sent.
+//! sent. The default crossover depends on the link ([`crate::Lake::ml`]):
+//! Table 3's 8 rows in process, the daemon's GEMM-pool floor
+//! ([`lake_ml::DEFAULT_POOL_MIN_ROWS`]) over a channel or the ring.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,6 +77,7 @@ impl LakeMl {
         shm: ShmRegion,
         supervisor: Arc<DaemonSupervisor>,
         queue_depth: usize,
+        policy: BatchThresholdPolicy,
     ) -> Self {
         let queue = Arc::new(QueuePair::new(Arc::clone(&engine), queue_depth));
         LakeMl {
@@ -84,15 +87,18 @@ impl LakeMl {
             next_request: Arc::new(AtomicU64::new(1)),
             queue,
             staged: Arc::new(Mutex::new(HashMap::new())),
-            policy: Arc::new(Mutex::new(Box::new(BatchThresholdPolicy::default()))),
+            policy: Arc::new(Mutex::new(Box::new(policy))),
         }
     }
 
     /// This handle (and clones made from it afterwards) with `policy`
-    /// deciding where MLP inferences run, in place of the default
-    /// [`BatchThresholdPolicy`] at Table 3's LinnOS crossover of 8 rows.
+    /// deciding where MLP inferences run, in place of the link's default
+    /// [`BatchThresholdPolicy`] ([`crate::Lake::ml`]: 8 rows in process,
+    /// [`lake_ml::DEFAULT_POOL_MIN_ROWS`] on a linked link).
     /// `BatchThresholdPolicy { batch_threshold: 0 }` offloads every call —
-    /// for code whose subject is the offload path itself.
+    /// for code whose subject is the offload path itself — and
+    /// `BatchThresholdPolicy { batch_threshold: 8 }` pins Table 3's
+    /// crossover on every link.
     #[must_use]
     pub fn with_policy(mut self, policy: impl Policy + 'static) -> Self {
         self.policy = Arc::new(Mutex::new(Box::new(policy)));

@@ -13,6 +13,7 @@ use lake_transport::{Channel, Link, Mechanism, RingEndpoint, RingLink, RingStats
 use crate::daemon::LakeDaemon;
 use crate::highlevel::LakeMl;
 use crate::lakelib::LakeCuda;
+use crate::policy::BatchThresholdPolicy;
 use crate::supervisor::{DaemonSupervisor, LocalStats, SupervisorPolicy, SupervisorStats};
 
 /// How kernel-side stubs reach the daemon.
@@ -714,14 +715,30 @@ impl Lake {
 
     /// A kernel-space high-level-ML handle (§4.4), with owner-tagged
     /// lakeShm staging and crash-replay shadow registration wired in.
-    /// MLP calls below the default policy's 8-row crossover are answered
-    /// kernel-side from the shadow table ([`LakeMl::with_policy`]).
+    /// MLP calls below the link's crossover are answered kernel-side from
+    /// the shadow table ([`LakeMl::with_policy`] replaces the rule):
+    ///
+    /// * [`LinkMode::InProcess`] keeps Table 3's LinnOS crossover of 8
+    ///   rows ([`BatchThresholdPolicy::default`]), the modeled A100's
+    ///   number on the virtual clock;
+    /// * [`LinkMode::Channel`] and [`LinkMode::Ring`] use
+    ///   [`lake_ml::DEFAULT_POOL_MIN_ROWS`] (32). There the "GPU" is the
+    ///   daemon's CPU GEMM, which runs a batch below that floor on one
+    ///   thread with the same packed kernel the caller's thread would
+    ///   use, so offloading it buys a round trip and no compute.
     pub fn ml(&self) -> LakeMl {
+        let policy = match self.link_mode {
+            LinkMode::InProcess => BatchThresholdPolicy::default(),
+            LinkMode::Channel | LinkMode::Ring => {
+                BatchThresholdPolicy { batch_threshold: lake_ml::DEFAULT_POOL_MIN_ROWS }
+            }
+        };
         LakeMl::new(
             Arc::clone(&self.engine),
             self.shm.clone(),
             Arc::clone(&self.supervisor),
             self.queue_depth,
+            policy,
         )
     }
 

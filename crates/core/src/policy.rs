@@ -76,6 +76,9 @@ impl Policy for AlwaysCpu {
 /// Pure profitability policy: GPU only for batches at or above the
 /// crossover threshold (§4.2). The default threshold is Table 3's LinnOS
 /// crossover, 8 rows; `batch_threshold: 0` offloads every call.
+/// [`Lake::ml`](crate::Lake::ml) installs the default in process and
+/// `batch_threshold: lake_ml::DEFAULT_POOL_MIN_ROWS` on a linked link,
+/// where the "GPU" is the daemon's CPU GEMM.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchThresholdPolicy {
     /// Minimum batch size for the GPU to be profitable (Table 3).

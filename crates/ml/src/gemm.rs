@@ -1466,6 +1466,11 @@ impl EngineStats {
 /// numbers (`BENCH_PR4.json`) showed an 8-row LSTM batch *losing* to the
 /// naive path under 4 workers (0.88×): per-row work is microseconds, so
 /// the pool's fan-out/join handshake dominates until a few dozen rows.
+///
+/// It is also the MLP offload crossover on a linked link
+/// (`lake_core::Lake::ml` over a channel or the ring): below it the daemon
+/// would run the batch on one thread with the same kernel the caller's
+/// thread has, so moving this constant moves that crossover too.
 pub const DEFAULT_POOL_MIN_ROWS: usize = 32;
 
 /// The inference fast path: fixed worker pool + packed model cache.

@@ -75,8 +75,9 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
     let batch = registry.get_features("nvme0", "bio_latency", None)?;
-    // Four rows sit below the 8-row crossover: the handle's policy
-    // classifies them in this thread, without a remoted call.
+    // Four rows sit below the offload crossover (8 rows in process, 32 on
+    // a linked link): the handle's policy classifies them in this thread,
+    // without a remoted call.
     let classes = registry.score_features("nvme0", "bio_latency", &batch)?;
     println!("scored {} feature vectors with {model}: classes {classes:?}", batch.len());
 

@@ -1,14 +1,18 @@
 //! Kernel-side inference below the offload crossover: the default
-//! `BatchThresholdPolicy` (8 rows, Table 3's LinnOS crossover) answers
-//! smaller MLP batches in the caller's thread from the supervisor's shadow
-//! copy of the model.
+//! `BatchThresholdPolicy` answers smaller MLP batches in the caller's
+//! thread from the supervisor's shadow copy of the model. The crossover
+//! depends on the link: 8 rows in process (Table 3's LinnOS crossover on
+//! the virtual clock), `DEFAULT_POOL_MIN_ROWS` (32) over a channel or the
+//! ring, where the daemon runs a smaller batch on one thread with the same
+//! packed kernel the caller would.
 //!
 //! The invariants:
 //!
 //! * **same answers** — a local answer is bit-identical to the offloaded
 //!   one and to the scalar oracle (`Mlp::classify`, `QuantizedMlp::classify`),
 //!   sync and queued;
-//! * **nothing crosses** — a local read sends no frame; 8 rows still do;
+//! * **nothing crosses** — a local read sends no frame; a batch at the
+//!   crossover still does, exactly once;
 //! * **coherent on ack** — after a `swap_model` ack local reads see the
 //!   new version; after `unload_model` they fail like an offloaded read;
 //! * **the daemon's errors stay the daemon's** — anything the local path
@@ -17,12 +21,13 @@
 //!   daemon is dead, without paying its restart.
 //!
 //! CI re-runs this file over the ring link under `LAKE_QUEUE_DEPTH={1,64}`
-//! × `LAKE_DAEMON_WORKERS={1,4}`.
+//! × `LAKE_DAEMON_WORKERS={1,4}`. `LAKE_LINK` overrides a builder's link,
+//! so the ring tests below need it unset or naming a linked link.
 
 use lake::core::error::code;
-use lake::core::{BatchThresholdPolicy, CrashSchedule, Lake, LakeMl, ModelId};
+use lake::core::{BatchThresholdPolicy, CrashSchedule, Lake, LakeMl, LinkMode, ModelId};
 use lake::fleet::{DaemonFleet, FleetPolicy};
-use lake::ml::{serialize, Activation, Matrix, Mlp, QuantizedMlp};
+use lake::ml::{serialize, Activation, Matrix, Mlp, QuantizedMlp, DEFAULT_POOL_MIN_ROWS};
 use lake::sim::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,6 +43,10 @@ fn rows(n: usize, salt: usize) -> Vec<f32> {
 }
 
 fn oracle(model: &Mlp, n: usize, x: &[f32]) -> Vec<u32> {
+    model.classify(&Matrix::from_vec(n, COLS, x.to_vec())).into_iter().map(|c| c as u32).collect()
+}
+
+fn oracle_q(model: &QuantizedMlp, n: usize, x: &[f32]) -> Vec<u32> {
     model.classify(&Matrix::from_vec(n, COLS, x.to_vec())).into_iter().map(|c| c as u32).collect()
 }
 
@@ -69,11 +78,7 @@ fn small_batches_answer_locally_like_the_daemon_and_the_oracle() {
     for n in 1..8 {
         let x = rows(n, n);
         let want = oracle(&model, n, &x);
-        let want_q: Vec<u32> = quant
-            .classify(&Matrix::from_vec(n, COLS, x.clone()))
-            .into_iter()
-            .map(|c| c as u32)
-            .collect();
+        let want_q = oracle_q(&quant, n, &x);
         assert_eq!(ml.infer_mlp(id, n, COLS, &x).unwrap(), want, "f32 sync, {n} rows");
         assert_eq!(submitted(&ml, id, n, &x), want, "f32 queued, {n} rows");
         assert_eq!(ml.infer_mlp(qid, n, COLS, &x).unwrap(), want_q, "int8 sync, {n} rows");
@@ -100,7 +105,8 @@ fn small_batches_answer_locally_like_the_daemon_and_the_oracle() {
 #[test]
 fn eight_rows_still_cross_the_boundary() {
     let lake = Lake::builder().build();
-    let ml = lake.ml();
+    // Pinned: on a linked link the default crossover is the pool floor.
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 8 });
     let model = mlp(2);
     let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
 
@@ -120,6 +126,104 @@ fn eight_rows_still_cross_the_boundary() {
     assert_eq!(submitted(&ml, id, 7, &x), oracle(&model, 7, &x));
     assert_eq!(lake.call_stats().calls, calls);
     assert_eq!(ml.queue_stats().frames_sent, frames);
+}
+
+#[test]
+fn in_process_keeps_table_3s_crossover_and_linked_links_the_pool_floor() {
+    let lake = Lake::builder().link_mode(LinkMode::InProcess).build();
+    // `LAKE_LINK` may have moved this lake onto a linked link.
+    let crossover = match lake.link_mode() {
+        LinkMode::InProcess => 8,
+        LinkMode::Channel | LinkMode::Ring => DEFAULT_POOL_MIN_ROWS,
+    };
+    let ml = lake.ml();
+    let model = mlp(9);
+    let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
+
+    let (calls, local) = (lake.call_stats().calls, lake.perf_report().local);
+    let x = rows(crossover - 1, 1);
+    assert_eq!(
+        ml.infer_mlp(id, crossover - 1, COLS, &x).unwrap(),
+        oracle(&model, crossover - 1, &x)
+    );
+    assert_eq!(lake.call_stats().calls, calls, "one row under the crossover stays local");
+    assert_eq!(lake.perf_report().local.inferences, local.inferences + 1);
+
+    let x = rows(crossover, 2);
+    assert_eq!(ml.infer_mlp(id, crossover, COLS, &x).unwrap(), oracle(&model, crossover, &x));
+    assert_eq!(lake.call_stats().calls - calls, 1, "{crossover} rows is the crossover: offloaded");
+    assert_eq!(lake.perf_report().local.inferences, local.inferences + 1);
+}
+
+#[test]
+fn ring_link_answers_below_the_pool_floor_locally() {
+    let lake = Lake::builder().link_mode(LinkMode::Ring).build();
+    assert_ne!(lake.link_mode(), LinkMode::InProcess, "LAKE_LINK must name a linked link");
+    let (ml, off) = (lake.ml(), offloading(&lake));
+    let model = mlp(10);
+    let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
+    let qid = ml.quantize_model(id).unwrap();
+    let quant = QuantizedMlp::quantize(&model);
+
+    for n in [8, 16, DEFAULT_POOL_MIN_ROWS - 1] {
+        let x = rows(n, n);
+        let (want, want_q) = (oracle(&model, n, &x), oracle_q(&quant, n, &x));
+        let (calls, frames) = (lake.call_stats().calls, ml.queue_stats().frames_sent);
+        let local = lake.perf_report().local;
+        assert_eq!(ml.infer_mlp(id, n, COLS, &x).unwrap(), want, "f32 sync, {n} rows");
+        assert_eq!(submitted(&ml, id, n, &x), want, "f32 queued, {n} rows");
+        assert_eq!(ml.infer_mlp(qid, n, COLS, &x).unwrap(), want_q, "int8 sync, {n} rows");
+        assert_eq!(submitted(&ml, qid, n, &x), want_q, "int8 queued, {n} rows");
+        assert_eq!(lake.call_stats().calls, calls, "{n} rows stay local");
+        assert_eq!(ml.queue_stats().frames_sent, frames, "{n} rows send no frame");
+        let now = lake.perf_report().local;
+        assert_eq!(now.inferences - local.inferences, 4);
+        assert_eq!(now.rows - local.rows, 4 * n as u64);
+
+        assert_eq!(off.infer_mlp(id, n, COLS, &x).unwrap(), want, "the daemon agrees, {n} rows");
+        assert_eq!(off.infer_mlp(qid, n, COLS, &x).unwrap(), want_q, "on int8 too, {n} rows");
+    }
+
+    // At the pool floor the call crosses, exactly once.
+    let n = DEFAULT_POOL_MIN_ROWS;
+    let x = rows(n, 1);
+    let (calls, local) = (lake.call_stats().calls, lake.perf_report().local);
+    assert_eq!(ml.infer_mlp(id, n, COLS, &x).unwrap(), oracle(&model, n, &x));
+    assert_eq!(lake.call_stats().calls - calls, 1, "{n} rows offloaded");
+    assert_eq!(lake.perf_report().local, local, "nothing answered locally");
+}
+
+#[test]
+fn ring_fleet_shards_answer_below_the_pool_floor_locally() {
+    let fleet = DaemonFleet::deploy(Lake::builder().shards(2).link_mode(LinkMode::Ring));
+    let (ml, off) =
+        (fleet.ml(), fleet.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 }));
+    let model = mlp(11);
+    let id = ml.load_model(&serialize::encode_mlp(&model)).unwrap();
+    let calls = || fleet.shards().iter().map(|s| s.call_stats().calls).sum::<u64>();
+    let local = || fleet.shards().iter().map(|s| s.perf_report().local.inferences).sum::<u64>();
+
+    for n in [8, 16, DEFAULT_POOL_MIN_ROWS - 1] {
+        let x = rows(n, n);
+        let want = oracle(&model, n, &x);
+        let (calls_before, local_before) = (calls(), local());
+        assert_eq!(ml.infer_mlp(0, id, n, COLS, &x).unwrap(), want, "sync, {n} rows");
+        let ticket = ml.submit_mlp(0, id, n, COLS, &x).unwrap();
+        let done = ml.drain_completions();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].0, ticket);
+        assert_eq!(done[0].1.clone().unwrap(), want, "queued, {n} rows");
+        assert_eq!(calls(), calls_before, "{n} rows stay local on every shard");
+        assert_eq!(local(), local_before + 2);
+        assert_eq!(off.infer_mlp(0, id, n, COLS, &x).unwrap(), want, "the daemon agrees");
+    }
+
+    let n = DEFAULT_POOL_MIN_ROWS;
+    let x = rows(n, 1);
+    let (calls_before, local_before) = (calls(), local());
+    assert_eq!(ml.infer_mlp(0, id, n, COLS, &x).unwrap(), oracle(&model, n, &x));
+    assert_eq!(calls() - calls_before, 1, "{n} rows offloaded once");
+    assert_eq!(local(), local_before);
 }
 
 #[test]
@@ -192,7 +296,7 @@ fn local_reads_keep_answering_while_the_daemon_is_dead() {
 
     // The daemon really was down: the first offloaded read restarts it.
     let x = rows(8, 99);
-    assert_eq!(ml.infer_mlp(id, 8, COLS, &x).unwrap(), oracle(&model, 8, &x));
+    assert_eq!(offloading(&lake).infer_mlp(id, 8, COLS, &x).unwrap(), oracle(&model, 8, &x));
     assert_eq!(lake.supervisor().stats().restarts, 1);
 }
 

@@ -100,7 +100,7 @@ fn oversubscribed_budget_evicts_faults_and_stays_bit_identical() {
 #[test]
 fn packed_copies_stay_under_the_weight_budget() {
     const MODELS: usize = 16;
-    const ROWS: usize = 8; // the offload crossover: every read crosses
+    const ROWS: usize = 8; // the pinned crossover: every read crosses
     const WIDTH: usize = 31;
     let nets: Vec<Mlp> = (0..MODELS)
         .map(|i| {
@@ -113,7 +113,7 @@ fn packed_copies_stay_under_the_weight_budget() {
     let pack = PackedMlp::pack(&nets[0]).bytes();
 
     let lake = Lake::builder().model_budget_bytes(budget).build();
-    let ml = lake.ml();
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: ROWS });
     let ids: Vec<_> = blobs.iter().map(|b| ml.load_model(b).unwrap()).collect();
     let x: Vec<f32> = (0..ROWS * WIDTH).map(|i| (i % 13) as f32 / 13.0 - 0.5).collect();
     let calls = lake.call_stats().calls;

@@ -40,7 +40,8 @@ fn production() -> LakeBuilder {
 }
 
 /// A handle whose reads all cross to the daemon: the reads here move the
-/// ring and pay restarts, which below the 8-row crossover they would not.
+/// ring and pay restarts, which below the ring's 32-row crossover they
+/// would not.
 fn offloading(lake: &Lake) -> LakeMl {
     lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 0 })
 }

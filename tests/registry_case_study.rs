@@ -4,7 +4,7 @@
 //! batch runs.
 
 use lake::block::{IoKind, NvmeDevice, NvmeSpec, TraceSpec};
-use lake::core::{Lake, LakeMl, ModelId};
+use lake::core::{BatchThresholdPolicy, Lake, LakeMl, ModelId};
 use lake::ml::{serialize, Activation, Mlp};
 use lake::registry::{FeatureRegistryService, FeatureVector, Schema};
 use lake::sim::{CrashSchedule, Duration, Instant, SimRng};
@@ -32,10 +32,11 @@ fn listing4_listing5_capture_and_batch_inference() {
     service.create_model(DEV, SYS, &path, &serialize::encode_mlp(&model)).expect("create_model");
 
     // The classifier is the model loaded through LAKE's high-level API
-    // (§4.4); the handle's default policy offloads batches at or above
-    // the 8-row crossover (§4.2).
+    // (§4.4); the handle's policy offloads batches at or above Table 3's
+    // 8-row crossover (§4.2), pinned because a linked link's default is
+    // the daemon's pool floor.
     let lake = Lake::builder().build();
-    let ml = lake.ml();
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 8 });
     let model_id = ml
         .load_model(&service.model_blob(DEV, SYS).expect("model in memory"))
         .expect("daemon loads model");
@@ -104,7 +105,9 @@ fn bound_classifier_fails_over_across_a_daemon_crash() {
     let crash_us = 2_000;
     let crash_at = Instant::EPOCH + Duration::from_micros(crash_us);
     let lake = Lake::builder().crash_schedule(CrashSchedule::at(vec![crash_at])).build();
-    let ml = lake.ml();
+    // The 16-row batch must cross to meet the crash: pin Table 3's
+    // crossover, which a linked link's default would otherwise raise.
+    let ml = lake.ml().with_policy(BatchThresholdPolicy { batch_threshold: 8 });
     let mut rng = StdRng::seed_from_u64(5);
     let model = Mlp::new(&[5, 8, 2], Activation::Relu, &mut rng);
     let id = ml.load_model(&serialize::encode_mlp(&model)).expect("load model");
