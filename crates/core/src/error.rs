@@ -7,7 +7,6 @@
 use std::fmt;
 
 use lake_rpc::{RpcError, Status};
-use lake_sched::AdmissionError;
 use lake_shm::ShmError;
 
 /// Vendor error codes the daemon uses when a simulated CUDA call fails.
@@ -55,6 +54,28 @@ pub enum LakeError {
     /// The daemon's response payload did not decode as expected.
     BadResponse(&'static str),
 }
+
+/// The typed failure of the one bounded admission wait in the stack: the
+/// fleet's per-tenant governor, which paces a tenant on the shared
+/// virtual clock. Staging allocation does not wait; an exhausted
+/// `lakeShm` region fails at once with [`ShmError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmissionError {
+    /// The request waited its queue deadline without being admitted.
+    DeadlineExpired {
+        /// Virtual microseconds spent waiting before expiry.
+        waited_us: u64,
+    },
+}
+
+impl fmt::Display for AdmissionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let AdmissionError::DeadlineExpired { waited_us } = self;
+        write!(f, "admission deadline expired after {waited_us}us")
+    }
+}
+
+impl std::error::Error for AdmissionError {}
 
 impl fmt::Display for LakeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -91,8 +91,8 @@ fn spawn_daemon_thread<C>(
 /// 128 MiB `cma=` shared region, and a single A100-class device.
 ///
 /// The builder is `Clone` so it can serve as a *template*: a multi-shard
-/// deployment (`lake-fleet`) clones one configuration per shard via
-/// [`LakeBuilder::build_shards`], sharing a single virtual clock.
+/// deployment (`lake-fleet`) clones one configuration per shard, sharing
+/// a single virtual clock.
 #[derive(Debug, Clone)]
 pub struct LakeBuilder {
     mechanism: Mechanism,
@@ -111,7 +111,6 @@ pub struct LakeBuilder {
     wait_strategy: WaitStrategy,
     queue_depth: usize,
     shards: usize,
-    shard_id: usize,
     model_budget: Option<usize>,
     daemon_workers: usize,
 }
@@ -135,7 +134,6 @@ impl Default for LakeBuilder {
             wait_strategy: WaitStrategy::default(),
             queue_depth: lake_rpc::DEFAULT_QUEUE_DEPTH,
             shards: 1,
-            shard_id: 0,
             model_budget: None,
             daemon_workers: 1,
         }
@@ -305,11 +303,10 @@ impl LakeBuilder {
         self
     }
 
-    /// Deploys `n` lakeD shards when built through
-    /// [`LakeBuilder::build_shards`] (or `lake-fleet`'s `DaemonFleet`).
-    /// Each shard gets its own transport link, supervisor, incarnation
-    /// epoch, and shm staging region; [`LakeBuilder::build`] itself
-    /// always produces a single instance. The `LAKE_SHARDS` environment
+    /// Deploys `n` lakeD shards when `lake-fleet`'s `DaemonFleet` builds
+    /// from this template. Each shard gets its own transport link,
+    /// supervisor, incarnation epoch, and shm staging region;
+    /// [`LakeBuilder::build`] itself always produces a single instance. The `LAKE_SHARDS` environment
     /// variable overrides this at build time.
     ///
     /// # Panics
@@ -318,14 +315,6 @@ impl LakeBuilder {
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n > 0, "a fleet needs at least one shard");
         self.shards = n;
-        self
-    }
-
-    /// Stamps this instance with a shard id (purely informational: it
-    /// tags `fault_report()` so multi-shard aggregations stay
-    /// attributable). [`LakeBuilder::build_shards`] sets it per shard.
-    pub fn shard_id(mut self, id: usize) -> Self {
-        self.shard_id = id;
         self
     }
 
@@ -340,36 +329,6 @@ impl LakeBuilder {
             }
             Err(_) => self.shards,
         }
-    }
-
-    /// Builds one [`Lake`] per shard ([`LakeBuilder::shard_count`] of
-    /// them) from this template, all sharing one virtual clock. Every
-    /// other resource — transport link, daemon, supervisor, epoch
-    /// counter, shm and staging regions, device pool — is per shard, so
-    /// one shard's restarts never fence another's calls.
-    pub fn build_shards(self) -> Vec<Lake> {
-        self.build_shards_with(|_, b| b)
-    }
-
-    /// [`LakeBuilder::build_shards`] with a per-shard customization hook:
-    /// `customize(shard_id, builder)` may rewrite each shard's template
-    /// before it builds — e.g. arm a [`CrashSchedule`] on one shard only,
-    /// or stagger one seeded plan across shards with
-    /// [`CrashSchedule::shifted`].
-    pub fn build_shards_with(
-        self,
-        mut customize: impl FnMut(usize, LakeBuilder) -> LakeBuilder,
-    ) -> Vec<Lake> {
-        let n = self.shard_count();
-        let clock = self.clock.clone().unwrap_or_default();
-        (0..n)
-            .map(|id| {
-                let mut b = self.clone();
-                b.clock = Some(clock.clone());
-                b.shard_id = id;
-                customize(id, b).build()
-            })
-            .collect()
     }
 
     /// Builds the instance: shared region, device pool, daemon, call
@@ -551,7 +510,6 @@ impl LakeBuilder {
             // In-process calls dispatch on the caller's thread: no executor.
             daemon_workers: if link_mode == LinkMode::InProcess { 1 } else { daemon_workers },
             exec_stats,
-            shard_id: self.shard_id,
         }
     }
 }
@@ -572,7 +530,6 @@ pub struct Lake {
     queue_depth: usize,
     daemon_workers: usize,
     exec_stats: Arc<lake_rpc::ExecutorStats>,
-    shard_id: usize,
 }
 
 /// Everything that can go wrong, in one snapshot: transport faults,
@@ -580,10 +537,6 @@ pub struct Lake {
 /// counters.
 #[derive(Debug, Clone)]
 pub struct FaultReport {
-    /// Which shard this report describes ([`LakeBuilder::shard_id`]; 0
-    /// for single-instance deployments), so fleet aggregations stay
-    /// attributable.
-    pub shard: usize,
     /// Injected transport-fault counters, if a plan was configured.
     pub transport: Option<FaultCounters>,
     /// `lakeShm` allocator stats, including `orphaned_bytes` and the
@@ -607,10 +560,6 @@ pub struct PerfReport {
     /// shards. Difference two reports with
     /// [`lake_rpc::PerfSnapshot::since`] to scope them to a workload.
     pub rpc: lake_rpc::PerfSnapshot,
-    /// The process-wide rollup (every engine plus engine-less codec
-    /// sites), kept for backward compatibility. In a multi-shard process
-    /// this counts all shards together — do not sum it across reports.
-    pub rpc_process: lake_rpc::PerfSnapshot,
     /// Calls whose payloads travelled as shm handles instead of inline
     /// frames (requires [`LakeBuilder::staging_threshold`]).
     pub staged_calls: u64,
@@ -786,7 +735,6 @@ impl Lake {
     /// reclamation stats plus supervisor lifecycle counters.
     pub fn fault_report(&self) -> FaultReport {
         FaultReport {
-            shard: self.shard_id,
             transport: self.fault_counters(),
             shm: self.shm.stats(),
             staging: self.engine.staging_stats(),
@@ -794,13 +742,11 @@ impl Lake {
         }
     }
 
-    /// One combined fast-path snapshot: RPC copy counters (per-engine
-    /// plus the process rollup), staged-call count, and the GEMM engine's
-    /// pool/cache counters.
+    /// One combined fast-path snapshot: this engine's RPC copy counters,
+    /// staged-call count, and the GEMM engine's pool/cache counters.
     pub fn perf_report(&self) -> PerfReport {
         PerfReport {
             rpc: self.engine.perf_counters().snapshot(),
-            rpc_process: lake_rpc::perf::snapshot(),
             staged_calls: self.engine.stats().staged_calls,
             gemm: self.daemon.gemm_stats(),
             store: self.daemon.store_stats(),
@@ -839,12 +785,6 @@ impl Lake {
     /// model store has charged so far, in fault order.
     pub fn model_fault_latencies_us(&self) -> Vec<f64> {
         self.daemon.store_fault_latencies_us()
-    }
-
-    /// This instance's shard id (0 unless deployed as part of a
-    /// multi-shard fleet).
-    pub fn shard_id(&self) -> usize {
-        self.shard_id
     }
 
     /// The call engine (for fleet routing layers that need per-shard

@@ -54,7 +54,7 @@ pub mod lakelib;
 pub mod policy;
 pub mod supervisor;
 
-pub use error::LakeError;
+pub use error::{AdmissionError, LakeError};
 pub use highlevel::{InferCompletion, LakeMl, ModelId};
 pub use lake::{FaultReport, Lake, LakeBuilder, LinkMode, PerfReport};
 pub use lakelib::LakeCuda;
@@ -63,7 +63,7 @@ pub use supervisor::{DaemonSupervisor, LocalStats, SupervisorPolicy, SupervisorS
 
 // Re-export the types that appear in this crate's public API.
 pub use lake_gpu::{DevicePtr, ExecMode, GpuDevice, GpuError, GpuSpec, KernelArg, KernelCtx};
-pub use lake_sched::{AdmissionError, DevicePool, Placement, PoolPolicy, SchedMetrics};
+pub use lake_sched::{DevicePool, Placement, PoolPolicy, SchedMetrics};
 pub use lake_shm::{AllocStats, ReclaimReport, ShmBuffer, ShmRegion};
 pub use lake_sim::CrashSchedule;
 pub use lake_transport::{Mechanism, RingStats, WaitStrategy};

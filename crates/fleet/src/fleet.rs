@@ -1,12 +1,10 @@
 //! The fleet proper: N independent lakeD shards behind one router.
 //!
-//! PR 5 made a *single* daemon survivable (supervised restarts, epoch
-//! fencing, orphan reclamation). The fleet takes the next step the paper
-//! gestures at for multi-tenant nodes: several lakeD instances — each
-//! with its own transport link, supervisor, incarnation epoch, and shm
-//! staging region — serving disjoint model shards behind a
-//! consistent-hash router ([`crate::ring::HashRing`]). Sharding buys
-//! three things a single daemon cannot offer:
+//! Several lakeD instances — each with its own transport link,
+//! supervisor, incarnation epoch, and shm staging region — serve
+//! disjoint model shards behind a consistent-hash router
+//! ([`crate::ring::HashRing`]). Sharding buys three things a single
+//! daemon cannot offer:
 //!
 //! 1. **Fault isolation.** One shard's crash/restart cycle never fences
 //!    another shard's in-flight calls; its epoch is shard-local.
@@ -42,20 +40,18 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lake_core::{FaultReport, Lake, LakeBuilder, LakeError, LakeMl, ModelId, PerfReport, Policy};
-use lake_rpc::{CmdId, PerfSnapshot, RpcError};
+use lake_core::{InferCompletion, Lake, LakeBuilder, LakeError, LakeMl, ModelId, Policy};
+use lake_rpc::{CmdId, RpcError};
 use lake_sim::{Duration, SharedClock};
-use lake_transport::RingStats;
 use parking_lot::Mutex;
 
 use crate::qos::{QosCounters, QosPolicy, TenantGovernor};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 
-/// Tunables for [`DaemonFleet`].
+/// Tunables for [`DaemonFleet`]. The routing ring always places
+/// [`DEFAULT_VNODES`] points per shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetPolicy {
-    /// Virtual nodes per shard on the routing ring.
-    pub vnodes: usize,
     /// How long after a shard's crash surfaces the router keeps
     /// diverting idempotent traffic to the backup. Sized to cover the
     /// supervisor's lease + typical backoff + restart cost, after which
@@ -68,7 +64,6 @@ pub struct FleetPolicy {
 impl Default for FleetPolicy {
     fn default() -> Self {
         FleetPolicy {
-            vnodes: DEFAULT_VNODES,
             // Lease (20µs) + first backoffs (25–100µs) + restart cost
             // (100µs), rounded up.
             divert_window: Duration::from_micros(200),
@@ -83,12 +78,6 @@ impl Default for FleetPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FleetModelId(pub u64);
 
-impl std::fmt::Display for FleetModelId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fleet-model#{}", self.0)
-    }
-}
-
 /// Ticket for a queued inference submitted through
 /// [`FleetMl::submit_mlp`] / [`FleetMl::submit_lstm`]: the shard whose
 /// SQ holds the command plus its shard-local [`CmdId`].
@@ -100,17 +89,40 @@ pub struct FleetCmdId {
     pub id: CmdId,
 }
 
+/// The shape of one idempotent inference batch: all a sync call, a
+/// queued submit and a harvest-time replay need besides the features.
+#[derive(Debug, Clone, Copy)]
+enum Batch {
+    Mlp { rows: usize, cols: usize },
+    Lstm { rows: usize, steps: usize, features_per_step: usize },
+}
+
+impl Batch {
+    fn infer(self, ml: &LakeMl, id: ModelId, features: &[f32]) -> Result<Vec<u32>, LakeError> {
+        match self {
+            Batch::Mlp { rows, cols } => ml.infer_mlp(id, rows, cols, features),
+            Batch::Lstm { rows, steps, features_per_step } => {
+                ml.infer_lstm(id, rows, steps, features_per_step, features)
+            }
+        }
+    }
+
+    fn submit(self, ml: &LakeMl, id: ModelId, features: &[f32]) -> Result<CmdId, LakeError> {
+        match self {
+            Batch::Mlp { rows, cols } => ml.submit_mlp(id, rows, cols, features),
+            Batch::Lstm { rows, steps, features_per_step } => {
+                ml.submit_lstm(id, rows, steps, features_per_step, features)
+            }
+        }
+    }
+}
+
 /// Everything needed to replay a queued idempotent inference on the
 /// sibling replica if its frame dies with the daemon.
 struct QueuedSubmit {
     route: ModelRoute,
-    kind: QueuedKind,
+    batch: Batch,
     features: Vec<f32>,
-}
-
-enum QueuedKind {
-    Mlp { rows: usize, cols: usize },
-    Lstm { rows: usize, steps: usize, features_per_step: usize },
 }
 
 /// Where a fleet model lives: its ring-assigned shard pair and the
@@ -123,23 +135,35 @@ struct ModelRoute {
     backup_id: ModelId,
 }
 
+impl ModelRoute {
+    /// The replica on the other shard of the pair from `shard`; `None`
+    /// when both roles sit on one shard.
+    fn sibling(&self, shard: usize) -> Option<(usize, ModelId)> {
+        if self.backup == self.primary {
+            None
+        } else if shard == self.primary {
+            Some((self.backup, self.backup_id))
+        } else {
+            Some((self.primary, self.primary_id))
+        }
+    }
+}
+
 /// N lakeD shards on one virtual clock behind consistent-hash routing,
-/// tenant QoS, and cross-shard failover (see module docs).
+/// tenant QoS, and cross-shard failover (see module docs). Per-shard
+/// fault, perf and ring reports are read straight off
+/// [`DaemonFleet::shards`].
 pub struct DaemonFleet {
-    clock: SharedClock,
     shards: Vec<Lake>,
     ring: Mutex<HashRing>,
     governor: TenantGovernor,
     policy: FleetPolicy,
-    /// The builder every shard was stamped from (clock pre-set), so
-    /// [`DaemonFleet::add_shard`] grows the fleet from the same template.
+    /// The builder every shard after shard 0 is stamped from.
     template: LakeBuilder,
     routes: Mutex<HashMap<u64, ModelRoute>>,
     next_key: AtomicU64,
-    routed_primary: AtomicU64,
-    diverted: AtomicU64,
-    failover_retries: AtomicU64,
-    replica_sync_skipped: AtomicU64,
+    /// The router's counters; `qos` is filled in from the governor.
+    counters: Mutex<FleetStats>,
 }
 
 impl std::fmt::Debug for DaemonFleet {
@@ -154,8 +178,6 @@ impl std::fmt::Debug for DaemonFleet {
 /// Fleet-wide routing / QoS counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Shards currently deployed.
-    pub shards: usize,
     /// Calls routed to their primary shard.
     pub routed_primary: u64,
     /// Calls proactively diverted to the backup while the primary had a
@@ -171,35 +193,6 @@ pub struct FleetStats {
     pub qos: QosCounters,
 }
 
-/// Per-shard [`FaultReport`]s plus fleet totals.
-#[derive(Debug, Clone)]
-pub struct FleetFaultReport {
-    /// One report per shard, indexed by shard id (each report's `shard`
-    /// field matches its position).
-    pub shards: Vec<FaultReport>,
-    /// Total supervised restarts across shards.
-    pub restarts: u64,
-    /// Total crashes detected across shards.
-    pub crashes_detected: u64,
-    /// Total orphaned shm allocations reclaimed across shards.
-    pub orphans_reclaimed: u64,
-}
-
-/// Per-shard [`PerfReport`]s plus fleet totals.
-#[derive(Debug, Clone)]
-pub struct FleetPerfReport {
-    /// One report per shard, indexed by shard id.
-    pub shards: Vec<PerfReport>,
-    /// Per-engine RPC copy counters summed across shards — the fleet's
-    /// true aggregate (each engine counts only its own traffic).
-    pub rpc_total: PerfSnapshot,
-    /// The process-wide rollup, for backward compatibility. Counts every
-    /// engine in the process once — do **not** add it to `rpc_total`.
-    pub rpc_process: PerfSnapshot,
-    /// Calls whose payloads travelled as shm handles, across shards.
-    pub staged_calls: u64,
-}
-
 impl DaemonFleet {
     /// Deploys a fleet from `template` under the default
     /// [`FleetPolicy`]. Shard count comes from
@@ -209,45 +202,52 @@ impl DaemonFleet {
     }
 
     /// [`DaemonFleet::deploy`] with an explicit policy and a per-shard
-    /// customization hook — e.g. arm a `CrashSchedule` on shard 0 only.
+    /// customization hook: `customize(shard, builder)` may rewrite each
+    /// shard's template before it builds — e.g. arm a `CrashSchedule` on
+    /// shard 0 only.
     pub fn deploy_with(
         template: LakeBuilder,
         policy: FleetPolicy,
-        customize: impl FnMut(usize, LakeBuilder) -> LakeBuilder,
+        mut customize: impl FnMut(usize, LakeBuilder) -> LakeBuilder,
     ) -> Self {
-        let shards = template.clone().build_shards_with(customize);
-        let clock = shards[0].clock().clone();
-        let ring = HashRing::with_vnodes(shards.len(), policy.vnodes);
-        let governor = TenantGovernor::new(clock.clone(), policy.qos);
-        DaemonFleet {
-            clock: clock.clone(),
-            shards,
-            ring: Mutex::new(ring),
-            governor,
+        let n = template.shard_count();
+        // Shard 0 settles the clock (the template's, or a fresh one) that
+        // every later shard shares.
+        let first = customize(0, template.clone()).build();
+        let clock = first.clock().clone();
+        let mut fleet = DaemonFleet {
+            shards: vec![first],
+            ring: Mutex::new(HashRing::with_vnodes(1, DEFAULT_VNODES)),
+            governor: TenantGovernor::new(clock.clone(), policy.qos),
             policy,
             template: template.clock(clock),
             routes: Mutex::new(HashMap::new()),
             next_key: AtomicU64::new(0),
-            routed_primary: AtomicU64::new(0),
-            diverted: AtomicU64::new(0),
-            failover_retries: AtomicU64::new(0),
-            replica_sync_skipped: AtomicU64::new(0),
+            counters: Mutex::default(),
+        };
+        for _ in 1..n {
+            fleet.grow(&mut customize);
         }
+        fleet
+    }
+
+    /// Builds the next shard from the template and puts it on the ring,
+    /// which places a shard's points by its id alone.
+    fn grow(&mut self, customize: impl FnOnce(usize, LakeBuilder) -> LakeBuilder) -> usize {
+        let id = self.shards.len();
+        self.shards.push(customize(id, self.template.clone()).build());
+        self.ring.lock().add_shard(id);
+        id
     }
 
     /// The fleet's shared virtual clock.
     pub fn clock(&self) -> &SharedClock {
-        &self.clock
+        self.shards[0].clock()
     }
 
     /// The active policy.
     pub fn policy(&self) -> FleetPolicy {
         self.policy
-    }
-
-    /// Number of shards deployed.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Shard `id`'s [`Lake`] instance.
@@ -259,7 +259,8 @@ impl DaemonFleet {
         &self.shards[id]
     }
 
-    /// All shards, indexed by shard id.
+    /// All shards, indexed by shard id: the place to read per-shard
+    /// `fault_report`, `perf_report` and `ring_stats`.
     pub fn shards(&self) -> &[Lake] {
         &self.shards
     }
@@ -293,52 +294,12 @@ impl DaemonFleet {
     /// only ~1/N of *future* routing keys land on the newcomer, which is
     /// the consistent-hash contract.
     pub fn add_shard(&mut self) -> usize {
-        let id = self.shards.len();
-        // Direct `build()` (not `build_shards`) so a `LAKE_SHARDS`
-        // override cannot re-apply and fan this one shard out into many.
-        self.shards.push(self.template.clone().shard_id(id).build());
-        self.ring.lock().add_shard(id);
-        id
+        self.grow(|_, b| b)
     }
 
     /// Fleet routing and QoS counters.
     pub fn stats(&self) -> FleetStats {
-        FleetStats {
-            shards: self.shards.len(),
-            routed_primary: self.routed_primary.load(Ordering::Relaxed),
-            diverted: self.diverted.load(Ordering::Relaxed),
-            failover_retries: self.failover_retries.load(Ordering::Relaxed),
-            replica_sync_skipped: self.replica_sync_skipped.load(Ordering::Relaxed),
-            qos: self.governor.counters(),
-        }
-    }
-
-    /// Per-shard fault reports plus fleet totals, shard-attributable.
-    pub fn fault_report(&self) -> FleetFaultReport {
-        let shards: Vec<FaultReport> = self.shards.iter().map(Lake::fault_report).collect();
-        FleetFaultReport {
-            restarts: shards.iter().map(|r| r.supervisor.restarts).sum(),
-            crashes_detected: shards.iter().map(|r| r.supervisor.crashes_detected).sum(),
-            orphans_reclaimed: shards.iter().map(|r| r.supervisor.orphans_reclaimed).sum(),
-            shards,
-        }
-    }
-
-    /// Per-shard perf reports plus the per-engine RPC aggregate.
-    pub fn perf_report(&self) -> FleetPerfReport {
-        let shards: Vec<PerfReport> = self.shards.iter().map(Lake::perf_report).collect();
-        FleetPerfReport {
-            rpc_total: shards.iter().fold(PerfSnapshot::default(), |acc, r| acc.merged(&r.rpc)),
-            rpc_process: lake_rpc::perf::snapshot(),
-            staged_calls: shards.iter().map(|r| r.staged_calls).sum(),
-            shards,
-        }
-    }
-
-    /// Per-shard ring-transport stats (`None` for shards not on the
-    /// `Ring` link), indexed by shard id.
-    pub fn ring_stats(&self) -> Vec<Option<RingStats>> {
-        self.shards.iter().map(Lake::ring_stats).collect()
+        FleetStats { qos: self.governor.counters(), ..*self.counters.lock() }
     }
 
     /// Picks the serving shard for `route`: the backup while the primary
@@ -347,15 +308,15 @@ impl DaemonFleet {
     /// docs).
     fn select_shard(&self, route: &ModelRoute) -> (usize, ModelId) {
         if route.backup != route.primary {
-            let now = self.clock.now();
+            let now = self.clock().now();
             if let Some(age) = self.shards[route.primary].supervisor().pending_crash_age(now) {
                 if age <= self.policy.divert_window {
-                    self.diverted.fetch_add(1, Ordering::Relaxed);
+                    self.counters.lock().diverted += 1;
                     return (route.backup, route.backup_id);
                 }
             }
         }
-        self.routed_primary.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().routed_primary += 1;
         (route.primary, route.primary_id)
     }
 }
@@ -370,8 +331,9 @@ fn failover_eligible(err: &LakeError) -> bool {
     )
 }
 
-/// Kernel-space ML handle over a [`DaemonFleet`]: the [`LakeMl`] surface
-/// plus routing, tenant admission, replication, and failover.
+/// Kernel-space ML handle over a [`DaemonFleet`]: it routes each call to
+/// a shard's [`LakeMl`], which serves it, and adds tenant admission,
+/// replication and failover.
 ///
 /// Every data-plane call names a `tenant`; staged bytes are admitted
 /// through the fleet's [`TenantGovernor`] before the chosen shard
@@ -395,12 +357,20 @@ impl FleetMl<'_> {
     }
 
     fn route(&self, id: FleetModelId) -> Result<ModelRoute, LakeError> {
-        self.fleet
-            .routes
-            .lock()
-            .get(&id.0)
-            .copied()
-            .ok_or(LakeError::BadResponse("unknown fleet model id"))
+        let route = self.fleet.routes.lock().get(&id.0).copied();
+        route.ok_or(LakeError::BadResponse("unknown fleet model id"))
+    }
+
+    /// Admits `features`' bytes for `tenant` through the fleet governor
+    /// (blocking in virtual time), then looks up `id`'s route.
+    fn admit(
+        &self,
+        tenant: u32,
+        id: FleetModelId,
+        features: &[f32],
+    ) -> Result<ModelRoute, LakeError> {
+        self.fleet.governor.admit(tenant, std::mem::size_of_val(features))?;
+        self.route(id)
     }
 
     /// Runs an *idempotent* call with proactive diversion and reactive
@@ -411,24 +381,26 @@ impl FleetMl<'_> {
         mut call: impl FnMut(&LakeMl, ModelId) -> Result<T, LakeError>,
     ) -> Result<T, LakeError> {
         let (shard, mid) = self.fleet.select_shard(&route);
-        match call(&self.mls[shard], mid) {
-            Err(e) if failover_eligible(&e) && route.backup != route.primary => {
-                self.fleet.failover_retries.fetch_add(1, Ordering::Relaxed);
-                let (alt, alt_id) = if shard == route.primary {
-                    (route.backup, route.backup_id)
-                } else {
-                    (route.primary, route.primary_id)
-                };
-                call(&self.mls[alt], alt_id)
-            }
-            r => r,
-        }
+        let result = call(&self.mls[shard], mid);
+        self.fail_over(&route, shard, result, call)
     }
 
-    /// Admits `bytes` of staged payload for `tenant` through the fleet
-    /// governor (blocking in virtual time).
-    fn admit(&self, tenant: u32, bytes: usize) -> Result<(), LakeError> {
-        self.fleet.governor.admit(tenant, bytes).map_err(LakeError::from)
+    /// Retries `call` on `shard`'s sibling replica when `result` died
+    /// with the daemon; passes every other result through.
+    fn fail_over<T>(
+        &self,
+        route: &ModelRoute,
+        shard: usize,
+        result: Result<T, LakeError>,
+        call: impl FnOnce(&LakeMl, ModelId) -> Result<T, LakeError>,
+    ) -> Result<T, LakeError> {
+        match (result, route.sibling(shard)) {
+            (Err(e), Some((alt, alt_id))) if failover_eligible(&e) => {
+                self.fleet.counters.lock().failover_retries += 1;
+                call(&self.mls[alt], alt_id)
+            }
+            (r, _) => r,
+        }
     }
 
     /// Loads a serialized model onto its ring-assigned primary shard
@@ -437,13 +409,20 @@ impl FleetMl<'_> {
     ///
     /// # Errors
     ///
-    /// Any shard-local load failure propagates.
+    /// Any shard-local load failure propagates. A failed backup load
+    /// unloads the primary copy first: no route would ever name it.
     pub fn load_model(&self, blob: &[u8]) -> Result<FleetModelId, LakeError> {
         let key = self.fleet.next_key.fetch_add(1, Ordering::Relaxed);
         let (primary, backup) = self.fleet.ring.lock().route_pair(key);
         let primary_id = self.mls[primary].load_model(blob)?;
-        let backup_id =
-            if backup == primary { primary_id } else { self.mls[backup].load_model(blob)? };
+        let backup_id = if backup == primary {
+            primary_id
+        } else {
+            self.mls[backup].load_model(blob).inspect_err(|_| {
+                // The load's own error is the one to report.
+                let _ = self.mls[primary].unload_model(primary_id);
+            })?
+        };
         self.fleet.routes.lock().insert(key, ModelRoute { primary, backup, primary_id, backup_id });
         Ok(FleetModelId(key))
     }
@@ -456,8 +435,8 @@ impl FleetMl<'_> {
     pub fn unload_model(&self, id: FleetModelId) -> Result<(), LakeError> {
         let route = self.route(id)?;
         self.mls[route.primary].unload_model(route.primary_id)?;
-        if route.backup != route.primary {
-            self.mls[route.backup].unload_model(route.backup_id)?;
+        if let Some((backup, backup_id)) = route.sibling(route.primary) {
+            self.mls[backup].unload_model(backup_id)?;
         }
         self.fleet.routes.lock().remove(&id.0);
         Ok(())
@@ -467,7 +446,7 @@ impl FleetMl<'_> {
     ///
     /// # Errors
     ///
-    /// Tenant admission ([`lake_sched::AdmissionError`]) or the losing
+    /// Tenant admission ([`lake_core::AdmissionError`]) or the losing
     /// side of the failover state machine.
     pub fn infer_mlp(
         &self,
@@ -477,9 +456,8 @@ impl FleetMl<'_> {
         cols: usize,
         features: &[f32],
     ) -> Result<Vec<u32>, LakeError> {
-        self.admit(tenant, std::mem::size_of_val(features))?;
-        let route = self.route(id)?;
-        self.with_failover(route, |ml, mid| ml.infer_mlp(mid, rows, cols, features))
+        let route = self.admit(tenant, id, features)?;
+        self.with_failover(route, |ml, mid| Batch::Mlp { rows, cols }.infer(ml, mid, features))
     }
 
     /// Synchronous LSTM inference (idempotent: diverts and fails over).
@@ -496,11 +474,9 @@ impl FleetMl<'_> {
         features_per_step: usize,
         features: &[f32],
     ) -> Result<Vec<u32>, LakeError> {
-        self.admit(tenant, std::mem::size_of_val(features))?;
-        let route = self.route(id)?;
-        self.with_failover(route, |ml, mid| {
-            ml.infer_lstm(mid, rows, steps, features_per_step, features)
-        })
+        let route = self.admit(tenant, id, features)?;
+        let batch = Batch::Lstm { rows, steps, features_per_step };
+        self.with_failover(route, |ml, mid| batch.infer(ml, mid, features))
     }
 
     /// Synchronous k-NN classification (idempotent: diverts and fails
@@ -517,8 +493,7 @@ impl FleetMl<'_> {
         cols: usize,
         features: &[f32],
     ) -> Result<Vec<u32>, LakeError> {
-        self.admit(tenant, std::mem::size_of_val(features))?;
-        let route = self.route(id)?;
+        let route = self.admit(tenant, id, features)?;
         self.with_failover(route, |ml, mid| ml.infer_knn(mid, rows, cols, features))
     }
 
@@ -541,18 +516,10 @@ impl FleetMl<'_> {
         epochs: usize,
         learning_rate: f32,
     ) -> Result<f32, LakeError> {
-        self.admit(tenant, std::mem::size_of_val(features))?;
-        let route = self.route(id)?;
-        self.fleet.routed_primary.fetch_add(1, Ordering::Relaxed);
-        self.mls[route.primary].train_mlp(
-            route.primary_id,
-            rows,
-            cols,
-            features,
-            labels,
-            epochs,
-            learning_rate,
-        )
+        let route = self.admit(tenant, id, features)?;
+        self.fleet.counters.lock().routed_primary += 1;
+        let (ml, mid) = (&self.mls[route.primary], route.primary_id);
+        ml.train_mlp(mid, rows, cols, features, labels, epochs, learning_rate)
     }
 
     /// Exports `id`'s serialized blob from its primary replica
@@ -592,11 +559,11 @@ impl FleetMl<'_> {
         let backup = self.fleet.shard(route.backup);
         let primary_version =
             self.fleet.shard(route.primary).daemon().model_version(route.primary_id.0);
-        if let Some(version) = primary_version {
-            if backup.daemon().model_version(route.backup_id.0) == Some(version) {
-                self.fleet.replica_sync_skipped.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
+        if primary_version.is_some()
+            && backup.daemon().model_version(route.backup_id.0) == primary_version
+        {
+            self.fleet.counters.lock().replica_sync_skipped += 1;
+            return Ok(());
         }
         let blob = self.mls[route.primary].export_model(route.primary_id)?;
         // Re-read through the failover-safe path: export may have served
@@ -615,6 +582,22 @@ impl FleetMl<'_> {
         Ok(())
     }
 
+    /// Queues one idempotent batch on the serving shard's SQ and keeps
+    /// what a harvest-time replay needs.
+    fn submit(
+        &self,
+        tenant: u32,
+        id: FleetModelId,
+        batch: Batch,
+        features: &[f32],
+    ) -> Result<FleetCmdId, LakeError> {
+        let route = self.admit(tenant, id, features)?;
+        let (shard, mid) = self.fleet.select_shard(&route);
+        let fid = FleetCmdId { shard, id: batch.submit(&self.mls[shard], mid, features)? };
+        self.queued.lock().insert(fid, QueuedSubmit { route, batch, features: features.to_vec() });
+        Ok(fid)
+    }
+
     /// Queues a batched MLP inference on the serving shard's SQ without
     /// blocking (proactive diversion applies at submit time, like the
     /// sync path). Idempotent: if the frame later completes with a
@@ -631,20 +614,7 @@ impl FleetMl<'_> {
         cols: usize,
         features: &[f32],
     ) -> Result<FleetCmdId, LakeError> {
-        self.admit(tenant, std::mem::size_of_val(features))?;
-        let route = self.route(id)?;
-        let (shard, mid) = self.fleet.select_shard(&route);
-        let cmd = self.mls[shard].submit_mlp(mid, rows, cols, features)?;
-        let fid = FleetCmdId { shard, id: cmd };
-        self.queued.lock().insert(
-            fid,
-            QueuedSubmit {
-                route,
-                kind: QueuedKind::Mlp { rows, cols },
-                features: features.to_vec(),
-            },
-        );
-        Ok(fid)
+        self.submit(tenant, id, Batch::Mlp { rows, cols }, features)
     }
 
     /// Queues a batched LSTM inference; see [`FleetMl::submit_mlp`].
@@ -661,20 +631,7 @@ impl FleetMl<'_> {
         features_per_step: usize,
         features: &[f32],
     ) -> Result<FleetCmdId, LakeError> {
-        self.admit(tenant, std::mem::size_of_val(features))?;
-        let route = self.route(id)?;
-        let (shard, mid) = self.fleet.select_shard(&route);
-        let cmd = self.mls[shard].submit_lstm(mid, rows, steps, features_per_step, features)?;
-        let fid = FleetCmdId { shard, id: cmd };
-        self.queued.lock().insert(
-            fid,
-            QueuedSubmit {
-                route,
-                kind: QueuedKind::Lstm { rows, steps, features_per_step },
-                features: features.to_vec(),
-            },
-        );
-        Ok(fid)
+        self.submit(tenant, id, Batch::Lstm { rows, steps, features_per_step }, features)
     }
 
     /// Force-sends every shard's SQ under one doorbell apiece.
@@ -684,75 +641,50 @@ impl FleetMl<'_> {
         }
     }
 
-    /// Queued submissions not yet harvested, across all shards.
-    pub fn outstanding(&self) -> usize {
-        self.mls.iter().map(LakeMl::outstanding).sum()
-    }
-
     /// Harvests every completion that has already arrived on any shard's
     /// CQ (non-blocking). A completion that died with the daemon is
     /// replayed synchronously on the sibling replica before being
     /// returned — the caller sees the sibling's answer under the
     /// original ticket, and `failover_retries` counts the replay.
     pub fn poll_completions(&self) -> Vec<(FleetCmdId, Result<Vec<u32>, LakeError>)> {
-        let mut out = Vec::new();
-        for (shard, ml) in self.mls.iter().enumerate() {
-            for (cmd, result) in ml.poll_completions() {
-                out.push(self.settle(FleetCmdId { shard, id: cmd }, result));
-            }
-        }
-        out
+        self.harvest(LakeMl::poll_completions)
     }
 
     /// Flushes every shard's SQ, then blocks until all outstanding
     /// submissions complete, harvesting them with the same failover
     /// semantics as [`FleetMl::poll_completions`].
     pub fn drain_completions(&self) -> Vec<(FleetCmdId, Result<Vec<u32>, LakeError>)> {
+        self.harvest(LakeMl::drain_completions)
+    }
+
+    /// Collects `take`'s completions from every shard, shard by shard,
+    /// replaying each daemon-death result on its sibling replica.
+    fn harvest(
+        &self,
+        take: impl Fn(&LakeMl) -> Vec<InferCompletion>,
+    ) -> Vec<(FleetCmdId, Result<Vec<u32>, LakeError>)> {
         let mut out = Vec::new();
         for (shard, ml) in self.mls.iter().enumerate() {
-            for (cmd, result) in ml.drain_completions() {
-                out.push(self.settle(FleetCmdId { shard, id: cmd }, result));
+            for (cmd, result) in take(ml) {
+                let fid = FleetCmdId { shard, id: cmd };
+                let queued = self.queued.lock().remove(&fid);
+                let result = match queued {
+                    Some(q) => self.fail_over(&q.route, shard, result, |ml, mid| {
+                        q.batch.infer(ml, mid, &q.features)
+                    }),
+                    None => result,
+                };
+                out.push((fid, result));
             }
         }
         out
-    }
-
-    fn settle(
-        &self,
-        fid: FleetCmdId,
-        result: Result<Vec<u32>, LakeError>,
-    ) -> (FleetCmdId, Result<Vec<u32>, LakeError>) {
-        let queued = self.queued.lock().remove(&fid);
-        match result {
-            Err(e) if failover_eligible(&e) => {
-                let Some(q) = queued else { return (fid, Err(e)) };
-                if q.route.backup == q.route.primary {
-                    return (fid, Err(e));
-                }
-                self.fleet.failover_retries.fetch_add(1, Ordering::Relaxed);
-                let (alt, alt_id) = if fid.shard == q.route.primary {
-                    (q.route.backup, q.route.backup_id)
-                } else {
-                    (q.route.primary, q.route.primary_id)
-                };
-                let retried = match q.kind {
-                    QueuedKind::Mlp { rows, cols } => {
-                        self.mls[alt].infer_mlp(alt_id, rows, cols, &q.features)
-                    }
-                    QueuedKind::Lstm { rows, steps, features_per_step } => self.mls[alt]
-                        .infer_lstm(alt_id, rows, steps, features_per_step, &q.features),
-                };
-                (fid, retried)
-            }
-            r => (fid, r),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lake_ml::{serialize, Activation, Mlp};
+    use lake_ml::{serialize, Activation, Knn, LstmClassifier, Matrix, Mlp};
     use lake_sim::{CrashSchedule, Instant};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -770,24 +702,32 @@ mod tests {
         fleet.ml().with_policy(lake_core::BatchThresholdPolicy { batch_threshold: 0 })
     }
 
+    /// An LSTM over sequences of `STEPS` steps of `COLS / STEPS`
+    /// features, so one [`row`] is one sequence.
+    const STEPS: usize = 2;
+
+    fn lstm_blob() -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(9);
+        serialize::encode_lstm(&LstmClassifier::new(COLS / STEPS, 8, 1, 2, &mut rng))
+    }
+
+    fn knn_blob() -> Vec<u8> {
+        let refs = Matrix::from_rows(&(0..4).map(row).collect::<Vec<_>>());
+        serialize::encode_knn(&Knn::new(refs, vec![0, 1, 0, 1], 1))
+    }
+
     fn row(i: usize) -> Vec<f32> {
         (0..COLS).map(|j| ((i * 13 + j * 7) % 29) as f32 / 29.0 - 0.5).collect()
     }
 
     #[test]
-    fn shards_share_one_clock_and_carry_their_ids() {
+    fn shards_share_one_clock() {
         let fleet = DaemonFleet::deploy(Lake::builder().shards(3));
-        assert_eq!(fleet.num_shards(), 3);
+        assert_eq!(fleet.shards().len(), 3);
         let t0 = fleet.clock().now();
         fleet.clock().advance(Duration::from_micros(50));
-        for (id, shard) in fleet.shards().iter().enumerate() {
-            assert_eq!(shard.shard_id(), id);
+        for shard in fleet.shards() {
             assert_eq!(shard.clock().now(), t0 + Duration::from_micros(50));
-        }
-        let report = fleet.fault_report();
-        assert_eq!(report.shards.len(), 3);
-        for (id, r) in report.shards.iter().enumerate() {
-            assert_eq!(r.shard, id);
         }
     }
 
@@ -795,15 +735,55 @@ mod tests {
     fn fleet_inference_matches_a_single_lake() {
         let single = Lake::builder().build();
         let sml = single.ml();
-        let sid = sml.load_model(&model_blob()).unwrap();
-        let want = sml.infer_mlp(sid, 1, COLS, &row(3)).unwrap();
-
         let fleet = DaemonFleet::deploy(Lake::builder().shards(3));
         let ml = offloading(&fleet);
-        let id = ml.load_model(&model_blob()).unwrap();
-        let got = ml.infer_mlp(0, id, 1, COLS, &row(3)).unwrap();
-        assert_eq!(got, want, "routing must not change answers");
-        assert!(fleet.stats().routed_primary >= 1);
+        let two = [row(3), row(6)].concat();
+
+        let (sid, id) =
+            (sml.load_model(&model_blob()).unwrap(), ml.load_model(&model_blob()).unwrap());
+        let want = sml.infer_mlp(sid, 1, COLS, &row(3)).unwrap();
+        assert_eq!(ml.infer_mlp(0, id, 1, COLS, &row(3)).unwrap(), want, "MLP answer moved");
+
+        let (sid, id) =
+            (sml.load_model(&lstm_blob()).unwrap(), ml.load_model(&lstm_blob()).unwrap());
+        let want = sml.infer_lstm(sid, 2, STEPS, COLS / STEPS, &two).unwrap();
+        let got = ml.infer_lstm(0, id, 2, STEPS, COLS / STEPS, &two).unwrap();
+        assert_eq!(got, want, "LSTM answer moved");
+
+        let (sid, id) = (sml.load_model(&knn_blob()).unwrap(), ml.load_model(&knn_blob()).unwrap());
+        let want = sml.infer_knn(sid, 2, COLS, &two).unwrap();
+        assert_eq!(ml.infer_knn(0, id, 2, COLS, &two).unwrap(), want, "k-NN answer moved");
+        assert!(fleet.stats().routed_primary >= 3);
+    }
+
+    /// A backup load that dies with its daemon must not strand the
+    /// primary's copy: no route names it, so nothing could unload it.
+    #[test]
+    fn a_failed_backup_load_unloads_the_primary_copy() {
+        let mlp = Mlp::new(&[64, 256, 2], Activation::Relu, &mut StdRng::seed_from_u64(3));
+        let blob = serialize::encode_mlp(&mlp);
+        // The ring is deterministic: time key 0's two loads on a probe.
+        let probe = DaemonFleet::deploy(Lake::builder().shards(2));
+        let t0 = probe.clock().now();
+        let pid = probe.ml().load_model(&blob).unwrap();
+        let (primary, backup) = probe.route_of(pid).unwrap();
+        // Three quarters in lands inside the backup's load.
+        let crash = t0 + (probe.clock().now() - t0) * 3 / 4;
+        drop(probe);
+
+        let fleet =
+            DaemonFleet::deploy_with(Lake::builder().shards(2), FleetPolicy::default(), |id, b| {
+                if id == backup {
+                    b.crash_schedule(CrashSchedule::at(vec![crash]))
+                } else {
+                    b
+                }
+            });
+        let err = fleet.ml().load_model(&blob).unwrap_err();
+        assert!(failover_eligible(&err), "the backup load died with its daemon: {err}");
+        let shard = fleet.shard(primary);
+        assert_eq!(shard.model_store_stats().resident_bytes, 0, "primary copy still resident");
+        assert_eq!(shard.supervisor().shadowed_models(), 0, "primary copy still shadowed");
     }
 
     #[test]
@@ -870,8 +850,7 @@ mod tests {
         let before = fleet.route_of(id).unwrap();
         let newcomer = fleet.add_shard();
         assert_eq!(newcomer, 2);
-        assert_eq!(fleet.num_shards(), 3);
-        assert_eq!(fleet.fault_report().shards.len(), 3);
+        assert_eq!(fleet.shards().len(), 3);
         assert_eq!(fleet.route_of(id).unwrap(), before, "existing routes pinned");
         // The newcomer shares the fleet clock.
         fleet.clock().advance(Duration::from_micros(5));
@@ -902,74 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn perf_totals_sum_per_engine_counters() {
-        let fleet = DaemonFleet::deploy(Lake::builder().shards(2));
-        let ml = offloading(&fleet);
-        let id = ml.load_model(&model_blob()).unwrap();
-        ml.infer_mlp(0, id, 2, COLS, &[row(0), row(1)].concat()).unwrap();
-        let perf = fleet.perf_report();
-        assert_eq!(perf.shards.len(), 2);
-        let by_hand = perf.shards.iter().fold(PerfSnapshot::default(), |acc, r| acc.merged(&r.rpc));
-        assert_eq!(perf.rpc_total, by_hand);
-        assert!(perf.rpc_total.bytes_copied > 0, "model load + infer copied bytes");
-    }
-
-    #[test]
-    fn perf_totals_stay_exact_across_three_shards_and_add_shard() {
-        let mut fleet = DaemonFleet::deploy(Lake::builder().shards(3));
-        {
-            // Spread traffic until every shard has served at least one
-            // model, so every engine's counters are non-trivial.
-            let ml = offloading(&fleet);
-            let mut touched = [false; 3];
-            for _ in 0..32 {
-                let id = ml.load_model(&model_blob()).unwrap();
-                let (p, b) = fleet.route_of(id).unwrap();
-                touched[p] = true;
-                touched[b] = true;
-                ml.infer_mlp(0, id, 1, COLS, &row(1)).unwrap();
-                if touched.iter().all(|&t| t) {
-                    break;
-                }
-            }
-            assert!(touched.iter().all(|&t| t), "32 keys never touched some shard");
-        }
-
-        // Per-engine snapshots taken straight off each shard, before any
-        // aggregation — the ground truth the fleet rollup must equal.
-        let pre: Vec<PerfSnapshot> = fleet.shards().iter().map(|s| s.perf_report().rpc).collect();
-        let perf = fleet.perf_report();
-        assert_eq!(perf.shards.len(), 3);
-        for (shard, want) in perf.shards.iter().zip(&pre) {
-            assert_eq!(&shard.rpc, want, "per-shard counters shifted under aggregation");
-        }
-        assert_eq!(perf.rpc_total.bytes_copied, pre.iter().map(|s| s.bytes_copied).sum::<u64>());
-        assert_eq!(perf.rpc_total.copies, pre.iter().map(|s| s.copies).sum::<u64>());
-        assert_eq!(
-            perf.rpc_total.zero_copy_hits,
-            pre.iter().map(|s| s.zero_copy_hits).sum::<u64>()
-        );
-        assert_eq!(
-            perf.rpc_total.bytes_zero_copied,
-            pre.iter().map(|s| s.bytes_zero_copied).sum::<u64>()
-        );
-        assert!(perf.rpc_total.bytes_copied > 0);
-
-        // Growing the fleet must not double-count: the newcomer's engine
-        // joins the fold exactly once, and the old shards' counters are
-        // untouched by `add_shard`.
-        fleet.add_shard();
-        let perf2 = fleet.perf_report();
-        assert_eq!(perf2.shards.len(), 4);
-        for (shard, want) in perf2.shards.iter().take(3).zip(&pre) {
-            assert_eq!(&shard.rpc, want, "add_shard disturbed an existing engine");
-        }
-        let pre2: Vec<PerfSnapshot> = fleet.shards().iter().map(|s| s.perf_report().rpc).collect();
-        assert_eq!(perf2.rpc_total.bytes_copied, pre2.iter().map(|s| s.bytes_copied).sum::<u64>());
-        assert_eq!(perf2.rpc_total.copies, pre2.iter().map(|s| s.copies).sum::<u64>());
-    }
-
-    #[test]
     fn queued_submissions_complete_and_fail_over_to_the_sibling() {
         // Discover key 0's primary, then rebuild with that shard armed
         // to crash — mirrors `pending_crash_diverts_then_primary_recovers`.
@@ -995,41 +906,56 @@ mod tests {
         }
         assert!(fleet.stats().qos.admitted >= 2, "tenant governor gated the submits");
 
-        // Crashy fleet: the primary crashes mid-flight and its engine is
+        // Crashy fleets: the primary crashes mid-flight and its engine is
         // pinned to a single attempt, so the queued frame completes with
         // a typed `DaemonRestarted` instead of recovering shard-locally —
-        // harvest must replay the command on the backup replica.
+        // harvest must replay the command on the backup replica. Once per
+        // batch kind, each on a fresh fleet whose key 0 is the model.
         let one_shot = lake_rpc::CallPolicy { max_attempts: 1, ..Default::default() };
-        let fleet = DaemonFleet::deploy_with(
-            Lake::builder().shards(2),
-            FleetPolicy::default(),
-            |sid, b| {
-                if sid == primary {
-                    b.crash_schedule(CrashSchedule::at(vec![
-                        Instant::EPOCH + Duration::from_micros(500),
-                    ]))
-                    .call_policy(one_shot)
-                } else {
-                    b
-                }
-            },
-        );
-        let ml = offloading(&fleet);
-        let id = ml.load_model(&model_blob()).unwrap();
-        // Park just shy of the first crash so the queued frame's
-        // in-flight window spans it (the submit itself still routes the
-        // primary: the crash has not surfaced yet).
-        fleet.clock().advance_to(Instant::from_nanos(500 * 1_000 - 100));
-        let t = ml.submit_mlp(0, id, 1, COLS, &row(5)).unwrap();
-        assert_eq!(t.shard, primary, "crash not yet surfaced, primary routed");
-        let done = ml.drain_completions();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].0, t);
-        assert_eq!(done[0].1.as_ref().expect("failover answered under the original ticket"), &want);
-        assert!(
-            fleet.stats().failover_retries >= 1,
-            "daemon-death completion must count a failover replay"
-        );
+        let seq = [row(5), row(7)].concat();
+        let want_lstm = {
+            let lake = Lake::builder().build();
+            let sid = lake.ml().load_model(&lstm_blob()).unwrap();
+            lake.ml().infer_lstm(sid, 2, STEPS, COLS / STEPS, &seq).unwrap()
+        };
+        for lstm in [false, true] {
+            let fleet = DaemonFleet::deploy_with(
+                Lake::builder().shards(2),
+                FleetPolicy::default(),
+                |sid, b| {
+                    if sid == primary {
+                        b.crash_schedule(CrashSchedule::at(vec![
+                            Instant::EPOCH + Duration::from_micros(500),
+                        ]))
+                        .call_policy(one_shot)
+                    } else {
+                        b
+                    }
+                },
+            );
+            let ml = offloading(&fleet);
+            let id = ml.load_model(&if lstm { lstm_blob() } else { model_blob() }).unwrap();
+            // Park just shy of the first crash so the queued frame's
+            // in-flight window spans it (the submit itself still routes
+            // the primary: the crash has not surfaced yet).
+            fleet.clock().advance_to(Instant::from_nanos(500 * 1_000 - 100));
+            let t = if lstm {
+                ml.submit_lstm(0, id, 2, STEPS, COLS / STEPS, &seq)
+            } else {
+                ml.submit_mlp(0, id, 1, COLS, &row(5))
+            };
+            let t = t.unwrap();
+            assert_eq!(t.shard, primary, "crash not yet surfaced, primary routed");
+            let done = ml.drain_completions();
+            assert_eq!(done.len(), 1);
+            assert_eq!(done[0].0, t);
+            let got = done[0].1.as_ref().expect("failover answered under the original ticket");
+            assert_eq!(got, if lstm { &want_lstm } else { &want });
+            assert!(
+                fleet.stats().failover_retries >= 1,
+                "daemon-death completion must count a failover replay"
+            );
+        }
     }
 
     #[test]

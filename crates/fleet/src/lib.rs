@@ -12,9 +12,14 @@
 //!   bytes across *tenants*, the one admission wait in the stack.
 //! - [`fleet`] — the [`DaemonFleet`] itself: deployment from a
 //!   [`lake_core::LakeBuilder`] template (`shards(n)` / `LAKE_SHARDS`),
-//!   model replication to ring backups, proactive diversion plus
-//!   reactive failover for idempotent calls, and shard-attributable
-//!   fault/perf/ring aggregation.
+//!   model replication to ring backups, and proactive diversion plus
+//!   reactive failover for idempotent calls. [`FleetMl`] only routes:
+//!   each shard's [`lake_core::LakeMl`] serves the call.
+//!
+//! The fleet keeps no report of its own beyond [`FleetStats`]' routing
+//! and QoS counters. Per-shard fault, perf and ring reports are read
+//! through [`DaemonFleet::shards`], and every ring places the fixed
+//! [`DEFAULT_VNODES`] points per shard.
 //!
 //! ```
 //! use lake_core::Lake;
@@ -43,9 +48,6 @@ pub mod fleet;
 pub mod qos;
 pub mod ring;
 
-pub use fleet::{
-    DaemonFleet, FleetCmdId, FleetFaultReport, FleetMl, FleetModelId, FleetPerfReport, FleetPolicy,
-    FleetStats,
-};
+pub use fleet::{DaemonFleet, FleetCmdId, FleetMl, FleetModelId, FleetPolicy, FleetStats};
 pub use qos::{QosCounters, QosPolicy, TenantGovernor};
 pub use ring::{HashRing, DEFAULT_VNODES};

@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use lake_sched::AdmissionError;
+use lake_core::AdmissionError;
 use lake_sim::{Duration, Instant, SharedClock};
 use parking_lot::Mutex;
 
@@ -143,10 +143,10 @@ impl TenantGovernor {
     /// Refills `tenant`'s bucket for ticks elapsed up to `now`, then
     /// admits `bytes` if the bucket covers them (or the request exceeds
     /// the bucket capacity outright and the bucket is full — the
-    /// oversized allowance, mirroring the admission controller's: such a
-    /// request still pays by draining the bucket to zero, so fairness in
-    /// served bytes survives).
-    fn refill_and_test(&self, tenant: u32, bytes: usize) -> bool {
+    /// oversized allowance: such a request still pays by draining the
+    /// bucket to zero, so fairness in served bytes survives). An
+    /// admission counts as `throttled` after a wait, else `admitted`.
+    fn refill_and_test(&self, tenant: u32, bytes: usize, waited: bool) -> bool {
         let now = self.clock.now();
         let mut tenants = self.tenants.lock();
         let st = tenants.entry(tenant).or_insert_with(|| TenantState {
@@ -168,25 +168,22 @@ impl TenantGovernor {
         // A request larger than the bucket could ever hold admits once
         // the bucket is full; everything else needs full coverage.
         let need = (bytes as u64).min(self.cap(st.weight));
-        if st.deficit >= need {
-            st.deficit = st.deficit.saturating_sub(bytes as u64);
-            st.served_bytes += bytes as u64;
-            true
-        } else {
-            false
+        if st.deficit < need {
+            return false;
         }
+        st.deficit = st.deficit.saturating_sub(bytes as u64);
+        st.served_bytes += bytes as u64;
+        let mut c = self.counters.lock();
+        let counter = if waited { &mut c.throttled } else { &mut c.admitted };
+        *counter += 1;
+        c.bytes_admitted += bytes as u64;
+        true
     }
 
     /// Non-blocking admit: refills, then admits `bytes` for `tenant` iff
     /// its bucket covers them *right now*. Never advances the clock.
     pub fn try_admit(&self, tenant: u32, bytes: usize) -> bool {
-        let ok = self.refill_and_test(tenant, bytes);
-        let mut c = self.counters.lock();
-        if ok {
-            c.admitted += 1;
-            c.bytes_admitted += bytes as u64;
-        }
-        ok
+        self.refill_and_test(tenant, bytes, false)
     }
 
     /// Blocking admit: waits (advancing the shared clock one refill tick
@@ -199,10 +196,7 @@ impl TenantGovernor {
     /// cannot cover `bytes` within the deadline — the flood-shedding
     /// signal.
     pub fn admit(&self, tenant: u32, bytes: usize) -> Result<(), AdmissionError> {
-        if self.refill_and_test(tenant, bytes) {
-            let mut c = self.counters.lock();
-            c.admitted += 1;
-            c.bytes_admitted += bytes as u64;
+        if self.refill_and_test(tenant, bytes, false) {
             return Ok(());
         }
         let deadline = self.clock.now() + self.policy.queue_deadline;
@@ -214,10 +208,7 @@ impl TenantGovernor {
             }
             self.clock.advance(self.policy.refill_interval);
             waited += self.policy.refill_interval;
-            if self.refill_and_test(tenant, bytes) {
-                let mut c = self.counters.lock();
-                c.throttled += 1;
-                c.bytes_admitted += bytes as u64;
+            if self.refill_and_test(tenant, bytes, true) {
                 return Ok(());
             }
         }

@@ -50,7 +50,6 @@ pub struct HashRing {
     /// keeps the ring deterministic even under a 64-bit collision).
     points: Vec<(u64, usize)>,
     vnodes: usize,
-    shards: Vec<usize>,
 }
 
 impl HashRing {
@@ -71,7 +70,7 @@ impl HashRing {
     pub fn with_vnodes(n: usize, vnodes: usize) -> Self {
         assert!(n > 0, "a ring needs at least one shard");
         assert!(vnodes > 0, "a shard needs at least one virtual node");
-        let mut ring = HashRing { points: Vec::new(), vnodes, shards: Vec::new() };
+        let mut ring = HashRing { points: Vec::new(), vnodes };
         for shard in 0..n {
             ring.add_shard(shard);
         }
@@ -85,9 +84,7 @@ impl HashRing {
     ///
     /// Panics if `shard` is already present.
     pub fn add_shard(&mut self, shard: usize) {
-        assert!(!self.shards.contains(&shard), "shard {shard} already on the ring");
-        self.shards.push(shard);
-        self.shards.sort_unstable();
+        assert!(!self.holds(shard), "shard {shard} already on the ring");
         for vnode in 0..self.vnodes {
             self.points.push((vnode_point(shard, vnode), shard));
         }
@@ -101,25 +98,13 @@ impl HashRing {
     ///
     /// Panics if `shard` is not present, or if it is the last shard.
     pub fn remove_shard(&mut self, shard: usize) {
-        assert!(self.shards.contains(&shard), "shard {shard} not on the ring");
-        assert!(self.shards.len() > 1, "cannot remove the last shard");
-        self.shards.retain(|&s| s != shard);
+        assert!(self.holds(shard), "shard {shard} not on the ring");
+        assert!(self.points.iter().any(|&(_, s)| s != shard), "cannot remove the last shard");
         self.points.retain(|&(_, s)| s != shard);
     }
 
-    /// Shard ids currently on the ring, ascending.
-    pub fn shards(&self) -> &[usize] {
-        &self.shards
-    }
-
-    /// Number of shards on the ring.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the ring is empty (never true for a constructed ring).
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+    fn holds(&self, shard: usize) -> bool {
+        self.points.iter().any(|&(_, s)| s == shard)
     }
 
     /// Index into `points` of the first point at or after `key`'s hash,

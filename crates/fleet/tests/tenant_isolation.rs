@@ -5,6 +5,15 @@
 //!
 //! Every number is virtual time on the shared clock, so the run is
 //! deterministic.
+//!
+//! The 2× bound holds because each admitted flood row is charged twice:
+//! once by the flooder's own `try_admit` gate and again by `submit_mlp`'s
+//! blocking admit. A weight-1 flooder whose bucket refills two rows per
+//! op therefore gets one row in per op (24 in all). Charged once, the
+//! flooder gets both rows in (48), and the victim's p99 rose to 2.98×
+//! alone (5720.6 µs against 1917.2 µs) in a prototype. Charging each row
+//! once is a change of behaviour with its own bounds to set, not a
+//! deletion.
 
 use lake_core::{BatchThresholdPolicy, Lake, PoolPolicy};
 use lake_fleet::{DaemonFleet, FleetPolicy, QosPolicy};

@@ -14,8 +14,6 @@
 //!   the least-loaded device; when every device sits above the
 //!   contention threshold the pool signals [`Placement::CpuFallback`],
 //!   reproducing Fig 13's adaptive behavior per device.
-//! * [`AdmissionError`] — the typed expiry of a bounded admission wait
-//!   (the fleet's tenant governor is the one that waits).
 //! * [`SchedMetrics`] — per-device dispatch, utilization and health
 //!   counters, plus CPU fallbacks.
 //!
@@ -29,10 +27,8 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod metrics;
 pub mod pool;
 
-pub use admission::AdmissionError;
 pub use metrics::{DeviceMetrics, SchedMetrics};
 pub use pool::{DevicePool, Placement, PoolPolicy};
