@@ -566,9 +566,10 @@ impl FleetMl<'_> {
             return Ok(());
         }
         let blob = self.mls[route.primary].export_model(route.primary_id)?;
-        // Re-read through the failover-safe path: export may have served
-        // from the backup replica if the primary was mid-restart, but the
-        // version we install must be the blob's origin version.
+        // The export asks the primary alone; there is no failover. The
+        // backup installs the primary's version as read above. If the
+        // primary daemon's store no longer holds the model, it takes the
+        // backup's own version + 1, or 1 if the backup has none either.
         let version = primary_version
             .or_else(|| backup.daemon().model_version(route.backup_id.0).map(|v| v + 1))
             .unwrap_or(1);

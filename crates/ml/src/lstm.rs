@@ -13,7 +13,7 @@
 use rand::Rng;
 
 use crate::mlp::softmax_rows;
-use crate::tensor::Matrix;
+use crate::tensor::{axpy, Matrix};
 
 /// A single LSTM layer (cell) operating on one sequence at a time.
 #[derive(Debug, Clone)]
@@ -119,30 +119,27 @@ impl LstmCell {
         assert_eq!(x.len(), self.input, "input size mismatch");
         assert_eq!(h_prev.len(), self.hidden, "hidden size mismatch");
         let hd = self.hidden;
-        // z = x·Wx + h_prev·Wh + b
+        // z = b + x·Wx + h_prev·Wh, one fused term per nonzero input (the
+        // `Matrix::matmul` reference, seeded with the bias).
         let mut z = self.b.clone();
         for (k, &xv) in x.iter().enumerate() {
             if xv == 0.0 {
                 continue;
             }
-            let row = self.wx.row(k);
-            for (zj, &wj) in z.iter_mut().zip(row) {
-                *zj += xv * wj;
-            }
+            axpy(xv, self.wx.row(k), &mut z);
         }
         for (k, &hv) in h_prev.iter().enumerate() {
             if hv == 0.0 {
                 continue;
             }
-            let row = self.wh.row(k);
-            for (zj, &wj) in z.iter_mut().zip(row) {
-                *zj += hv * wj;
-            }
+            axpy(hv, self.wh.row(k), &mut z);
         }
         let i: Vec<f32> = z[..hd].iter().map(|&v| sigmoid(v)).collect();
         let f: Vec<f32> = z[hd..2 * hd].iter().map(|&v| sigmoid(v)).collect();
         let g: Vec<f32> = z[2 * hd..3 * hd].iter().map(|&v| crate::fastmath::tanh(v)).collect();
         let o: Vec<f32> = z[3 * hd..].iter().map(|&v| sigmoid(v)).collect();
+        // The cell update is not a matrix product: it stays unfused, as in
+        // the packed engine's gate epilogue.
         let c: Vec<f32> = (0..hd).map(|j| f[j] * c_prev[j] + i[j] * g[j]).collect();
         let tanh_c: Vec<f32> = c.iter().map(|&v| crate::fastmath::tanh(v)).collect();
         let h: Vec<f32> = (0..hd).map(|j| o[j] * tanh_c[j]).collect();
@@ -344,10 +341,7 @@ impl LstmClassifier {
         let last_h = layer_input.last().expect("non-empty sequence");
         let mut logits = self.head_b.clone();
         for (k, &hv) in last_h.iter().enumerate() {
-            let row = self.head_w.row(k);
-            for (lj, &wj) in logits.iter_mut().zip(row) {
-                *lj += hv * wj;
-            }
+            axpy(hv, self.head_w.row(k), &mut logits);
         }
         logits
     }
@@ -408,10 +402,7 @@ impl LstmClassifier {
         let last_h = hs_per_layer[n_layers - 1].last().expect("non-empty").clone();
         let mut logits = self.head_b.clone();
         for (k, &hv) in last_h.iter().enumerate() {
-            let row = self.head_w.row(k);
-            for (lj, &wj) in logits.iter_mut().zip(row) {
-                *lj += hv * wj;
-            }
+            axpy(hv, self.head_w.row(k), &mut logits);
         }
         let mut probs = Matrix::row_vector(&logits);
         softmax_rows(&mut probs);

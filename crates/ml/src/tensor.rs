@@ -117,7 +117,12 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self × rhs`.
+    /// Matrix product `self × rhs`: the reference every f32 kernel in
+    /// this crate matches bit for bit.
+    ///
+    /// Each output element starts at `+0.0` and takes one fused term
+    /// `a.mul_add(b, acc)` (IEEE 754 fusedMultiplyAdd, one rounding) per
+    /// ascending `k`, skipping the terms whose `a` is `±0.0`.
     ///
     /// # Panics
     ///
@@ -137,10 +142,7 @@ impl Matrix {
                     continue;
                 }
                 let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
+                axpy(a, rhs_row, &mut out.data[i * rhs.cols..(i + 1) * rhs.cols]);
             }
         }
         out
@@ -264,9 +266,98 @@ impl fmt::Display for Matrix {
     }
 }
 
+/// `y[j] = a.mul_add(x[j], y[j])` for every `j` of the shorter slice: the
+/// one multiply-accumulate term of every f32 matrix product in this crate
+/// ([`Matrix::matmul`], the LSTM gates and head, and the scalar GEMM
+/// kernel), rounded once.
+///
+/// Without the `fma` target feature, `f32::mul_add` is a libm call per
+/// element, so the body is compiled twice and the copy built with `fma`
+/// runs wherever the CPU has it. Both round the exact `a·x + y` once, so
+/// they agree bit for bit.
+#[inline]
+pub(crate) fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("fma") {
+        // SAFETY: the CPU reports FMA, and the detection also checks that
+        // the OS saves the ymm state its VEX encoding uses.
+        unsafe { axpy_fma(a, x, y) };
+        return;
+    }
+    axpy_portable(a, x, y);
+}
+
+/// The portable [`axpy`] body.
+#[inline(always)]
+fn axpy_portable(a: f32, x: &[f32], y: &mut [f32]) {
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y = a.mul_add(x, *y);
+    }
+}
+
+/// [`axpy_portable`] compiled with FMA, so `mul_add` is one `vfmadd`.
+///
+/// # Safety
+///
+/// The CPU must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn axpy_fma(a: f32, x: &[f32], y: &mut [f32]) {
+    axpy_portable(a, x, y);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `[a, −a] · [a; a]` with `a = 1 + 2⁻¹²`: `a·a = 1 + 2⁻¹¹ + 2⁻²⁴`
+    /// rounds to `1 + 2⁻¹¹`, so two roundings per term cancel to `+0`
+    /// while one rounding per term leaves the exact `−2⁻²⁴`.
+    #[test]
+    fn matmul_rounds_each_term_once() {
+        let a = 1.0 + 2f32.powi(-12);
+        let x = Matrix::from_rows(&[vec![a, -a]]);
+        let w = Matrix::from_rows(&[vec![a], vec![a]]);
+        assert_eq!(x.matmul(&w).data(), &[-(2f32.powi(-24))]);
+    }
+
+    /// The portable and FMA-compiled `axpy` bodies round alike on rows of
+    /// mixed magnitudes, signed zeros and subnormals. Hosts with FMA never
+    /// dispatch to the portable body, so this is its only run there.
+    #[test]
+    fn axpy_bodies_agree_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let value = |rng: &mut StdRng| match rng.gen_range(0..6u8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(
+                rng.gen_range(1..0x0080_0000u32) | u32::from(rng.gen::<bool>()) << 31,
+            ),
+            3 => rng.gen_range(-1e30..1e30f32),
+            4 => rng.gen_range(-1e-30..1e-30f32),
+            _ => rng.gen_range(-2.0..2.0f32),
+        };
+        for len in [1, 7, 8, 9, 31, 64, 257] {
+            for _ in 0..50 {
+                let a = value(&mut rng);
+                let x: Vec<f32> = (0..len).map(|_| value(&mut rng)).collect();
+                let y: Vec<f32> = (0..len).map(|_| value(&mut rng)).collect();
+                let mut want = y.clone();
+                axpy_portable(a, &x, &mut want);
+                #[cfg(target_arch = "x86_64")]
+                if std::is_x86_feature_detected!("fma") {
+                    let mut got = y.clone();
+                    // SAFETY: the CPU reports FMA.
+                    unsafe { axpy_fma(a, &x, &mut got) };
+                    for (w, g) in want.iter().zip(&got) {
+                        assert_eq!(w.to_bits(), g.to_bits(), "a={a:e}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn matmul_known_product() {

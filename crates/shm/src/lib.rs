@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod allocator;
+mod backing;
 mod carve;
 mod region;
 

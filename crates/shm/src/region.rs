@@ -6,6 +6,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::allocator::{AllocStats, BestFitAllocator, OwnerTag};
+use crate::backing::Backing;
 
 /// Errors returned by [`ShmRegion`] operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +106,7 @@ pub struct ReclaimReport {
 
 struct Inner {
     alloc: BestFitAllocator,
-    bytes: Vec<u8>,
+    bytes: Backing,
 }
 
 impl Inner {
@@ -146,7 +147,8 @@ impl fmt::Debug for ShmRegion {
 }
 
 impl ShmRegion {
-    /// Reserves a region of `capacity` bytes.
+    /// Reserves a region of `capacity` zeroed bytes. On Linux a page of
+    /// the region takes resident memory only once it is written.
     ///
     /// # Panics
     ///
@@ -155,7 +157,7 @@ impl ShmRegion {
         ShmRegion {
             inner: Arc::new(Mutex::new(Inner {
                 alloc: BestFitAllocator::new(capacity),
-                bytes: vec![0; capacity],
+                bytes: Backing::zeroed(capacity),
             })),
         }
     }
